@@ -60,7 +60,7 @@ def run_batch_benchmark() -> dict:
     engine = prepared(graph)
 
     # Warm the shared caches (sequence materialisation, NumPy views of the
-    # kernel and the offset tuple) so both sides are measured in steady state.
+    # kernel) so both sides are measured in steady state.
     engine.route_many(pairs, provider=PROVIDER, lockstep=True)
     engine.reference_route_many(pairs[:1], provider=PROVIDER)
 

@@ -165,7 +165,7 @@ class Session:
 
         Session keys (``session_*``) count this session's scenario cache;
         the remaining keys are :func:`repro.core.engine.prepared_cache_info`
-        for the current process (shared engines, schedules, offset tuples and
+        for the current process (shared engines, schedules, sequence streams and
         their hit/miss counters).  Worker processes keep their own caches, so
         pooled tasks contribute only their parent-side shares here.
         """

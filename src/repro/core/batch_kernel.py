@@ -67,6 +67,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import RoutingError
 from repro.graphs.labeled_graph import LabeledGraph  # noqa: F401  (doc references)
+from repro.core.universal import OffsetStream
 from repro.core.walk_kernel import CompiledWalk
 
 try:  # pragma: no cover - exercised by the no-NumPy CI job
@@ -106,12 +107,8 @@ _CHUNK_ROWS_MAX = 4096
 #: of exhausting memory; results are identical either way.
 _MAX_BUFFER_ELEMENTS = 1 << 26
 
-#: Bound on cached per-kernel batched steppers / per-sequence offset arrays.
+#: Bound on cached per-kernel batched steppers.
 _BATCH_CACHE_LIMIT = 64
-# Sized to hold a whole multi-graph sweep group's sequences (one per (graph,
-# size-bound) job), not just a single engine's working set — a group larger
-# than this cache would re-convert every tuple on every run.
-_NP_OFFSETS_CACHE_LIMIT = 64
 
 #: Outcome codes of :class:`ScheduleBatchedWalk` (mirroring DynamicOutcome,
 #: which lives above this module in the layer order).
@@ -239,17 +236,18 @@ class BatchedWalk:
     def run(
         self,
         pairs: Sequence[Tuple[int, int]],
-        offsets: Sequence[int],
+        offsets: OffsetStream,
         start_port: int = 0,
         max_buffer_elements: int = _MAX_BUFFER_ELEMENTS,
     ) -> Tuple[Dict[int, StaticWalkAccount], List[int]]:
         """Route ``pairs`` in lockstep; return per-index accounts + unresolved.
 
         ``pairs`` are ``(source, target)`` original-vertex pairs (duplicates
-        and self-pairs allowed).  Returns a mapping from pair index to its
-        :class:`StaticWalkAccount` plus the list of indices the stepper did
-        not resolve because the trajectory buffer cap was reached — the
-        caller finishes those on the scalar kernel (identical results).
+        and self-pairs allowed); ``offsets`` is the exploration sequence,
+        extended one chunk window at a time.  Returns a mapping from pair
+        index to its :class:`StaticWalkAccount` plus the list of indices the
+        stepper did not resolve because the trajectory buffer cap was reached
+        — the caller finishes those on the scalar kernel (identical results).
         """
         kernel = self.kernel
         length = len(offsets)
@@ -303,8 +301,9 @@ class BatchedWalk:
                 truncated = True
                 break
             buffer = _np.empty((len(active), rows), dtype=_np.int32)
+            window = offsets.extend_to(global_step + rows)
             for row in range(rows):
-                state = step[offsets[global_step + row]][state]
+                state = step[window[global_step + row]][state]
                 buffer[:, row] = state
             owners = owner_state[buffer]
             buffered_elements += owners.size
@@ -400,11 +399,17 @@ class ScheduleBatchedWalk:
         self,
         sources: Sequence[int],
         targets: Sequence[int],
-        offsets: Sequence[int],
-        np_offsets: "_np.ndarray",
+        offsets: OffsetStream,
     ) -> List[ScheduleWalkAccount]:
-        """Route every pair over the schedule in lockstep; return accounts."""
+        """Route every pair over the schedule in lockstep; return accounts.
+
+        Forward walks all sit at the shared index ``time``, so the sequence's
+        generated prefix is extended (and its ``int8`` view refreshed) only
+        when the clock reaches its end; backward walks read behind it.
+        """
         length = len(offsets)
+        prefix = offsets.prefix
+        np_offsets = _np.frombuffer(prefix, dtype=_np.int8)
         count = len(sources)
         steppers = self._steppers
         snapshots = self._snapshots
@@ -478,7 +483,10 @@ class ScheduleBatchedWalk:
             if fwd.any():
                 # Forward walks stepped on every previous tick, so they all
                 # sit at the shared index ``time`` (< length here).
-                state[fwd] = stepper.step[offsets[time]][state[fwd]]
+                if time >= len(prefix):
+                    prefix = offsets.extend_to(time + 1)
+                    np_offsets = _np.frombuffer(prefix, dtype=_np.int8)
+                state[fwd] = stepper.step[prefix[time]][state[fwd]]
                 steps[fwd] += 1
                 current_owner[fwd] = stepper.owner_state[state[fwd]]
 
@@ -548,12 +556,14 @@ class MultiGraphWalk:
 
     :meth:`run` takes *jobs* — ``(stepper index, pairs, offsets)`` triples,
     one per (graph, size-bound) group — whose exploration sequences may have
-    different lengths: each distinct job contributes a row to a zero-padded
-    ``int8`` offsets matrix, fronts gather their current offset from their
-    row, and a per-front sequence-length clamp ignores any trajectory
-    recorded past the front's own horizon.  Accounting is the shared
-    :func:`_account_from_trajectory` reduction, so results are bitwise
-    identical to running each job through :class:`BatchedWalk` alone.
+    different lengths: per chunk window, each job contributes a row of a
+    zero-padded ``int8`` offsets matrix (an ``np.frombuffer`` view of its
+    stream's prefix, extended to cover the window), fronts gather their
+    current offset from their row, and a per-front sequence-length clamp
+    ignores any trajectory recorded past the front's own horizon.
+    Accounting is the shared :func:`_account_from_trajectory` reduction, so
+    results are bitwise identical to running each job through
+    :class:`BatchedWalk` alone.
     """
 
     __slots__ = (
@@ -600,7 +610,7 @@ class MultiGraphWalk:
 
     def run(
         self,
-        jobs: Sequence[Tuple[int, Sequence[Tuple[int, int]], Sequence[int]]],
+        jobs: Sequence[Tuple[int, Sequence[Tuple[int, int]], OffsetStream]],
         start_port: int = 0,
         max_buffer_elements: int = _MAX_BUFFER_ELEMENTS,
     ) -> Tuple[Dict[Tuple[int, int], StaticWalkAccount], List[Tuple[int, int]]]:
@@ -619,16 +629,13 @@ class MultiGraphWalk:
         state_base = self.state_base
         steppers = self.steppers
 
-        # Cached int8 views of each job's exploration sequence (the tuple-to-
-        # array conversion is amortised across runs); the hot loop slices the
-        # walked window per chunk instead of materialising a padded
-        # jobs x max_length matrix — sequences run to millions of entries
-        # while typical batches resolve within a few thousand steps.
-        lengths = [len(offsets) for _stepper, _pairs, offsets in jobs]
+        # The hot loop reads each job's walked window per chunk instead of
+        # materialising a padded jobs x max_length matrix — sequences run to
+        # millions of entries while typical batches resolve within a few
+        # thousand steps.
+        streams = [offsets for _stepper, _pairs, offsets in jobs]
+        lengths = [len(offsets) for offsets in streams]
         max_length = max(lengths, default=0)
-        job_offsets = [
-            np_offsets_for(offsets) for _stepper, _pairs, offsets in jobs
-        ]
 
         # Group each job's pairs by source: within one job, walks sharing a
         # start state share their whole forward trajectory (same graph, same
@@ -685,12 +692,15 @@ class MultiGraphWalk:
             # clamps to the real horizon below), gathered per active front
             # and premultiplied into flat-table bases.
             off_jobs = _np.zeros((len(jobs), rows), dtype=_np.int8)
-            for job, offsets_array in enumerate(job_offsets):
+            for job, stream in enumerate(streams):
                 usable_rows = min(rows, lengths[job] - global_step)
                 if usable_rows > 0:
-                    off_jobs[job, :usable_rows] = offsets_array[
-                        global_step : global_step + usable_rows
-                    ]
+                    off_jobs[job, :usable_rows] = _np.frombuffer(
+                        stream.extend_to(global_step + usable_rows),
+                        dtype=_np.int8,
+                        count=usable_rows,
+                        offset=global_step,
+                    )
             bases = off_jobs[front_rows].astype(_np.int32)
             bases *= num_states
             bases = _np.ascontiguousarray(bases.T)
@@ -780,10 +790,6 @@ class MultiGraphWalk:
 #: so an id cannot be recycled while its entry lives.
 _BATCH_CACHE: "OrderedDict[int, BatchedWalk]" = OrderedDict()
 
-#: int8 offset arrays keyed by ``id(offsets tuple)`` (the engine's offsets
-#: cache keeps the tuples alive and identity-stable).
-_NP_OFFSETS_CACHE: "OrderedDict[int, Tuple[object, object]]" = OrderedDict()
-
 #: Stacked multi-graph steppers keyed by the tuple of member stepper ids;
 #: entries hold the steppers strongly so the ids stay valid.
 _MULTI_CACHE: "OrderedDict[Tuple[int, ...], Tuple[Tuple[BatchedWalk, ...], MultiGraphWalk]]" = OrderedDict()
@@ -824,25 +830,9 @@ def multigraph_walk_for(steppers: Sequence[BatchedWalk]) -> MultiGraphWalk:
     return multi
 
 
-def np_offsets_for(offsets: Sequence[int]) -> "_np.ndarray":
-    """Cached int8 array view of a raw offset tuple (values in {0, 1, 2})."""
-    _require_numpy()
-    key = id(offsets)
-    entry = _NP_OFFSETS_CACHE.get(key)
-    if entry is not None and entry[0] is offsets:
-        _NP_OFFSETS_CACHE.move_to_end(key)
-        return entry[1]
-    array = _np.asarray(offsets, dtype=_np.int8)
-    _NP_OFFSETS_CACHE[key] = (offsets, array)
-    while len(_NP_OFFSETS_CACHE) > _NP_OFFSETS_CACHE_LIMIT:
-        _NP_OFFSETS_CACHE.popitem(last=False)
-    return array
-
-
 def clear_batch_caches() -> None:
-    """Drop every cached batched stepper and offset array (worker cold start)."""
+    """Drop every cached batched stepper (worker cold start)."""
     _BATCH_CACHE.clear()
-    _NP_OFFSETS_CACHE.clear()
     _MULTI_CACHE.clear()
 
 
@@ -850,6 +840,5 @@ def batch_cache_info() -> Dict[str, int]:
     """Sizes of the batch-kernel caches, for this process (diagnostics only)."""
     return {
         "batched_kernels": len(_BATCH_CACHE),
-        "np_offset_entries": len(_NP_OFFSETS_CACHE),
         "multigraph_kernels": len(_MULTI_CACHE),
     }

@@ -117,9 +117,10 @@ class BroadcastProtocol(Protocol):
         self._reduction = self._engine.reduction
         self._kernel = self._engine.kernel
         self._bound = self._engine.resolve_size_bound(source, size_bound)
-        self._offsets = self._engine.offsets_for(self._bound, self._provider)
-        # The raw offsets ARE the sequence; the alias keeps the historical
-        # attribute that callers size simulation budgets from.
+        # A broadcast walks the whole sequence, so it takes every offset up
+        # front as ``bytes``.  The raw offsets ARE the sequence; the alias
+        # keeps the historical attribute that callers size budgets from.
+        self._offsets = self._engine.offsets_for(self._bound, self._provider).offsets()
         self._sequence = self._offsets
         self._name_bits = network.name_bits
         self._index_bits = max(1, len(self._sequence).bit_length())

@@ -106,7 +106,7 @@ def count_nodes(
             )
         rounds += 1
         bound = 2 ** exponent
-        sequence = engine.offsets_for(bound, provider)
+        sequence = engine.offsets_for(bound, provider).offsets()
         visited_list = kernel.walk_vertices(gateway, start_port, sequence)
         walk_steps += len(sequence)
         visited_set: Set[int] = set(visited_list)

@@ -14,9 +14,12 @@ is pure overhead: the topology never changes between calls.
 * the flat-array walk kernel (:class:`repro.core.walk_kernel.CompiledWalk`)
   that turns each walk step into two list indexes;
 * the per-component size table that makes the ``CountNodes`` bound an O(1)
-  lookup;
-* a per-(provider, bound) cache of raw offset tuples so the exploration
-  sequence is materialised exactly once.
+  lookup.
+
+The exploration sequence is not engine state: :meth:`PreparedNetwork.offsets_for`
+hands out the provider's own lazy :class:`~repro.core.universal.OffsetStream`,
+and every walk reads its ``bytes`` prefix, extending it only when the walk
+reaches its end.
 
 It then serves unlimited :meth:`route` calls and the batch API
 :meth:`route_many` against that shared state.  :func:`prepare` maintains a
@@ -75,7 +78,6 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.kernel_store import (
-    LRUCache,
     configure_kernel_store,
     kernel_store,
 )
@@ -85,7 +87,7 @@ from repro.core.routing import (
     _header_bits,
     default_provider,
 )
-from repro.core.universal import SequenceProvider
+from repro.core.universal import OffsetStream, SequenceProvider, offset_stream
 from repro.core.walk_kernel import CompiledWalk
 from repro.deprecation import warn_once
 from repro.errors import RoutingError
@@ -109,10 +111,6 @@ __all__ = [
     "route_many",
     "route_many_multi",
 ]
-
-#: Per-engine bound on cached (provider, bound) offset tuples; CountNodes'
-#: doubling loop needs ~log2(n) live bounds per provider, so 32 is generous.
-_OFFSETS_CACHE_LIMIT = 32
 
 #: Automatic ``route_many`` dispatch: the lockstep kernel pays a fixed NumPy
 #: per-step overhead, so it wins only when the scalar work it replaces is
@@ -186,11 +184,6 @@ class PreparedNetwork:
         #: object is not persisted); recomputed lazily by :attr:`reduction`
         #: for the few callers that need it (verbose protocols).
         self._reduction = kernel.reduction
-        #: (id(provider), bound) -> (provider, offsets); the provider is kept
-        #: so its id cannot be recycled while the entry lives.  LRU-bounded so
-        #: sweeps that create a fresh provider per trial cannot pin an
-        #: unbounded pile of providers and offset tuples on a cached engine.
-        self._offsets_cache: LRUCache = LRUCache(_OFFSETS_CACHE_LIMIT)
         self._original_components: Optional[Dict[int, FrozenSet[int]]] = None
 
     # ------------------------------------------------------------------ #
@@ -236,20 +229,14 @@ class PreparedNetwork:
 
     def offsets_for(
         self, bound: int, provider: Optional[SequenceProvider] = None
-    ) -> Sequence[int]:
-        """Raw offset tuple of ``T_bound``, materialised once per provider."""
+    ) -> OffsetStream:
+        """``T_bound`` as an :class:`~repro.core.universal.OffsetStream`.
+
+        The provider caches its streams, so this holds no state of its own;
+        a stream generates offsets only as far as a walk reads them.
+        """
         provider = provider if provider is not None else self._default_provider
-        key = (id(provider), bound)
-        entry = self._offsets_cache.get(key)
-        if entry is not None:
-            return entry[1]
-        sequence = provider.sequence_for(bound)
-        raw = getattr(sequence, "offsets", None)
-        offsets = raw() if callable(raw) else tuple(
-            sequence[i] for i in range(len(sequence))
-        )
-        self._offsets_cache.put(key, (provider, offsets))
-        return offsets
+        return offset_stream(provider.sequence_for(bound))
 
     def original_component(self, vertex: int) -> FrozenSet[int]:
         """Connected component of ``vertex`` in the *original* graph (cached)."""
@@ -303,8 +290,8 @@ class PreparedNetwork:
         kernel = self._kernel
         gateway = kernel.gateway(source)
         bound = self.resolve_size_bound(source, size_bound)
-        offsets = self.offsets_for(bound, provider)
-        length = len(offsets)
+        stream = self.offsets_for(bound, provider)
+        length = len(stream)
         namespace = namespace_size if namespace_size is not None else self._namespace
 
         next_vertex = kernel.next_vertex
@@ -316,18 +303,25 @@ class PreparedNetwork:
         forward_steps = 0
         physical_hops = 0
         target_found_at: Optional[int] = None
+        offsets = stream.prefix
+        available = len(offsets)
 
         # Forward phase: follow the sequence until the target is met or the
-        # sequence is exhausted (step rule identical to the seed walker).
+        # sequence is exhausted (step rule identical to the seed walker).  The
+        # walk indexes the generated prefix and extends it only when the index
+        # reaches its end.
         while True:
             current_owner = owner[vertex]
             if current_owner == target:
                 outcome = RouteOutcome.SUCCESS
                 target_found_at = forward_steps
                 break
-            if index >= length:
-                outcome = RouteOutcome.FAILURE
-                break
+            if index >= available:
+                if index >= length:
+                    outcome = RouteOutcome.FAILURE
+                    break
+                offsets = stream.extend_to(index + 1)
+                available = len(offsets)
             edge = 3 * vertex + (entry + offsets[index]) % 3
             vertex = next_vertex[edge]
             entry = next_port[edge]
@@ -337,7 +331,8 @@ class PreparedNetwork:
                 physical_hops += 1
 
         # Backward phase: retrace the walk (reversibility, Section 2) until a
-        # virtual node of the source is reached, carrying the status.
+        # virtual node of the source is reached, carrying the status.  Every
+        # offset it reads was generated by the forward phase.
         backward_steps = 0
         while owner[vertex] != source and index > 0:
             edge = 3 * vertex + entry
@@ -522,7 +517,7 @@ class PreparedNetwork:
         self._require_source(source)
         kernel = self._kernel
         bound = self.resolve_size_bound(source, size_bound)
-        offsets = self.offsets_for(bound, provider)
+        offsets = self.offsets_for(bound, provider).offsets()
         next_vertex = kernel.next_vertex
         next_port = kernel.next_port
         owner = kernel.owner
@@ -554,23 +549,28 @@ class PreparedNetwork:
         kernel = self._kernel
         gateway = kernel.gateway(source)
         bound = self.resolve_size_bound(source, size_bound)
-        offsets = self.offsets_for(bound, provider)
+        stream = self.offsets_for(bound, provider)
+        length = len(stream)
         next_vertex = kernel.next_vertex
         next_port = kernel.next_port
         owner = kernel.owner
 
         vertex, entry = gateway, start_port
         if owner[vertex] == target:
-            return True, 0, len(offsets), bound
+            return True, 0, length, bound
         steps = 0
-        for offset in offsets:
-            edge = 3 * vertex + (entry + offset) % 3
-            vertex = next_vertex[edge]
-            entry = next_port[edge]
-            steps += 1
-            if owner[vertex] == target:
-                return True, steps, len(offsets), bound
-        return False, steps, len(offsets), bound
+        offsets = stream.prefix
+        while steps < length:
+            if steps >= len(offsets):
+                offsets = stream.extend_to(steps + 1)
+            for offset in offsets[steps:]:
+                edge = 3 * vertex + (entry + offset) % 3
+                vertex = next_vertex[edge]
+                entry = next_port[edge]
+                steps += 1
+                if owner[vertex] == target:
+                    return True, steps, length, bound
+        return False, steps, length, bound
 
     # ------------------------------------------------------------------ #
     # Traced routing (golden-trace regression support)
@@ -605,7 +605,9 @@ class PreparedNetwork:
             namespace_size=namespace_size,
         )
         kernel = self._kernel
-        offsets = self.offsets_for(result.size_bound, provider)
+        offsets = self.offsets_for(result.size_bound, provider).extend_to(
+            result.forward_virtual_steps
+        )
 
         vertex, entry = kernel.gateway(source), start_port
         forward_states: List[Tuple[int, int]] = [(vertex, entry)]
@@ -735,8 +737,8 @@ class PreparedSchedule:
     * snapshots that are *rotation-identical* (equal as port-labeled graphs,
       not merely same edge set — the walk consults port labels) share one
       kernel even when they are distinct objects;
-    * the offset tuple of the exploration sequence is materialised once per
-      ``(provider, bound)`` through the snapshot-0 engine's cache.
+    * the exploration sequence is the provider's lazy offset stream, read
+      through the snapshot-0 engine.
 
     :meth:`route` then replays the schedule walk by *resuming* the flat-array
     walk across switch-overs: at each switch the current virtual position is
@@ -828,10 +830,12 @@ class PreparedSchedule:
             raise RoutingError(f"source {source!r} is not a vertex of the network")
         engine0 = self._engines[0]
         bound = engine0.resolve_size_bound(source, size_bound)
-        offsets = engine0.offsets_for(
+        stream = engine0.offsets_for(
             bound, provider if provider is not None else self._default_provider
         )
-        length = len(offsets)
+        length = len(stream)
+        offsets = stream.prefix
+        available = len(offsets)
 
         switch_times = schedule.switch_times
         kernels = self._kernels
@@ -891,10 +895,15 @@ class PreparedSchedule:
                         switches_survived=switches_survived,
                         sound=True,
                     )
-                if steps >= length:
-                    direction_forward = False
-                    status_failure = True
-                    continue
+                # ``available <= length``: one comparison per tick covers the
+                # end of the generated prefix and the end of the sequence.
+                if steps >= available:
+                    if steps >= length:
+                        direction_forward = False
+                        status_failure = True
+                        continue
+                    offsets = stream.extend_to(steps + 1)
+                    available = len(offsets)
                 edge = 3 * vertex + (entry + offsets[steps]) % 3
                 vertex = next_vertex[edge]
                 entry = next_port[edge]
@@ -1020,12 +1029,10 @@ class PreparedSchedule:
             offsets = engine0.offsets_for(
                 bound, provider if provider is not None else self._default_provider
             )
-            np_offsets = batch_kernel.np_offsets_for(offsets)
             accounts = stepper.run(
                 [pairs[index][0] for index in indices],
                 [pairs[index][1] for index in indices],
                 offsets,
-                np_offsets,
             )
             for local_index, account in enumerate(accounts):
                 index = indices[local_index]
@@ -1179,7 +1186,7 @@ def route_many_multi(
     # One BatchedWalk per distinct kernel; one job per (task, size bound).
     steppers: List[object] = []
     stepper_index: Dict[int, int] = {}
-    jobs: List[Tuple[int, List[Tuple[int, int]], Sequence[int]]] = []
+    jobs: List[Tuple[int, List[Tuple[int, int]], OffsetStream]] = []
     #: job -> (task index, task-local pair indices, bound, header_bits, length)
     job_meta: List[Tuple[int, List[int], int, int, int]] = []
     for task_index, (engine, pairs, namespace_size) in enumerate(normalized):
@@ -1264,11 +1271,12 @@ def prepared_cache_info() -> Dict[str, int]:
     Every process (the main one and each sweep worker) has its own caches, so
     the numbers describe local behaviour only; the sweep runner can surface
     them to verify that rotation-identical graphs really compiled once per
-    process.  ``offset_entries`` totals the per-engine ``(provider, bound)``
-    offset-tuple caches, so a session can see sequence materialisation cost
-    too; :meth:`repro.api.Session.cache_info` merges these numbers with the
-    session-scoped scenario-cache counters (the ``repro sweep`` summary line
-    prints that merged view).
+    process.  ``offset_entries`` counts the exploration-sequence streams the
+    library-wide default provider holds (``offset_hits`` / ``offset_misses``
+    / ``offset_evictions`` are its LRU counters), so a session can see
+    sequence generation too; :meth:`repro.api.Session.cache_info` merges
+    these numbers with the session-scoped scenario-cache counters (the
+    ``repro sweep`` summary line prints that merged view).
 
     The kernel store contributes its full tier picture: memory-LRU
     hit/miss/eviction counters for engines and schedules, ``kernel_compiles``
@@ -1278,20 +1286,12 @@ def prepared_cache_info() -> Dict[str, int]:
     """
     from repro.core.batch_kernel import batch_cache_info
 
-    store = kernel_store()
-    info = store.info()
-    info["offset_entries"] = sum(
-        len(engine._offsets_cache) for engine in store.engines.values()
-    )
-    info["offset_hits"] = sum(
-        engine._offsets_cache.hits for engine in store.engines.values()
-    )
-    info["offset_misses"] = sum(
-        engine._offsets_cache.misses for engine in store.engines.values()
-    )
-    info["offset_evictions"] = sum(
-        engine._offsets_cache.evictions for engine in store.engines.values()
-    )
+    info = kernel_store().info()
+    streams = default_provider()._cache
+    info["offset_entries"] = len(streams)
+    info["offset_hits"] = streams.hits
+    info["offset_misses"] = streams.misses
+    info["offset_evictions"] = streams.evictions
     info.update(batch_cache_info())
     return info
 
@@ -1315,7 +1315,4 @@ def clear_prepared_caches() -> None:
 
     kernel_store().clear()
     clear_batch_caches()
-    shared_provider = default_provider()
-    clear = getattr(shared_provider, "clear_cache", None)
-    if callable(clear):
-        clear()
+    default_provider().clear_cache()

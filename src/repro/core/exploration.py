@@ -77,6 +77,7 @@ class ExplicitSequence:
 
     def __init__(self, offsets: Sequence[int]) -> None:
         self._offsets: Tuple[int, ...] = tuple(int(t) for t in offsets)
+        self._bytes: Optional[bytes] = None
 
     def __len__(self) -> int:
         return len(self._offsets)
@@ -107,6 +108,16 @@ class ExplicitSequence:
     def offsets(self) -> Tuple[int, ...]:
         """The raw offsets as a tuple."""
         return self._offsets
+
+    def offset_bytes(self) -> bytes:
+        """The offsets reduced modulo 3, as ``bytes`` (computed once).
+
+        Every walk step takes its offset modulo 3, so this is the exact form
+        the compiled walk kernels read.
+        """
+        if self._bytes is None:
+            self._bytes = bytes(t % 3 for t in self._offsets)
+        return self._bytes
 
 
 def step_forward(graph: LabeledGraph, state: WalkState, offset: int) -> WalkState:

@@ -338,8 +338,13 @@ class RouteProtocol(Protocol):
         next_port = kernel.next_port
         owner_of = kernel.owner
         physical_port_of = kernel.physical_port
-        sequence = self._offsets
-        length = len(sequence)
+        # Read the stream's ``bytes`` prefix directly and extend it only when
+        # the walk reaches its end; the backward phase retraces offsets the
+        # forward phase already generated.
+        stream = self._offsets
+        length = len(stream)
+        offsets = stream.prefix
+        available = len(offsets)
         while True:
             owner = owner_of[vertex]
             if direction is Direction.FORWARD:
@@ -351,11 +356,14 @@ class RouteProtocol(Protocol):
                     direction = Direction.BACK
                     status = RouteOutcome.SUCCESS
                     continue
-                if index >= length:
-                    direction = Direction.BACK
-                    status = RouteOutcome.FAILURE
-                    continue
-                edge = 3 * vertex + (entry_port + sequence[index]) % 3
+                if index >= available:
+                    if index >= length:
+                        direction = Direction.BACK
+                        status = RouteOutcome.FAILURE
+                        continue
+                    offsets = stream.extend_to(index + 1)
+                    available = len(offsets)
+                edge = 3 * vertex + (entry_port + offsets[index]) % 3
                 index += 1
                 self.forward_steps += 1
                 next_v = next_vertex[edge]
@@ -374,7 +382,7 @@ class RouteProtocol(Protocol):
                 if index == 0:
                     ctx.finish(status)
                     return
-                offset = sequence[index - 1]
+                offset = offsets[index - 1]
                 edge = 3 * vertex + entry_port
                 index -= 1
                 self.backward_steps += 1
@@ -410,7 +418,7 @@ class RouteProtocol(Protocol):
             # The sender already undid step ``index``; reconstruct the entry
             # port of the pre-step state locally from the same offset (every
             # reduced vertex has degree 3).
-            entry_port = (EXTERNAL_PORT - self._offsets[index]) % 3
+            entry_port = (EXTERNAL_PORT - self._offsets.prefix[index]) % 3
         self._process(ctx, virtual, entry_port, index, direction, status)
 
 

@@ -13,7 +13,9 @@ of assumed:
 * :class:`RandomSequenceProvider` — pseudo-random offsets of length
   ``Theta(n^3)``; universal with overwhelming probability (the probabilistic
   argument the paper sketches), and deterministic for a fixed seed, so every
-  node of the network recomputes identical entries.
+  node of the network recomputes identical entries.  Its sequences are lazy
+  :class:`OffsetStream` objects: an immutable ``bytes`` prefix extended on
+  demand, so a walk pays only for the offsets it actually reads.
 * :class:`CertifiedSequenceProvider` — wraps any provider and *certifies*
   coverage against a family of 3-regular graphs (exhaustive for very small
   ``n``, a structured + randomised family otherwise), doubling the sequence
@@ -28,20 +30,26 @@ of assumed:
 
 from __future__ import annotations
 
-import itertools
 import random
+import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
-from repro.errors import GraphStructureError, UniversalityCertificationError
+from repro.errors import (
+    GraphStructureError,
+    SequenceExhaustedError,
+    UniversalityCertificationError,
+)
 from repro.core.exploration import ExplicitSequence, ExplorationSequence, covers_component
+from repro.core.kernel_store import LRUCache
 from repro.graphs.connectivity import is_connected
 from repro.graphs.labeled_graph import LabeledGraph
 from repro.graphs import generators
 from repro.graphs.degree_reduction import reduce_to_three_regular
 
 __all__ = [
+    "OffsetStream",
     "SequenceProvider",
     "RandomSequenceProvider",
     "CertifiedSequenceProvider",
@@ -51,6 +59,7 @@ __all__ = [
     "standard_certification_family",
     "exhaustive_cubic_graphs",
     "default_sequence_length",
+    "offset_stream",
 ]
 
 
@@ -67,6 +76,175 @@ def default_sequence_length(n: int, factor: int = 6) -> int:
     """
     n = max(1, n)
     return max(32, factor * n * n * max(1, n.bit_length()))
+
+
+#: ``_TOP2[b]`` is the top two bits of byte ``b``: applied to the most
+#: significant byte of a 32-bit Mersenne Twister word it yields exactly what
+#: ``getrandbits(2)`` returns for that word.
+_TOP2 = bytes(byte >> 6 for byte in range(256))
+
+#: Offsets built by a stream's first extension; later ones double the prefix.
+_FIRST_EXTENSION = 4096
+
+#: Mersenne Twister words drawn per generation step, which bounds the
+#: temporaries of one step to a few MB however long the sequence is.
+_WORDS_PER_STEP = 1 << 18
+
+#: Bound on the streams a provider keeps (keyed by ``n``).  CountNodes'
+#: doubling loop needs ~log2(n) live bounds, a sweep one per scenario bound.
+_STREAM_CACHE_LIMIT = 32
+
+
+class OffsetStream:
+    """An exploration sequence ``T_n`` as a lazily extended ``bytes`` prefix.
+
+    ``len()`` is the declared length and costs nothing; the offsets
+    themselves are generated only as far as a reader asks for them, which is
+    the paper's own model (Section 2): a node recomputes ``T_n[i]`` locally
+    and a delivered route reads only a short prefix of the sequence.
+
+    A *seeded* stream holds a ``random.Random`` seeded with ``seed`` and
+    extends its prefix by doubling (from :data:`_FIRST_EXTENSION` offsets)
+    under a per-stream lock, because the daemon's dispatch threads share one
+    provider.  Each step draws ``32 * words`` random bits in one call, keeps
+    the top two bits of every 32-bit word and drops the value 3 — which is
+    exactly what ``randrange(3)`` does one word at a time, so the prefix is
+    bit-identical to the loop ``[rng.randrange(3) for _ in range(length)]``.
+    The prefix is immutable: a reader keeps the ``bytes`` it was handed while
+    a later extension publishes a longer one.
+
+    A stream built from ``data`` alone is complete from the start; that is
+    how :func:`offset_stream` normalises any other sequence into this one
+    representation.
+    """
+
+    __slots__ = ("_prefix", "_length", "_seed", "_rng", "_lock")
+
+    def __init__(
+        self, data: bytes = b"", length: Optional[int] = None, seed: Optional[str] = None
+    ) -> None:
+        if seed is None:
+            if length is not None and length != len(data):
+                raise ValueError("a stream without a seed must be given all its offsets")
+            length = len(data)
+        elif length is None:
+            raise ValueError("a seeded stream needs its declared length")
+        self._prefix = bytes(data)
+        self._length = length
+        self._seed = seed
+        self._rng = random.Random(seed) if seed is not None else None
+        self._lock = threading.Lock() if seed is not None else None
+
+    def __len__(self) -> int:
+        return self._length
+
+    @property
+    def prefix(self) -> bytes:
+        """The offsets generated so far (never longer than the declared length)."""
+        return self._prefix
+
+    def extend_to(self, count: int) -> bytes:
+        """Return a prefix holding at least ``min(count, len(self))`` offsets."""
+        prefix = self._prefix
+        if count <= len(prefix) or len(prefix) >= self._length:
+            return prefix
+        with self._lock:
+            prefix = self._prefix
+            if count > len(prefix):
+                target = min(self._length, max(count, 2 * len(prefix), _FIRST_EXTENSION))
+                prefix = self._prefix = self._grown(prefix, target)
+            return prefix
+
+    def _grown(self, prefix: bytes, target: int) -> bytes:
+        """``prefix`` continued from the generator state to ``target`` offsets.
+
+        Every offset a step produces is kept (up to the declared length), so
+        the generator state always sits exactly after the last kept offset.
+        """
+        pieces = [prefix]
+        have = len(prefix)
+        getrandbits = self._rng.getrandbits
+        while have < target:
+            # 4/3 words per offset on average; a short step just loops again.
+            words = min(_WORDS_PER_STEP, (target - have) * 4 // 3 + 16)
+            piece = (
+                getrandbits(32 * words)
+                .to_bytes(4 * words, "little")[3::4]
+                .translate(_TOP2)
+                .replace(b"\x03", b"")
+            )
+            pieces.append(piece)
+            have += len(piece)
+        if have > self._length:
+            pieces[-1] = pieces[-1][: len(pieces[-1]) - (have - self._length)]
+        return b"".join(pieces)
+
+    def offsets(self) -> bytes:
+        """All ``len(self)`` offsets (generates whatever is still missing)."""
+        return self.extend_to(self._length)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            span = range(*index.indices(self._length))
+            prefix = self.extend_to(max(span) + 1 if span else 0)
+            if span.step > 0:
+                return prefix[span.start : span.stop : span.step]
+            return bytes(prefix[i] for i in span)
+        prefix = self._prefix
+        if 0 <= index < len(prefix):
+            return prefix[index]
+        if not 0 <= index < self._length:
+            raise SequenceExhaustedError(
+                f"index {index} outside sequence of length {self._length}"
+            )
+        return self.extend_to(index + 1)[index]
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.offsets())
+
+    def __reduce__(self):
+        # Pickle the definition, not the lock or the generator: a seeded
+        # stream regenerates the same offsets from its seed on demand.
+        if self._seed is not None:
+            return (OffsetStream, (b"", self._length, self._seed))
+        return (OffsetStream, (self._prefix,))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, OffsetStream):
+            return NotImplemented
+        if self._length != other._length:
+            return False
+        if self._seed is not None and self._seed == other._seed:
+            return True
+        return self.offsets() == other.offsets()
+
+    def __hash__(self) -> int:
+        # Equal streams share their length and first offsets; a tuple of ints
+        # hashes the same in every process.
+        return hash((self._length, tuple(self.extend_to(64)[:64])))
+
+    def __repr__(self) -> str:
+        preview = ", ".join(str(t) for t in self.extend_to(8)[:8])
+        suffix = ", ..." if self._length > 8 else ""
+        return (
+            f"OffsetStream([{preview}{suffix}], length={self._length}, "
+            f"materialised={len(self._prefix)})"
+        )
+
+
+def offset_stream(sequence: ExplorationSequence) -> OffsetStream:
+    """``sequence`` as an :class:`OffsetStream`, the form every walk kernel reads.
+
+    Streams pass through unchanged.  Any other sequence is normalised to
+    ``bytes(t % 3 ...)``; that is exact because every walk step takes its
+    offset modulo 3.  An :class:`ExplicitSequence` keeps its normalised
+    bytes, so repeated calls do not redo the work.
+    """
+    if isinstance(sequence, OffsetStream):
+        return sequence
+    if isinstance(sequence, ExplicitSequence):
+        return OffsetStream(sequence.offset_bytes())
+    return OffsetStream(bytes(sequence[i] % 3 for i in range(len(sequence))))
 
 
 class SequenceProvider(ABC):
@@ -96,7 +274,9 @@ class RandomSequenceProvider(SequenceProvider):
     The offsets are uniform over ``{0, 1, 2}``; the length defaults to
     ``default_sequence_length(n)`` and can be scaled with ``length_multiplier``
     (the knob :class:`CertifiedSequenceProvider` turns when certification
-    fails).
+    fails).  Sequences are lazy :class:`OffsetStream` objects kept in a
+    bounded LRU keyed by ``n``; an evicted stream regenerates the same
+    offsets.
     """
 
     def __init__(
@@ -108,7 +288,7 @@ class RandomSequenceProvider(SequenceProvider):
         self._seed = seed
         self._length_fn = length_fn
         self._length_multiplier = max(1, length_multiplier)
-        self._cache: Dict[int, ExplicitSequence] = {}
+        self._cache = LRUCache(_STREAM_CACHE_LIMIT)
 
     @property
     def seed(self) -> int:
@@ -123,15 +303,26 @@ class RandomSequenceProvider(SequenceProvider):
             length_multiplier=multiplier,
         )
 
-    def sequence_for(self, n: int) -> ExplicitSequence:
-        if n not in self._cache:
-            length = self._length_fn(n) * self._length_multiplier
-            rng = random.Random(f"{self._seed}:{n}:{self._length_multiplier}")
-            self._cache[n] = ExplicitSequence(rng.randrange(3) for _ in range(length))
-        return self._cache[n]
+    def sequence_for(self, n: int) -> OffsetStream:
+        stream = self._cache.get(n)
+        if stream is None:
+            stream = OffsetStream(
+                length=self.length_for(n),
+                seed=f"{self._seed}:{n}:{self._length_multiplier}",
+            )
+            self._cache.put(n, stream)
+        return stream
+
+    def length_for(self, n: int) -> int:
+        return self._length_fn(n) * self._length_multiplier
+
+    def __reduce__(self):
+        # A provider pickles as its configuration (process-pool tasks carry
+        # it); the stream LRU and its lock stay behind and refill on demand.
+        return (type(self), (self._seed, self._length_fn, self._length_multiplier))
 
     def clear_cache(self) -> None:
-        """Drop the materialised sequences.
+        """Drop the cached streams.
 
         Purely a memory/measurement hook: sequences are deterministic per
         ``(seed, n, multiplier)``, so a cleared cache regenerates the exact

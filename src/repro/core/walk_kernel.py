@@ -324,9 +324,10 @@ class CompiledWalk:
         v, p = start_vertex, start_port
         visited = [v]
         append = visited.append
-        limit = len(offsets) if max_steps is None else min(len(offsets), max_steps)
-        for index in range(limit):
-            e = 3 * v + (p + offsets[index]) % 3
+        if max_steps is not None:
+            offsets = offsets[:max_steps]
+        for offset in offsets:
+            e = 3 * v + (p + offset) % 3
             v = next_vertex[e]
             p = next_port[e]
             append(v)

@@ -18,9 +18,10 @@ previous line's ``record_hash``.  Three access modes share the format:
   poisoned data.
 * **Strict verify** — :func:`verify_log` walks the whole chain and reports
   every anomaly by record index: unparseable lines, record-hash mismatches,
-  chain breaks, unknown schema versions.  A single flipped byte anywhere in
-  the file trips at least one of these checks (property-tested in
-  ``tests/test_provenance.py``).
+  lines that are not byte for byte ``canonical_json(record) + "\\n"``, chain
+  breaks, unknown schema versions.  A single flipped byte anywhere in the
+  file trips at least one of these checks (swept exhaustively over a
+  two-record log in ``tests/test_provenance.py``).
 
 Record schema and chain rules are documented in ``docs/provenance.md``.
 """
@@ -46,49 +47,76 @@ from repro.provenance.records import (
 __all__ = ["ResultLog", "VerifyReport", "read_log", "verify_log"]
 
 
-def _parse_line(line: str) -> Optional[Dict[str, object]]:
+def _parse_line(line: bytes) -> Optional[Dict[str, object]]:
     """The dict a JSONL line carries, or ``None`` when it is not one."""
     import json
 
     try:
-        record = json.loads(line)
+        # A corrupted byte must surface as an unparseable *record* (named by
+        # index), never as a decoding crash of the whole scan;
+        # UnicodeDecodeError is a ValueError.
+        record = json.loads(line.decode("utf-8"))
     except ValueError:
         return None
     return record if isinstance(record, dict) else None
 
 
 def _scan(path: str) -> Tuple[List[Dict[str, object]], List[str]]:
-    """Shared pass over a log file: hash-valid records plus anomaly notes.
+    """The tolerant :func:`_scan_data` over the bytes of the file at ``path``."""
+    with open(path, "rb") as handle:
+        return _scan_data(handle.read())
 
-    ``issues`` names every skipped line by record index (the index the line
-    *would* have had) and 1-based line number, so both the tolerant reader
-    and the strict verifier describe the same file the same way.
+
+def _scan_data(
+    data: bytes, strict: bool = False
+) -> Tuple[List[Dict[str, object]], List[str]]:
+    """Shared pass over a log's bytes: hash-valid records plus anomaly notes.
+
+    ``data`` is split on ``b"\\n"`` only.  ``issues`` names every skipped
+    line by record index (the index the line *would* have had) and 1-based
+    line number, so both the tolerant reader and the strict verifier
+    describe the same file the same way.  ``strict`` additionally
+    requires every line to be exactly ``canonical_json(record) + "\\n"``: a
+    blank line, a missing final newline or any byte the record's hash does
+    not cover (whitespace, a different terminator) is an issue too.
     """
     records: List[Dict[str, object]] = []
     issues: List[str] = []
-    # errors="replace": a corrupted byte must surface as an unparseable
-    # *record* (named by index), never as a decoding crash of the whole scan.
-    with open(path, "r", encoding="utf-8", errors="replace") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            index = len(records)
-            record = _parse_line(stripped)
-            if record is None:
-                issues.append(
-                    f"record {index}: unparseable line {line_number} "
-                    "(truncated or corrupt)"
-                )
-                continue
-            stored = record.get("record_hash")
-            if stored != record_digest(record):
-                issues.append(
-                    f"record {index}: record_hash mismatch on line {line_number} "
-                    f"(stored {str(stored)[:16]!r}...)"
-                )
-                continue
-            records.append(record)
+    lines = data.split(b"\n")
+    # A terminated log ends in b"\n", which leaves one empty piece behind.
+    terminated = len(lines) - 1
+    if not lines[-1]:
+        lines.pop()
+    for line_number, line in enumerate(lines, start=1):
+        index = len(records)
+        if not line.strip():
+            if strict:
+                issues.append(f"record {index}: blank line {line_number}")
+            continue
+        record = _parse_line(line)
+        if record is None:
+            issues.append(
+                f"record {index}: unparseable line {line_number} "
+                "(truncated or corrupt)"
+            )
+            continue
+        stored = record.get("record_hash")
+        if stored != record_digest(record):
+            issues.append(
+                f"record {index}: record_hash mismatch on line {line_number} "
+                f"(stored {str(stored)[:16]!r}...)"
+            )
+            continue
+        if strict and (
+            line_number > terminated
+            or line != canonical_json(record).encode("utf-8")
+        ):
+            issues.append(
+                f"record {index}: line {line_number} is not the record's "
+                "canonical encoding plus a newline"
+            )
+            continue
+        records.append(record)
     return records, issues
 
 
@@ -116,12 +144,19 @@ class VerifyReport:
 def verify_log(path: str) -> VerifyReport:
     """Walk the whole chain strictly; any anomaly makes the report not-ok.
 
-    Beyond the per-record checks of :func:`read_log`, every record's
+    Beyond the per-record checks of :func:`read_log`, every line must be
+    byte for byte ``canonical_json(record) + "\\n"``, every record's
     ``parent`` must equal the previous record's ``record_hash`` (the first
     record's must be :data:`~repro.provenance.records.GENESIS_PARENT`) and
     its ``schema_version`` must be known.
     """
-    records, issues = _scan(path)
+    with open(path, "rb") as handle:
+        return _verify_data(handle.read(), path)
+
+
+def _verify_data(data: bytes, path: str) -> VerifyReport:
+    """:func:`verify_log` over a log's bytes (``path`` only names it)."""
+    records, issues = _scan_data(data, strict=True)
     head = GENESIS_PARENT
     for index, record in enumerate(records):
         if record.get("parent") != head:

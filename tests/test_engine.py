@@ -208,6 +208,81 @@ def test_engine_offsets_cached_per_provider(provider, grid_4x4):
     )
 
 
+def test_cold_16x16_route_generates_only_a_short_prefix():
+    """A cold route on a 16x16 grid reads ~3k of its 55,296,000 offsets.
+
+    The pinned result is what the engine returned when it materialised the
+    whole sequence up front as a tuple.  Counting generated offsets instead
+    of timing the route keeps the check deterministic.
+    """
+    from repro.core.engine import clear_prepared_caches
+    from repro.core.routing import RouteResult, default_provider
+
+    clear_prepared_caches()
+    result = prepare(generators.grid_graph(16, 16)).route(0, 255)
+    assert result == RouteResult(
+        outcome=RouteOutcome.SUCCESS,
+        delivered=True,
+        source=0,
+        target=255,
+        size_bound=960,
+        sequence_length=55_296_000,
+        forward_virtual_steps=2996,
+        backward_virtual_steps=2723,
+        physical_hops=1930,
+        target_found_at_step=2996,
+        header_bits=71,
+    )
+    stream = default_provider().sequence_for(960)
+    assert len(stream) == 55_296_000
+    assert len(stream.prefix) < 65_536
+
+
+_COLD_ROUTE_IMPORT_PROBE = """
+import json, sys
+import repro.core.engine
+from repro.core.engine import clear_prepared_caches, prepare
+from repro.graphs import generators
+before = set(sys.modules)
+clear_prepared_caches()
+result = prepare(generators.grid_graph(16, 16)).route(0, 255)
+print(json.dumps({
+    "delivered": result.delivered,
+    "new": sorted(set(sys.modules) - before),
+    "numpy_random": "numpy.random" in sys.modules,
+}))
+"""
+
+
+def test_cold_scalar_route_imports_no_numpy_module():
+    """The scalar cold route pulls in no NumPy, ``numpy.random`` above all.
+
+    A fresh interpreter, so modules loaded by earlier tests cannot hide an
+    import the route makes; ``numpy.random`` alone costs ~6 MB resident.
+    """
+    import json
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    source = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
+    completed = subprocess.run(
+        [sys.executable, "-c", _COLD_ROUTE_IMPORT_PROBE],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+        check=True,
+    )
+    probe = json.loads(completed.stdout.strip().splitlines()[-1])
+    assert probe["delivered"]
+    assert [name for name in probe["new"] if name.split(".")[0] == "numpy"] == []
+    assert not probe["numpy_random"]
+
+
 def test_engine_original_component(two_components):
     engine = prepare(two_components)
     assert engine.original_component(0) == frozenset(connected_component(two_components, 0))

@@ -31,6 +31,7 @@ from repro.analysis.runner import (
     shard_seed,
 )
 from repro.core.engine import clear_prepared_caches, prepare, prepared_cache_info
+from repro.core.universal import RandomSequenceProvider
 from repro.deprecation import reset_warnings
 from repro.errors import ExperimentError
 from repro.graphs import generators
@@ -337,6 +338,20 @@ def test_conformance_parallel_matches_serial():
     parallel = conformance_pass(scenarios=scenarios, pairs_per_scenario=2, workers=2)
     assert parallel.rows == serial.rows
     assert parallel.checks == serial.checks
+    assert parallel.violations == serial.violations
+    assert parallel.ok
+
+
+def test_conformance_parallel_accepts_an_explicit_provider():
+    # The provider travels to the pool workers inside every task, so it must
+    # pickle; its lazily filled stream cache must not get in the way.
+    scenarios = default_conformance_matrix()[:2]
+    provider = RandomSequenceProvider(seed=5)
+    serial = conformance_pass(scenarios=scenarios, pairs_per_scenario=2, provider=provider)
+    parallel = conformance_pass(
+        scenarios=scenarios, pairs_per_scenario=2, provider=provider, workers=2
+    )
+    assert parallel.rows == serial.rows
     assert parallel.violations == serial.violations
     assert parallel.ok
 
