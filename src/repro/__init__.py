@@ -66,7 +66,6 @@ from repro.core import (
     prepare,
     prepare_schedule,
     route,
-    route_many,
     route_on_network,
 )
 from repro.core.broadcast import broadcast_on_network
@@ -87,7 +86,6 @@ from repro.network import (
     TopologySchedule,
     build_graph_network,
     build_unit_disk_network,
-    route_many_over_schedule,
     route_over_schedule,
 )
 from repro.baselines import (
@@ -150,7 +148,6 @@ __all__ = [
     "RouteResult",
     "route",
     "route_on_network",
-    "route_many",
     "PreparedNetwork",
     "PreparedSchedule",
     "prepare",
@@ -179,7 +176,6 @@ __all__ = [
     "build_graph_network",
     "build_unit_disk_network",
     "route_over_schedule",
-    "route_many_over_schedule",
     # baselines
     "RoutingAttempt",
     "random_walk_route",

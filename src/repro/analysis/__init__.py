@@ -29,7 +29,6 @@ from repro.analysis.experiments import (
     is_dynamic_scenario,
     is_streamed_scenario,
     reference_run_parameter_sweep,
-    run_parameter_sweep,
     structured_scenarios,
     unit_disk_scenarios,
 )
@@ -49,7 +48,6 @@ from repro.analysis.conformance import (
     default_conformance_matrix,
     is_malicious_scenario,
     malicious_broadcast_scenarios,
-    run_conformance,
 )
 
 __all__ = [
@@ -71,7 +69,6 @@ __all__ = [
     "is_dynamic_scenario",
     "is_streamed_scenario",
     "reference_run_parameter_sweep",
-    "run_parameter_sweep",
     "structured_scenarios",
     "unit_disk_scenarios",
     "SweepOutcome",
@@ -87,5 +84,4 @@ __all__ = [
     "default_conformance_matrix",
     "is_malicious_scenario",
     "malicious_broadcast_scenarios",
-    "run_conformance",
 ]

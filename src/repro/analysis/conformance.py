@@ -29,8 +29,8 @@ in one table-driven pass:
   dynamic scenarios);
 * the lockstep batched walk kernel (:mod:`repro.core.batch_kernel`) matches
   the scalar walks element for element when the same pairs are routed as one
-  batch through ``route_many(lockstep=True)``, on static networks and on
-  schedules alike (the ``batch-parity`` invariant);
+  batch through ``route_many(lockstep=True)`` on static networks (the
+  ``batch-parity`` invariant);
 * the Bracha reliable-broadcast layer (:mod:`repro.core.reliable_broadcast`)
   keeps its correctness conditions on the *malicious-node scenario axis*
   (:func:`malicious_broadcast_scenarios`): for every generated configuration
@@ -77,7 +77,6 @@ from repro.analysis.experiments import (
 from repro.analysis.runner import parallel_map
 from repro.analysis.reporting import format_table
 from repro.baselines import applicable_routers
-from repro.deprecation import warn_once
 from repro.core.engine import prepare, prepare_schedule
 from repro.core.reliable_broadcast import (
     QuorumThresholds,
@@ -101,7 +100,6 @@ __all__ = [
     "is_malicious_scenario",
     "malicious_broadcast_scenarios",
     "conformance_pass",
-    "run_conformance",
 ]
 
 #: Skip the (slow, per-event bit-accounted) distributed realisation when the
@@ -393,36 +391,6 @@ def conformance_pass(
         report.violations.extend(fragment.violations)
         report.checks += fragment.checks
     return report
-
-
-def run_conformance(
-    scenarios: Optional[Sequence[ScenarioSpec]] = None,
-    pairs_per_scenario: int = 4,
-    seed: int = 0,
-    provider: Optional[SequenceProvider] = None,
-    workers: int = 1,
-) -> ConformanceReport:
-    """Deprecated alias of :func:`conformance_pass`.
-
-    Kept for callers of the kwargs-style free function; new code should
-    submit a :class:`repro.api.ConformanceRequest` through
-    :class:`repro.api.Session` and read the uniform
-    :class:`~repro.api.envelope.TaskResult` envelope instead.  Emits one
-    :class:`DeprecationWarning` per process; results are bit-for-bit
-    identical to the new path (asserted in ``tests/test_api_deprecation.py``).
-    """
-    warn_once(
-        "conformance.run_conformance",
-        "run_conformance(...) is deprecated; submit a "
-        "repro.api.ConformanceRequest through repro.api.Session instead",
-    )
-    return conformance_pass(
-        scenarios=scenarios,
-        pairs_per_scenario=pairs_per_scenario,
-        seed=seed,
-        provider=provider,
-        workers=workers,
-    )
 
 
 # --------------------------------------------------------------------------- #
@@ -832,10 +800,8 @@ def _check_dynamic_scenario(
         return cached
 
     static_engine = prepare(base)
-    scalar_results: List[object] = []
     for s, t in pairs:
         result = engine.route(s, t, provider=provider)
-        scalar_results.append(result)
         tally.pairs += 1
         tally.delivered += int(result.outcome is DynamicOutcome.DELIVERED)
         tally.detected += int(result.outcome is DynamicOutcome.REPORTED_FAILURE)
@@ -897,19 +863,6 @@ def _check_dynamic_scenario(
                     f"base-connected={base_connected}"
                 )
             check(s, t, "churn-delivery-iff-connected", ok, detail)
-
-    # The lockstep schedule stepper must agree with the scalar resumed walk
-    # on every pair (scalar reference when NumPy is absent — see the static
-    # path's batch-parity note).
-    batched_results = engine.route_many(pairs, provider=provider, lockstep=True)
-    for (s, t), scalar_result, batched_result in zip(
-        pairs, scalar_results, batched_results
-    ):
-        check(
-            s, t, "batch-parity",
-            batched_result == scalar_result,
-            f"batched={batched_result} scalar={scalar_result}",
-        )
 
     report.rows.append(
         [spec.name, "ues-schedule", tally.pairs, tally.delivered, tally.detected, tally.violations]

@@ -1,11 +1,11 @@
 """Scenario construction and parameter sweeps for the experiment harness.
 
 A :class:`ScenarioSpec` describes one network instance to evaluate (topology
-family, size, radius, seed, dimension); :func:`run_parameter_sweep` evaluates
-a caller-supplied function over a list of scenarios and collects rows for the
-report tables.  The benchmark modules in ``benchmarks/`` are thin wrappers
-around these helpers, so the same sweeps can also be run interactively from
-the examples.
+family, size, radius, seed, dimension); :func:`reference_run_parameter_sweep`
+evaluates a caller-supplied function over a list of scenarios and collects
+rows for the report tables.  The benchmark modules in ``benchmarks/`` are
+thin wrappers around these helpers, so the same sweeps can also be run
+interactively from the examples.
 
 A spec can also describe a *dynamic-schedule* scenario (an extension beyond
 the paper's static model): :func:`build_schedule` derives a
@@ -18,12 +18,11 @@ exercise.
 **Serial reference vs. parallel split.**
 :func:`reference_run_parameter_sweep` is the executable specification of a
 sweep: one process, scenarios in order, rows in order — it is never edited
-for speed.  :func:`run_parameter_sweep` keeps that exact behaviour for
-``workers <= 1`` and otherwise shards the scenario grid over a process pool
-via :mod:`repro.analysis.runner`, with the guarantee that the aggregated
-:class:`ExperimentResult` is row-for-row identical to the reference.  The
-same runner module provides the full scenario × router sweep orchestrator
-(`plan_sweep` / `run_sweep`) with JSONL streaming and crash-safe resume.
+for speed.  :func:`repro.analysis.runner.map_scenario_rows` fans the same
+``evaluate`` body out over a process pool, row-for-row identical to the
+reference.  The same runner module provides the full scenario × router sweep
+orchestrator (`plan_sweep` / `run_sweep`) with JSONL streaming and crash-safe
+resume.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.deprecation import warn_once
 from repro.errors import ExperimentError, GraphStructureError
 from repro.graphs import generators
 from repro.graphs.labeled_graph import LabeledGraph
@@ -54,7 +52,6 @@ __all__ = [
     "unit_disk_scenarios",
     "structured_scenarios",
     "dynamic_schedule_scenarios",
-    "run_parameter_sweep",
     "pick_source_target_pairs",
 ]
 
@@ -451,8 +448,9 @@ def reference_run_parameter_sweep(
     """Build every scenario and collect the rows ``evaluate`` produces for it.
 
     This is the executable specification of a parameter sweep — one process,
-    scenarios in order, rows in order.  The parallel path of
-    :func:`run_parameter_sweep` must reproduce its output row for row.
+    scenarios in order, rows in order.  The parallel fan-out
+    :func:`repro.analysis.runner.map_scenario_rows` must reproduce its rows
+    in order.
     """
     result = ExperimentResult(experiment=experiment, headers=list(headers))
     for spec in scenarios:
@@ -461,50 +459,3 @@ def reference_run_parameter_sweep(
             result.add_row(row)
     return result
 
-
-def run_parameter_sweep(
-    experiment: str,
-    headers: Sequence[str],
-    scenarios: Sequence[ScenarioSpec],
-    evaluate: Callable[[ScenarioSpec, AdHocNetwork], Iterable[Sequence[object]]],
-    workers: int = 1,
-) -> ExperimentResult:
-    """Run a parameter sweep, optionally sharded across worker processes.
-
-    ``workers <= 1`` delegates to :func:`reference_run_parameter_sweep`
-    unchanged.  ``workers > 1`` builds and evaluates every scenario in a
-    process pool (one task per scenario, each worker building its scenario
-    locally and reusing the per-process prepared-engine caches) and
-    aggregates the per-scenario row groups in scenario order, so the result
-    is row-for-row identical to the serial reference.  The parallel path
-    requires ``evaluate`` to be picklable — a module-level function, not a
-    closure or lambda — and deterministic per ``(spec, network)``: a function
-    that carries state across calls (a shared RNG, an accumulating counter)
-    would see that state reset per worker and silently diverge from the
-    serial reference.
-
-    Deprecated kwargs-style form: new code should submit a
-    :class:`repro.api.SweepRequest` (scenario × router grids) through
-    :class:`repro.api.Session`.  When a custom ``evaluate`` body really is
-    needed, call :func:`reference_run_parameter_sweep` (serial) or
-    :func:`repro.analysis.runner.map_scenario_rows` (the same process-pool
-    fan-out this function's parallel branch uses).  Emits one
-    :class:`DeprecationWarning` per process; results are unchanged.
-    """
-    warn_once(
-        "experiments.run_parameter_sweep",
-        "run_parameter_sweep(...) is deprecated; submit a "
-        "repro.api.SweepRequest through repro.api.Session — for custom "
-        "evaluate bodies use reference_run_parameter_sweep (serial) or "
-        "repro.analysis.runner.map_scenario_rows (parallel) instead",
-    )
-    if workers <= 1:
-        return reference_run_parameter_sweep(experiment, headers, scenarios, evaluate)
-    # Imported lazily: runner imports this module for the spec/table types.
-    from repro.analysis.runner import map_scenario_rows
-
-    result = ExperimentResult(experiment=experiment, headers=list(headers))
-    for rows in map_scenario_rows(evaluate, scenarios, workers):
-        for row in rows:
-            result.add_row(row)
-    return result

@@ -1,8 +1,8 @@
 """Sharded parallel sweep orchestrator over the scenario × router grid.
 
-:func:`repro.analysis.experiments.run_parameter_sweep` walks its scenario
-grid one instance at a time in one process; for the repeated-route workloads
-the repository targets, the grid is embarrassingly parallel: every
+:func:`repro.analysis.experiments.reference_run_parameter_sweep` walks its
+scenario grid one instance at a time in one process; for the repeated-route
+workloads the repository targets, the grid is embarrassingly parallel: every
 (scenario, router) cell builds its own network and routes its own pairs, and
 nothing flows between cells until the report table is assembled.  This module
 shards that grid across a process pool:
@@ -42,9 +42,7 @@ shards that grid across a process pool:
   shard re-executes.  Aggregation always replays the shards in plan order,
   so the resulting :class:`~repro.analysis.experiments.ExperimentResult` is
   row-for-row identical to a serial run with the same master seed, whatever
-  the worker count or completion order was.  (The pre-provenance raw-JSONL
-  reader/writer survive as the deprecated shims :func:`load_sweep_jsonl` /
-  :func:`write_sweep_record`.)
+  the worker count or completion order was.
 
 The CLI front end is ``python -m repro sweep`` (see ``docs/cli.md``);
 ``benchmarks/bench_sweep.py`` measures the scaling and asserts aggregate
@@ -99,8 +97,6 @@ __all__ = [
     "run_sweep",
     "parallel_map",
     "map_scenario_rows",
-    "load_sweep_jsonl",
-    "write_sweep_record",
 ]
 
 #: Router name of the prepared engine (the guaranteed router's fast path).
@@ -530,80 +526,6 @@ def _evaluate_shard_group(
 # --------------------------------------------------------------------------- #
 # Result-log streaming and resume
 # --------------------------------------------------------------------------- #
-
-
-def _write_record(handle, record: Dict[str, object]) -> None:
-    handle.write(json.dumps(record) + "\n")
-    # One flushed line per shard: a crash loses only the shards in flight.
-    handle.flush()
-
-
-def _load_jsonl(path: str) -> Tuple[Optional[Dict[str, object]], Dict[int, Dict[str, object]]]:
-    """Tolerantly parse a sweep JSONL file (raw view, no hash validation).
-
-    Returns the first plan header (if any) and the last record seen for each
-    shard index.  Unparseable lines — typically the partial trailing line of
-    a killed run — are skipped rather than fatal, which is what makes the
-    stream crash-safe.
-    """
-    header: Optional[Dict[str, object]] = None
-    shards: Dict[int, Dict[str, object]] = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                continue
-            if not isinstance(record, dict):
-                continue
-            kind = record.get("kind")
-            if kind == "plan" and header is None:
-                header = record
-            elif kind == "shard" and isinstance(record.get("index"), int):
-                shards[record["index"]] = record
-    return header, shards
-
-
-def load_sweep_jsonl(
-    path: str,
-) -> Tuple[Optional[Dict[str, object]], Dict[int, Dict[str, object]]]:
-    """Deprecated raw reader for sweep streams; use the provenance log view.
-
-    Sweep streams are hash-chained :class:`repro.provenance.log.ResultLog`
-    files now; read them through :func:`repro.provenance.log.read_log`
-    (tolerant) or :func:`repro.provenance.log.verify_log` (strict), which
-    validate record hashes instead of trusting every parseable line.  This
-    shim keeps the old header/shard-map shape working bit-for-bit.
-    """
-    from repro.deprecation import warn_once
-
-    warn_once(
-        "runner.load_sweep_jsonl",
-        "load_sweep_jsonl is deprecated: sweep streams are provenance logs; "
-        "read them with repro.provenance.log.read_log / verify_log",
-    )
-    return _load_jsonl(path)
-
-
-def write_sweep_record(handle, record: Dict[str, object]) -> None:
-    """Deprecated raw writer for sweep records; append through a ResultLog.
-
-    Records written this way carry no ``record_hash``/``parent`` seal, so a
-    resuming :func:`run_sweep` treats them as missing and re-executes their
-    shards.  Append through
-    :meth:`repro.provenance.log.ResultLog.append` instead.
-    """
-    from repro.deprecation import warn_once
-
-    warn_once(
-        "runner.write_sweep_record",
-        "write_sweep_record is deprecated: append sweep records through "
-        "repro.provenance.log.ResultLog so they join the hash chain",
-    )
-    _write_record(handle, record)
 
 
 def _plan_record_address(fingerprint: Optional[str]) -> str:

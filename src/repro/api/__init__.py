@@ -13,20 +13,19 @@ one request/result discipline:
   :class:`~repro.api.envelope.TaskResult` — status, payload, step accounting,
   timing, seed provenance, backend id (:mod:`repro.api.envelope`);
 * a :class:`~repro.api.session.Session` facade dispatches requests to
-  pluggable **backends** — inline, process-pool, schedule-aware
+  pluggable **backends** — inline and process-pool
   (:mod:`repro.api.backends`);
 * a **registry** of :class:`~repro.api.registry.TaskSpec` entries generates
   the CLI subcommands and binds each task to its argument set and backend
   routing (:mod:`repro.api.registry`).
 
-The legacy free functions keep working as thin shims (the batch-style ones
-emit a one-time :class:`DeprecationWarning` pointing here), and the
-differential-parity suite asserts that every backend reproduces the legacy
-results exactly.  See ``docs/api.md`` for the task catalogue, envelope
-schema, backend matrix and migration table.
+The per-pair free functions (``route``, ``route_over_schedule``, ...) stay,
+and the differential-parity suite asserts that every backend reproduces them
+exactly.  See ``docs/api.md`` for the task catalogue, envelope schema,
+backend matrix and migration table.
 """
 
-from repro.api.backends import Backend, InlineBackend, ProcessPoolBackend, ScheduleBackend
+from repro.api.backends import Backend, InlineBackend, ProcessPoolBackend
 from repro.api.envelope import TaskResult, from_json, from_wire, to_json, to_wire
 from repro.api.executors import ScenarioStore
 from repro.api.registry import TASKS, TaskSpec, task_by_name
@@ -73,7 +72,6 @@ __all__ = [
     "Backend",
     "InlineBackend",
     "ProcessPoolBackend",
-    "ScheduleBackend",
     "ScenarioStore",
     # registry
     "TaskSpec",

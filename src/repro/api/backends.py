@@ -4,7 +4,7 @@ A backend decides *where* a task's body runs; *what* runs is fixed by the
 shared executors (:mod:`repro.api.executors`), which is why two backends that
 both accept a request produce identical results (status, payload, step
 accounting) — the differential-parity property ``tests/test_api_parity.py``
-asserts.  Three backends ship:
+asserts.  Two backends ship:
 
 :class:`InlineBackend`
     Runs every task in-process against the per-session scenario cache and
@@ -24,10 +24,6 @@ asserts.  Three backends ship:
     :func:`repro.core.engine.configure_kernel_store`), every worker
     warm-starts from the persisted compiled kernels instead of recompiling
     the degree reduction per process.
-
-:class:`ScheduleBackend`
-    The dynamic-topology specialist: runs ``route-schedule`` tasks against
-    the schedule-aware prepared engine, sharing the session's schedule cache.
 
 Backends are stateless apart from the session-owned
 :class:`~repro.api.executors.ScenarioStore` handed to :meth:`Backend.run`,
@@ -79,7 +75,6 @@ __all__ = [
     "Backend",
     "InlineBackend",
     "ProcessPoolBackend",
-    "ScheduleBackend",
 ]
 
 
@@ -215,12 +210,3 @@ class ProcessPoolBackend(Backend):
             for payload in group
         ]
         return assemble_route_batch(request, pairs, payloads)
-
-
-class ScheduleBackend(Backend):
-    """Schedule-aware execution against :class:`repro.core.engine.PreparedSchedule`."""
-
-    name = "schedule"
-
-    def _dispatch(self):
-        return {ScheduleRouteRequest: execute_schedule_route}

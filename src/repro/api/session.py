@@ -24,12 +24,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional
 
-from repro.api.backends import (
-    Backend,
-    InlineBackend,
-    ProcessPoolBackend,
-    ScheduleBackend,
-)
+from repro.api.backends import Backend, InlineBackend, ProcessPoolBackend
 from repro.api.envelope import TaskResult
 from repro.api.executors import ScenarioStore
 from repro.api.requests import (
@@ -48,16 +43,15 @@ from repro.api.requests import (
 from repro.core.engine import prepared_cache_info
 from repro.errors import TaskError
 
-__all__ = ["Session", "DEFAULT_BACKENDS"]
+__all__ = ["Session", "DEFAULT_BACKENDS", "resolve_backend"]
 
 #: Default backend id per request type.  Harness tasks default to the pooled
 #: backend (their ``workers`` field still decides the actual parallelism, so
-#: ``workers=1`` remains the serial reference); everything else runs inline
-#: except schedule routing, which the schedule specialist owns.
+#: ``workers=1`` remains the serial reference); everything else runs inline.
 DEFAULT_BACKENDS: Dict[type, str] = {
     RouteRequest: "inline",
     RouteBatchRequest: "inline",
-    ScheduleRouteRequest: "schedule",
+    ScheduleRouteRequest: "inline",
     BroadcastRequest: "inline",
     BroadcastReliableRequest: "inline",
     CountRequest: "inline",
@@ -68,6 +62,19 @@ DEFAULT_BACKENDS: Dict[type, str] = {
 }
 
 
+def resolve_backend(name: str, request: TaskRequest) -> str:
+    """The live backend id for ``name``: the retired ``schedule`` id is ``inline``.
+
+    Logs recorded while schedule routes had their own backend carry
+    ``"schedule"``, and old clients may still name it.  It resolves only for
+    the :class:`ScheduleRouteRequest` it used to serve; any other request
+    keeps the name (and so fails as an unknown backend).
+    """
+    if name == "schedule" and isinstance(request, ScheduleRouteRequest):
+        return "inline"
+    return name
+
+
 class Session:
     """Submit task requests; get uniform, accountable task results back.
 
@@ -75,8 +82,8 @@ class Session:
     ----------
     backends:
         Optional replacement backend mapping (id -> :class:`Backend`).  The
-        default set is ``inline``, ``process-pool`` and ``schedule``; tests
-        substitute recording fakes here.
+        default set is ``inline`` and ``process-pool``; tests substitute
+        recording fakes here.
     result_log:
         Optional :class:`repro.provenance.log.ResultLog`.  When given, every
         submitted task is appended to it as one hash-chained ``task`` record
@@ -97,7 +104,6 @@ class Session:
             else {
                 "inline": InlineBackend(),
                 "process-pool": ProcessPoolBackend(),
-                "schedule": ScheduleBackend(),
             }
         )
         self._result_log = result_log
@@ -123,12 +129,15 @@ class Session:
     ) -> TaskResult:
         """Execute one request and return its :class:`TaskResult` envelope.
 
-        ``backend`` overrides the default routing by id.  Routing *outcomes*
+        ``backend`` overrides the default routing by id (a retired id
+        resolves through :func:`resolve_backend`).  Routing *outcomes*
         (delivery failures, conformance violations) are ordinary results;
         only API misuse (unknown backend, unsupported request/backend
         combination, malformed request) raises.
         """
         name = backend if backend is not None else self.backend_for(request)
+        if name not in self._backends:
+            name = resolve_backend(name, request)
         chosen = self._backends.get(name)
         if chosen is None:
             raise TaskError(

@@ -33,7 +33,7 @@ and nothing else.  The functions below only *render* the uniform
 
 ``python -m repro route-schedule --family grid --size 16 --snapshots 4 --mutation relabel --pairs 10``
     Route random pairs over a *dynamic* topology schedule (the extension
-    beyond the paper's static model) through the schedule-aware backend.
+    beyond the paper's static model) through the schedule-aware engine.
 
 ``python -m repro conformance``
     Run the differential conformance harness over the default scenario

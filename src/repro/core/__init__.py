@@ -61,7 +61,6 @@ from repro.core.engine import (
     WalkTrace,
     prepare,
     prepare_schedule,
-    route_many,
 )
 from repro.core.walk_kernel import CompiledWalk
 from repro.core.hybrid import HybridResult, hybrid_route
@@ -95,7 +94,6 @@ __all__ = [
     "RoutingHeader",
     "route",
     "route_on_network",
-    "route_many",
     "PreparedNetwork",
     "PreparedSchedule",
     "WalkTrace",

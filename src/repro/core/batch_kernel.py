@@ -356,6 +356,11 @@ class BatchedWalk:
         return accounts, unresolved
 
 
+# Nothing in ``src/`` calls ScheduleBatchedWalk, ScheduleWalkAccount,
+# translation_table or the SCHEDULE_* codes any more: schedule batches run
+# the scalar PreparedSchedule.reference_route_many, which measured faster on
+# every batch tried.  They remain only because ``perfbench/spans.py`` wraps
+# ``ScheduleBatchedWalk.run`` by name; they go once that wrap is dropped.
 class ScheduleBatchedWalk:
     """Lockstep stepper for routing one pair batch over a topology schedule.
 

@@ -27,13 +27,15 @@ small keyed cache so independent call sites (routing, counting, broadcast,
 the distributed protocols, benchmarks) all land on the same engine for the
 same graph object.
 
-Batches large enough to amortise vectorization run on the lockstep batched
-walk kernel of :mod:`repro.core.batch_kernel` (all walks advance one
+Static batches large enough to amortise vectorization run on the lockstep
+batched walk kernel of :mod:`repro.core.batch_kernel` (all walks advance one
 synchronous step at a time over the compiled arrays); small batches, and
-every batch when NumPy is not installed, run the scalar loops
-``reference_route_many`` — the executable specifications the batched path
+every batch when NumPy is not installed, run the scalar loop
+``reference_route_many`` — the executable specification the batched path
 must match element for element (asserted by the ``batch-parity`` conformance
-invariant and ``benchmarks/bench_batch.py``).
+invariant and ``benchmarks/bench_batch.py``).  Schedule batches always run
+the scalar loop: the schedule lockstep stepper measured slower than it on
+every batch tried.
 
 Results are bit-for-bit identical to the seed walkers: the kernel encodes the
 same rotation map, the step rule is unchanged, and the header accounting uses
@@ -89,7 +91,6 @@ from repro.core.routing import (
 )
 from repro.core.universal import OffsetStream, SequenceProvider, offset_stream
 from repro.core.walk_kernel import CompiledWalk
-from repro.deprecation import warn_once
 from repro.errors import RoutingError
 from repro.graphs.degree_reduction import DegreeReducedGraph, reduce_to_three_regular
 from repro.graphs.labeled_graph import LabeledGraph
@@ -108,7 +109,6 @@ __all__ = [
     "prepare",
     "prepare_schedule",
     "prepared_cache_info",
-    "route_many",
     "route_many_multi",
 ]
 
@@ -122,12 +122,11 @@ __all__ = [
 #: the *default* — ``lockstep=True``/``False`` overrides them; results are
 #: identical on both paths.
 _LOCKSTEP_AUTO_MIN_STATIC = 32
-_LOCKSTEP_AUTO_MIN_SCHEDULE = 32
 _LOCKSTEP_AUTO_MIN_WORK = 32_768
 
 
 def _use_lockstep(
-    requested: Optional[bool], batch_size: int, minimum: int, kernel_size: int
+    requested: Optional[bool], batch_size: int, kernel_size: int
 ) -> bool:
     """Resolve the ``lockstep`` tri-state against NumPy, batch and walk size."""
     from repro.core.batch_kernel import HAVE_NUMPY
@@ -136,7 +135,7 @@ def _use_lockstep(
         return False
     if requested is None:
         return (
-            batch_size >= minimum
+            batch_size >= _LOCKSTEP_AUTO_MIN_STATIC
             and batch_size * kernel_size >= _LOCKSTEP_AUTO_MIN_WORK
         )
     return bool(requested)
@@ -389,9 +388,7 @@ class PreparedNetwork:
         automatically.
         """
         pairs = list(pairs)
-        if _use_lockstep(
-            lockstep, len(pairs), _LOCKSTEP_AUTO_MIN_STATIC, self._kernel.num_vertices
-        ):
+        if _use_lockstep(lockstep, len(pairs), self._kernel.num_vertices):
             return self._route_many_batched(
                 pairs,
                 provider=provider,
@@ -683,37 +680,6 @@ def prepare(network_or_graph: object) -> PreparedNetwork:
     return engine
 
 
-def route_many(
-    graph: LabeledGraph,
-    pairs: Iterable[Tuple[int, int]],
-    provider: Optional[SequenceProvider] = None,
-    size_bound: Optional[int] = None,
-    start_port: int = 0,
-    namespace_size: Optional[int] = None,
-) -> List[RouteResult]:
-    """Batch-route ``pairs`` on ``graph`` through the shared prepared engine.
-
-    Deprecated free-function form: new code should submit a
-    :class:`repro.api.RouteBatchRequest` through :class:`repro.api.Session`
-    (or call :meth:`PreparedNetwork.route_many` on a prepared engine, which
-    is what both paths execute).  Emits one :class:`DeprecationWarning` per
-    process; results are unchanged.
-    """
-    warn_once(
-        "engine.route_many",
-        "repro.core.engine.route_many(...) is deprecated; submit a "
-        "repro.api.RouteBatchRequest through repro.api.Session (or use "
-        "PreparedNetwork.route_many) instead",
-    )
-    return prepare(graph).route_many(
-        pairs,
-        provider=provider,
-        size_bound=size_bound,
-        start_port=start_port,
-        namespace_size=namespace_size,
-    )
-
-
 # ---------------------------------------------------------------------- #
 # Schedule-aware engine (dynamic-topology extension)
 # ---------------------------------------------------------------------- #
@@ -779,8 +745,6 @@ class PreparedSchedule:
         self._engines = engines
         self._kernels = [engine.kernel for engine in engines]
         self._num_compiled = len(engines_by_graph)
-        #: Lazily built lockstep stepper for the batched route_many path.
-        self._batched_stepper = None
 
     # ------------------------------------------------------------------ #
     # Shared state accessors
@@ -946,32 +910,13 @@ class PreparedSchedule:
         pairs: Iterable[Tuple[int, int]],
         provider: Optional[SequenceProvider] = None,
         size_bound: Optional[int] = None,
-        lockstep: Optional[bool] = None,
     ) -> List[object]:
         """Route every ``(source, target)`` pair against the prepared schedule.
 
         The batch API for dynamic workloads: one compilation of every
-        snapshot, then one pass over the resumed flat-array walk.  Large
-        batches run on the NumPy lockstep stepper
-        (:class:`repro.core.batch_kernel.ScheduleBatchedWalk`: shared global
-        clock, per-walk ``(vertex, entry port, phase)`` state vectors,
-        switch-overs translated through precomputed tables); small batches,
-        and every batch when NumPy is absent, run the scalar loop
-        :meth:`reference_route_many`.  Results are identical either way (the
-        dynamic ``batch-parity`` conformance invariant asserts it).
-        ``lockstep`` forces the choice exactly as in
-        :meth:`PreparedNetwork.route_many`.
+        snapshot, then the scalar loop :meth:`reference_route_many` over the
+        resumed flat-array walk.
         """
-        pairs = list(pairs)
-        if _use_lockstep(
-            lockstep,
-            len(pairs),
-            _LOCKSTEP_AUTO_MIN_SCHEDULE,
-            self._kernels[0].num_vertices,
-        ):
-            return self._route_many_batched(
-                pairs, provider=provider, size_bound=size_bound
-            )
         return self.reference_route_many(
             pairs, provider=provider, size_bound=size_bound
         )
@@ -987,104 +932,6 @@ class PreparedSchedule:
             self.route(source, target, provider=provider, size_bound=size_bound)
             for source, target in pairs
         ]
-
-    def _schedule_stepper(self):
-        """The shared lockstep stepper for this schedule (built on demand)."""
-        from repro.core.batch_kernel import ScheduleBatchedWalk, batched_walk_for
-
-        if self._batched_stepper is None:
-            self._batched_stepper = ScheduleBatchedWalk(
-                steppers=[batched_walk_for(kernel) for kernel in self._kernels],
-                snapshots=self._schedule.snapshots,
-                switch_times=self._schedule.switch_times,
-                gateway_of=self._kernels[0].gateway_of,
-            )
-        return self._batched_stepper
-
-    def _route_many_batched(
-        self,
-        pairs: List[Tuple[int, int]],
-        provider: Optional[SequenceProvider],
-        size_bound: Optional[int],
-    ) -> List[object]:
-        """Batch body: group pairs by size bound, run the schedule stepper."""
-        from repro.core import batch_kernel
-        from repro.network.dynamics import DynamicOutcome, DynamicRouteResult
-
-        base = self._schedule.snapshots[0]
-        for source in {source for source, _ in pairs}:
-            if not base.has_vertex(source):
-                raise RoutingError(
-                    f"source {source!r} is not a vertex of the network"
-                )
-        engine0 = self._engines[0]
-        groups: Dict[int, List[int]] = {}
-        for index, (source, _target) in enumerate(pairs):
-            bound = engine0.resolve_size_bound(source, size_bound)
-            groups.setdefault(bound, []).append(index)
-        stepper = self._schedule_stepper()
-        results: List[Optional[object]] = [None] * len(pairs)
-        soundness_cache: Dict[Tuple[int, int], bool] = {}
-        for bound, indices in groups.items():
-            offsets = engine0.offsets_for(
-                bound, provider if provider is not None else self._default_provider
-            )
-            accounts = stepper.run(
-                [pairs[index][0] for index in indices],
-                [pairs[index][1] for index in indices],
-                offsets,
-            )
-            for local_index, account in enumerate(accounts):
-                index = indices[local_index]
-                source, target = pairs[index]
-                if account.code == batch_kernel.SCHEDULE_DELIVERED:
-                    result = DynamicRouteResult(
-                        outcome=DynamicOutcome.DELIVERED,
-                        steps_taken=account.steps_taken,
-                        switches_survived=account.switches_survived,
-                        sound=True,
-                    )
-                elif account.code == batch_kernel.SCHEDULE_REPORTED_FAILURE:
-                    if account.status_failure:
-                        key = (source, target)
-                        sound = soundness_cache.get(key)
-                        if sound is None:
-                            sound = not self._schedule.always_connected(source, target)
-                            soundness_cache[key] = sound
-                    else:
-                        sound = True
-                    result = DynamicRouteResult(
-                        outcome=DynamicOutcome.REPORTED_FAILURE,
-                        steps_taken=account.steps_taken,
-                        switches_survived=account.switches_survived,
-                        sound=sound,
-                        detail=(
-                            ""
-                            if sound
-                            else "failure reported although a path existed throughout"
-                        ),
-                    )
-                elif account.code == batch_kernel.SCHEDULE_STRANDED_DEGREE:
-                    result = DynamicRouteResult(
-                        outcome=DynamicOutcome.STRANDED,
-                        steps_taken=account.steps_taken,
-                        switches_survived=account.switches_survived,
-                        sound=False,
-                        detail=(
-                            f"degree of node {account.stranded_owner} "
-                            "changed under the message"
-                        ),
-                    )
-                else:
-                    result = DynamicRouteResult(
-                        outcome=DynamicOutcome.STRANDED,
-                        steps_taken=account.steps_taken,
-                        switches_survived=account.switches_survived,
-                        sound=False,
-                        detail="walk did not terminate within its budget",
-                    )
-                results[index] = result
-        return results
 
 
 # Prepared schedules are keyed by ``id(schedule)`` in the store's bounded

@@ -31,7 +31,6 @@ from repro.network.dynamics import (
     DynamicOutcome,
     DynamicRouteResult,
     TopologySchedule,
-    route_many_over_schedule,
     route_over_schedule,
     validate_schedule,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "DynamicOutcome",
     "DynamicRouteResult",
     "TopologySchedule",
-    "route_many_over_schedule",
     "route_over_schedule",
     "validate_schedule",
 ]

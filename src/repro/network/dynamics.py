@@ -32,11 +32,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.exploration import WalkState, step_backward, step_forward
 from repro.core.universal import SequenceProvider
-from repro.deprecation import warn_once
 from repro.errors import GraphStructureError, RoutingError
 from repro.graphs.connectivity import are_connected, connected_component
 from repro.graphs.degree_reduction import DegreeReducedGraph, reduce_to_three_regular
@@ -48,7 +47,6 @@ __all__ = [
     "DynamicRouteResult",
     "validate_schedule",
     "route_over_schedule",
-    "route_many_over_schedule",
     "reference_route_over_schedule",
 ]
 
@@ -178,38 +176,6 @@ def route_over_schedule(
 
     return prepare_schedule(schedule).route(
         source, target, provider=provider, size_bound=size_bound
-    )
-
-
-def route_many_over_schedule(
-    schedule: TopologySchedule,
-    pairs: Iterable[Tuple[int, int]],
-    provider: Optional[SequenceProvider] = None,
-    size_bound: Optional[int] = None,
-) -> List[DynamicRouteResult]:
-    """Route every ``(source, target)`` pair over one prepared schedule.
-
-    The batch counterpart of :func:`route_over_schedule`: the per-snapshot
-    compilation is paid once for the whole batch.
-
-    Deprecated free-function form: new code should submit a
-    :class:`repro.api.ScheduleRouteRequest` through
-    :class:`repro.api.Session` (or call
-    :meth:`~repro.core.engine.PreparedSchedule.route_many` on a prepared
-    schedule, which is what both paths execute).  Emits one
-    :class:`DeprecationWarning` per process; results are unchanged.
-    """
-    warn_once(
-        "dynamics.route_many_over_schedule",
-        "route_many_over_schedule(...) is deprecated; submit a "
-        "repro.api.ScheduleRouteRequest through repro.api.Session (or use "
-        "PreparedSchedule.route_many) instead",
-    )
-    validate_schedule(schedule)
-    from repro.core.engine import prepare_schedule
-
-    return prepare_schedule(schedule).route_many(
-        pairs, provider=provider, size_bound=size_bound
     )
 
 

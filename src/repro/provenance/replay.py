@@ -15,8 +15,10 @@ chain position of the *recorded* run).  Replayed sweep tasks additionally
 run without their ``out_path``/``resume`` side effects, so the bookkeeping
 payload keys those options feed (``out_path``, ``shards_executed``,
 ``shards_skipped``) are masked too — the table rows themselves are always
-compared exactly.  ``plan`` and ``bench`` records are descriptive, not
-executable, and are skipped.
+compared exactly.  A result recorded under a retired backend id
+(``"schedule"``, see :func:`repro.api.session.resolve_backend`) replays on,
+and compares as, the backend that serves it now (``"inline"``).  ``plan``
+and ``bench`` records are descriptive, not executable, and are skipped.
 
 The CLI front ends (``repro log verify`` / ``replay`` / ``diff``) dispatch
 into :func:`run_log_command`; see ``docs/cli.md`` and ``docs/provenance.md``.
@@ -83,10 +85,14 @@ def _normalised_result_wire(result) -> Dict[str, object]:
 def _replay_task(record: Dict[str, object], session) -> Tuple[bool, str]:
     from repro.api.envelope import from_wire
     from repro.api.requests import SweepRequest
-    from repro.api.session import Session
+    from repro.api.session import Session, resolve_backend
 
     request = from_wire(record["request"])
     recorded = from_wire(record["result"])
+    # A retired backend id replays on, and compares as, its successor.
+    recorded = dataclasses.replace(
+        recorded, backend=resolve_backend(recorded.backend, request)
+    )
     if isinstance(request, SweepRequest) and (request.out_path or request.resume):
         # Replay must not overwrite the recorded run's shard stream (or any
         # other file); the rows are identical either way.

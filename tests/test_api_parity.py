@@ -115,7 +115,7 @@ def test_schedule_task_parity(spec, session):
     vertices = list(schedule.snapshots[0].vertices)
     pairs = ((vertices[0], vertices[-1]), (vertices[1], vertices[0]))
     result = session.submit(ScheduleRouteRequest(scenario=spec, pairs=pairs))
-    assert result.backend == "schedule"
+    assert result.backend == "inline"
     for (source, target), payload in zip(pairs, result.payload["results"]):
         reference = reference_route_over_schedule(schedule, source, target)
         assert payload == dynamic_result_payload(reference)

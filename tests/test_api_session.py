@@ -110,13 +110,20 @@ def test_schedule_submission_matches_reference(session):
     result = session.submit(
         ScheduleRouteRequest(scenario=DYN, pairs=((0, 11), (3, 8)))
     )
-    assert result.backend == "schedule"
+    assert result.backend == "inline"
     for (source, target), payload in zip(
         [(0, 11), (3, 8)], result.payload["results"]
     ):
         reference = reference_route_over_schedule(schedule, source, target)
         assert payload == dynamic_result_payload(reference)
     assert result.payload["num_snapshots"] == 3
+
+
+def test_legacy_schedule_backend_id_runs_inline(session):
+    request = ScheduleRouteRequest(scenario=DYN, pairs=((0, 11), (3, 8)))
+    legacy = session.submit(request, backend="schedule")
+    assert legacy.backend == "inline"
+    assert legacy.replace_timing(0.0) == session.submit(request).replace_timing(0.0)
 
 
 def test_schedule_request_rejects_static_scenario():
@@ -260,7 +267,7 @@ def test_backend_rejects_unsupported_request_type(session):
 
 def test_default_backend_routing(session):
     assert session.backend_for(RouteRequest(scenario=GRID, source=0, target=1)) == "inline"
-    assert session.backend_for(ScheduleRouteRequest(scenario=DYN)) == "schedule"
+    assert session.backend_for(ScheduleRouteRequest(scenario=DYN)) == "inline"
     assert (
         session.backend_for(SweepRequest(scenarios=(GRID,))) == "process-pool"
     )

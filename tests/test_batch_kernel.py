@@ -1,13 +1,14 @@
 """The lockstep batched walk kernel vs the scalar reference, property-tested.
 
 The batched path of ``route_many`` (:mod:`repro.core.batch_kernel`) must be
-an *invisible* optimisation: for any scenario — connected or disconnected,
-static or dynamic — and any pair batch — including repeated pairs and
-self-pairs — its output must equal the scalar reference loop element for
-element.  Hypothesis drives that equality over random networks, random
-schedules and random batches; unit tests pin the dispatch policy (auto
-threshold, forced modes, the no-NumPy fallback) and the trajectory-buffer
-cap's scalar spill-over.
+an *invisible* optimisation: for any scenario — connected or disconnected —
+and any pair batch — including repeated pairs and self-pairs — its output
+must equal the scalar reference loop element for element.  The schedule
+stepper, which no engine path calls, is held to the same accounting.
+Hypothesis drives that equality over random networks, random schedules and
+random batches; unit tests pin the dispatch policy (auto threshold, forced
+modes, the no-NumPy fallback) and the trajectory-buffer cap's scalar
+spill-over.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from repro.core.engine import PreparedNetwork, prepare, prepare_schedule
 from repro.core.universal import RandomSequenceProvider
 from repro.graphs import generators
 from repro.graphs.labeled_graph import LabeledGraph
+from repro.network.dynamics import DynamicOutcome
 
 #: One provider shared across examples so the per-size sequence cache is hit.
 _PROVIDER = RandomSequenceProvider(seed=77)
@@ -103,14 +105,50 @@ def _schedule_cases(draw):
     return schedule, pairs
 
 
+_SCHEDULE_OUTCOMES = {
+    batch_kernel.SCHEDULE_DELIVERED: DynamicOutcome.DELIVERED,
+    batch_kernel.SCHEDULE_REPORTED_FAILURE: DynamicOutcome.REPORTED_FAILURE,
+    batch_kernel.SCHEDULE_STRANDED_DEGREE: DynamicOutcome.STRANDED,
+    batch_kernel.SCHEDULE_STRANDED_BUDGET: DynamicOutcome.STRANDED,
+}
+
+
+@needs_numpy
 @_RELAXED
 @given(case=_schedule_cases())
 def test_schedule_route_many_batched_equals_reference(case):
+    # Schedule batches run the scalar loop; the lockstep schedule stepper is
+    # driven directly here, one run per size-bound group.
     schedule, pairs = case
     engine = prepare_schedule(schedule)
+    engines = [engine.snapshot_engine(i) for i in range(engine.num_snapshots)]
+    stepper = batch_kernel.ScheduleBatchedWalk(
+        steppers=[batched_walk_for(snapshot.kernel) for snapshot in engines],
+        snapshots=schedule.snapshots,
+        switch_times=schedule.switch_times,
+        gateway_of=engines[0].kernel.gateway_of,
+    )
     reference = engine.reference_route_many(pairs, provider=_PROVIDER)
-    batched = engine.route_many(pairs, provider=_PROVIDER, lockstep=True)
-    assert batched == reference
+    groups = {}
+    for index, (source, _target) in enumerate(pairs):
+        groups.setdefault(engines[0].resolve_size_bound(source), []).append(index)
+    for bound, indices in groups.items():
+        accounts = stepper.run(
+            [pairs[index][0] for index in indices],
+            [pairs[index][1] for index in indices],
+            engines[0].offsets_for(bound, _PROVIDER),
+        )
+        for index, account in zip(indices, accounts):
+            expected = reference[index]
+            assert (
+                _SCHEDULE_OUTCOMES[account.code],
+                account.steps_taken,
+                account.switches_survived,
+            ) == (
+                expected.outcome,
+                expected.steps_taken,
+                expected.switches_survived,
+            ), pairs[index]
 
 
 # --------------------------------------------------------------------------- #

@@ -231,8 +231,3 @@ def test_route_many_over_schedule_matches_single_calls(provider):
         route_over_schedule(schedule, s, t, provider=provider) for s, t in pairs
     ]
     assert batch == singles
-    # The lockstep batched stepper must agree with the scalar walks too.
-    lockstep = prepare_schedule(schedule).route_many(
-        pairs, provider=provider, lockstep=True
-    )
-    assert lockstep == singles

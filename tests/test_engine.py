@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.engine import PreparedNetwork, prepare, route_many
-from repro.deprecation import reset_warnings
+from repro.core.engine import PreparedNetwork, prepare
 from repro.core.exploration import WalkState, step_backward, step_forward
 from repro.core.routing import RouteOutcome, route
 from repro.errors import RoutingError
@@ -119,13 +118,8 @@ def test_route_many_equals_individual_routes(provider, grid_4x4):
 
 
 def test_route_many_module_function(provider, grid_4x4):
-    # The free function is a deprecation shim; it is exercised here on
-    # purpose, so its (warn-once) DeprecationWarning is asserted rather than
-    # allowed to leak into the suite (filterwarnings = error).
-    reset_warnings()
     pairs = [(0, 15), (15, 0)]
-    with pytest.warns(DeprecationWarning, match="RouteBatchRequest"):
-        results = route_many(grid_4x4, pairs, provider=provider)
+    results = prepare(grid_4x4).route_many(pairs, provider=provider)
     assert [r.outcome for r in results] == [RouteOutcome.SUCCESS, RouteOutcome.SUCCESS]
     assert all(r.delivered for r in results)
 

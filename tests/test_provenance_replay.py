@@ -6,27 +6,26 @@ public execution paths and the fresh payload matches the recorded one
 bit-for-bit (modulo the masked run-dependent fields).  Alongside replay this
 file pins the sweep runner's migration to :class:`repro.provenance.log.ResultLog`:
 the CLI acceptance path (2-worker sweep → verify → replay → tamper →
-verify fails), resume over hash-tampered records, the deprecated raw-JSONL
-shims' parity, and record/record diffing.
+verify fails), resume over hash-tampered records, and record/record diffing.
 """
 
 from __future__ import annotations
 
-import warnings
+import dataclasses
 
 import pytest
 
 from repro.analysis.experiments import ScenarioSpec, structured_scenarios
-from repro.analysis.runner import load_sweep_jsonl, plan_sweep, run_sweep
+from repro.analysis.runner import plan_sweep, run_sweep
 from repro.api import (
     BroadcastRequest,
     ConformanceRequest,
     CountRequest,
     RouteRequest,
+    ScheduleRouteRequest,
     Session,
 )
 from repro.cli import main
-from repro.deprecation import reset_warnings
 from repro.provenance import (
     ResultLog,
     diff_logs,
@@ -38,6 +37,13 @@ from repro.provenance.replay import select_records
 
 GRID = ScenarioSpec(name="replay-grid-16", family="grid", size=16, seed=0)
 RING = ScenarioSpec(name="replay-ring-8", family="ring", size=8, seed=1)
+DYN = ScenarioSpec(
+    name="replay-dyn-ring-8",
+    family="ring",
+    size=8,
+    seed=0,
+    extra=(("mutation", "drop-edge"), ("snapshots", 3), ("switch_every", 4)),
+)
 
 
 def _small_plan(master_seed: int = 7, pairs: int = 3):
@@ -75,6 +81,23 @@ def test_logged_tasks_replay_bit_for_bit_across_request_types(tmp_path):
         assert outcome.ok, outcome.detail
         assert outcome.kind == "task"
         assert outcome.address == record["address"]
+
+
+def test_legacy_schedule_backend_record_replays_as_inline(tmp_path):
+    # Logs written while schedule routes had their own backend carry
+    # backend="schedule"; they must still verify and replay as reproduced.
+    path = str(tmp_path / "legacy.log")
+    request = ScheduleRouteRequest(scenario=DYN, num_pairs=3, pair_seed=2)
+    result = Session().submit(request)
+    assert result.backend == "inline"
+    with ResultLog(path, "w") as log:
+        log.append_task(request, dataclasses.replace(result, backend="schedule"))
+    assert verify_log(path).ok
+    records, _issues = read_log(path)
+    assert records[0]["result"]["fields"]["backend"] == "schedule"
+    outcome = replay_record(records[0], session=Session())
+    assert outcome.ok, outcome.detail
+    assert "reproduced" in outcome.detail
 
 
 def test_conformance_record_replays_over_explicit_scenarios(tmp_path):
@@ -169,58 +192,6 @@ def test_resume_reexecutes_hash_tampered_shards_and_reproduces_the_table(tmp_pat
     resumed = run_sweep(plan, workers=2, out_path=out, resume=True)
     assert resumed.shards_executed >= 1
     assert resumed.table.rows == serial.table.rows
-
-
-# --------------------------------------------------------------------------- #
-# Deprecated raw-JSONL shims: warn once, read the same stream
-# --------------------------------------------------------------------------- #
-
-
-@pytest.fixture(autouse=True)
-def _fresh_warning_state():
-    reset_warnings()
-    yield
-    reset_warnings()
-
-
-def test_load_sweep_jsonl_warns_once_and_parses_the_result_log(tmp_path):
-    out = str(tmp_path / "legacy.log")
-    run_sweep(_small_plan(), workers=1, out_path=out)
-
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        header, shards = load_sweep_jsonl(out)
-        load_sweep_jsonl(out)  # second call must stay silent
-    deprecations = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-    assert len(deprecations) == 1
-    assert "read_log" in str(deprecations[0].message)
-
-    # The raw view and the hash-validated view describe the same stream.
-    records, issues = read_log(out)
-    assert issues == []
-    assert header["fingerprint"] == records[0]["fingerprint"]
-    assert sorted(shards) == [
-        record["index"] for record in records if record["kind"] == "shard"
-    ]
-    for record in records:
-        if record["kind"] == "shard":
-            assert shards[record["index"]]["rows"] == record["rows"]
-
-
-def test_write_sweep_record_warns_and_its_records_fail_verification(tmp_path):
-    from repro.analysis.runner import write_sweep_record
-
-    out = str(tmp_path / "raw.log")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        with open(out, "w", encoding="utf-8") as handle:
-            write_sweep_record(handle, {"kind": "shard", "index": 0, "rows": []})
-    deprecations = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-    assert len(deprecations) == 1
-    assert "ResultLog" in str(deprecations[0].message)
-    # Unsealed records carry no record_hash: tolerated as missing, not data.
-    records, issues = read_log(out)
-    assert records == [] and len(issues) == 1
 
 
 # --------------------------------------------------------------------------- #

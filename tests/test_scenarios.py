@@ -381,7 +381,7 @@ def test_schedule_request_accepts_churn_and_session_routes_hetero():
     request = ScheduleRouteRequest(scenario=churn_spec, pairs=((0, 5),))
     session = Session()
     result = session.submit(request)
-    assert result.backend == "schedule"
+    assert result.backend == "inline"
     assert result.payload["num_snapshots"] == len(build_schedule(churn_spec).snapshots)
 
     hetero_spec = hetero_unit_disk_scenarios([12], radius=0.45)[0]

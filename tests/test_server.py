@@ -38,6 +38,7 @@ from repro.api.requests import (
     CountRequest,
     RouteBatchRequest,
     RouteRequest,
+    ScheduleRouteRequest,
 )
 from repro.api.session import Session
 from repro.errors import TaskError
@@ -47,6 +48,13 @@ from repro.server.queueing import LatencyHistogram, TaskQueue
 
 SPEC = ScenarioSpec(name="srv", family="grid", size=16, seed=0)
 RING = ScenarioSpec(name="srv-ring", family="ring", size=10, seed=1)
+DYN = ScenarioSpec(
+    name="srv-dyn-ring",
+    family="ring",
+    size=10,
+    seed=1,
+    extra=(("mutation", "relabel"), ("snapshots", 3), ("switch_every", 4)),
+)
 
 
 @contextlib.asynccontextmanager
@@ -207,6 +215,19 @@ def test_served_results_bit_identical_to_inline_session():
 
     served = asyncio.run(scenario())
     assert [_canonical(result) for result in served] == expected
+
+
+def test_legacy_schedule_backend_query_is_served_inline():
+    request = ScheduleRouteRequest(scenario=DYN, num_pairs=2, pair_seed=1)
+    expected = _canonical(Session().submit(request))
+
+    async def scenario():
+        async with running_server() as server:
+            return await client_for(server).submit(request, backend="schedule")
+
+    served = asyncio.run(scenario())
+    assert served.backend == "inline"
+    assert _canonical(served) == expected
 
 
 def test_served_reliable_broadcast_reports_the_invariants():

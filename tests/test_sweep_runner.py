@@ -17,7 +17,6 @@ from repro.analysis.experiments import (
     ScenarioSpec,
     dynamic_schedule_scenarios,
     reference_run_parameter_sweep,
-    run_parameter_sweep,
     structured_scenarios,
     unit_disk_scenarios,
 )
@@ -25,6 +24,7 @@ from repro.analysis.runner import (
     SCHEDULE_ROUTER,
     SWEEP_HEADERS,
     evaluate_shard,
+    map_scenario_rows,
     parallel_map,
     plan_sweep,
     run_sweep,
@@ -32,7 +32,6 @@ from repro.analysis.runner import (
 )
 from repro.core.engine import clear_prepared_caches, prepare, prepared_cache_info
 from repro.core.universal import RandomSequenceProvider
-from repro.deprecation import reset_warnings
 from repro.errors import ExperimentError
 from repro.graphs import generators
 
@@ -298,7 +297,7 @@ def test_without_resume_an_existing_file_is_overwritten(tmp_path):
 
 
 # --------------------------------------------------------------------------- #
-# run_parameter_sweep wiring
+# Parallel parameter sweeps (map_scenario_rows)
 # --------------------------------------------------------------------------- #
 
 
@@ -308,23 +307,16 @@ def _count_edges_evaluate(spec: ScenarioSpec, network):
 
 
 def test_run_parameter_sweep_parallel_matches_reference():
-    # run_parameter_sweep is a deprecation shim, exercised here on purpose to
-    # check its workers= wiring; its warn-once DeprecationWarning is asserted
-    # so it cannot leak into the suite (filterwarnings = error).
-    reset_warnings()
     scenarios = structured_scenarios("ring", [5, 7]) + structured_scenarios("grid", [9])
     headers = ["name", "nodes", "edges"]
     reference = reference_run_parameter_sweep(
         "demo", headers, scenarios, _count_edges_evaluate
     )
-    with pytest.warns(DeprecationWarning, match="SweepRequest"):
-        serial = run_parameter_sweep("demo", headers, scenarios, _count_edges_evaluate)
-    parallel = run_parameter_sweep(
-        "demo", headers, scenarios, _count_edges_evaluate, workers=2
-    )
-    assert serial.rows == reference.rows
-    assert parallel.rows == reference.rows
-    assert parallel.headers == reference.headers
+    serial = map_scenario_rows(_count_edges_evaluate, scenarios, workers=1)
+    parallel = map_scenario_rows(_count_edges_evaluate, scenarios, workers=2)
+    assert len(parallel) == len(scenarios)
+    assert [row for rows in serial for row in rows] == reference.rows
+    assert [row for rows in parallel for row in rows] == reference.rows
 
 
 # --------------------------------------------------------------------------- #
