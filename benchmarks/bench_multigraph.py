@@ -1,10 +1,9 @@
 """E-MULTI: the stacked multi-graph lockstep kernel vs the per-scenario path.
 
 A sweep group routes small per-scenario batches over *many different*
-graphs.  The PR-5 path re-entered Python per scenario: each shard's pairs
-went through ``route_many`` alone, and a batch of 8–28 pairs is below the
-lockstep dispatch threshold, so every scenario ran the scalar reference
-loop.  The multi-graph kernel (:class:`repro.core.batch_kernel.MultiGraphWalk`)
+graphs.  Routed one shard at a time, each shard's pairs go through
+``route_many`` alone, and a batch of 8–28 pairs is below the lockstep
+dispatch threshold, so every scenario runs the scalar reference loop.  The multi-graph kernel (:class:`repro.core.batch_kernel.MultiGraphWalk`)
 stacks all compiled transition tables into one tensor with per-walk graph
 offsets, so an entire sweep group advances in one fused gather per global
 step — :func:`repro.analysis.runner.evaluate_shards` turns a whole shard
@@ -13,14 +12,18 @@ group into a handful of NumPy calls.
 This benchmark runs one sweep plan (grid + ring scenarios, small per-shard
 batches) twice:
 
-* **per-scenario** — ``run_sweep(plan, multigraph=False)``: the PR-5
-  per-shard path, one ``evaluate_shard`` per cell;
-* **multi-graph** — ``run_sweep(plan, multigraph=True)``: all engine shards
-  stacked into one :func:`repro.core.engine.route_many_multi` call.
+* **per-scenario** — ``[evaluate_shard(s) for s in plan.shards]``: one
+  shard at a time;
+* **multi-graph** — all engine shards stacked into one call of the engine's
+  lockstep realisation (``repro.core.engine._route_lockstep``), which
+  ``evaluate_shards`` takes for a group this large; it is called directly
+  so smoke mode, whose 24 pairs are below the thresholds, runs the stacked
+  kernel too.
 
-It always asserts bitwise equality of the aggregated
-:class:`~repro.analysis.experiments.ExperimentResult` tables, and outside
-smoke mode that the stacked path is at least 3x faster.  It also exercises
+It always asserts bitwise equality of the per-shard rows, and of the
+aggregated :class:`~repro.analysis.experiments.ExperimentResult` table of
+``run_sweep``, and outside smoke mode that the stacked path is at least 3x
+faster.  It also exercises
 the kernel store's disk tier: a cold sweep with ``REPRO_KERNEL_CACHE_DIR``
 set persists every compiled kernel, and a warm rerun after clearing the
 in-process caches must perform **zero recompilations** (asserted via the
@@ -41,10 +44,16 @@ import tempfile
 import time
 
 from bench_utils import emit_bench_json, emit_table
-from repro.analysis.experiments import structured_scenarios
-from repro.analysis.runner import evaluate_shards, plan_sweep, run_sweep
+from repro.analysis import runner
+from repro.analysis.experiments import pick_source_target_pairs, structured_scenarios
+from repro.analysis.runner import evaluate_shard, plan_sweep, run_sweep
 from repro.core.batch_kernel import HAVE_NUMPY
-from repro.core.engine import clear_prepared_caches, prepared_cache_info
+from repro.core.engine import (
+    _route_lockstep,
+    clear_prepared_caches,
+    prepare,
+    prepared_cache_info,
+)
 from repro.core.kernel_store import ENV_KERNEL_CACHE_DIR, configure_kernel_store
 
 SMOKE = os.environ.get("MULTIGRAPH_BENCH_SMOKE", "") not in ("", "0") or os.environ.get(
@@ -52,8 +61,8 @@ SMOKE = os.environ.get("MULTIGRAPH_BENCH_SMOKE", "") not in ("", "0") or os.envi
 ) not in ("", "0")
 
 #: Full mode: 24 scenarios x 28 pairs — every per-scenario batch is below the
-#: lockstep dispatch threshold, so ``multigraph=False`` really is the PR-5
-#: scalar per-scenario path, while the stacked kernel sees all 672 walks.
+#: lockstep dispatch threshold, so the per-scenario side really is the
+#: scalar path, while the stacked kernel sees all 672 walks.
 SIZES = (16, 25) if SMOKE else (64, 100)
 SEEDS = (0,) if SMOKE else (0, 1, 2, 3, 4, 5)
 PAIRS = 6 if SMOKE else 28
@@ -73,12 +82,32 @@ def _plan():
     )
 
 
-def _time_shards(plan, multigraph: bool) -> float:
+def _per_scenario_rows(plan):
+    return [evaluate_shard(shard) for shard in plan.shards]
+
+
+def _stacked_rows(plan):
+    """Every (engine) shard of the plan through one stacked lockstep run."""
+    tasks = []
+    for shard in plan.shards:
+        network = runner._SCENARIOS.network(shard.spec)
+        pairs = pick_source_target_pairs(network, shard.pairs, seed=shard.seed)
+        tasks.append((prepare(network.graph), pairs, network.namespace_size))
+    results = _route_lockstep(tasks)
+    return [
+        runner._engine_rows(shard.spec, shard.router, pairs, shard_results)
+        for shard, (_engine, pairs, _namespace), shard_results in zip(
+            plan.shards, tasks, results
+        )
+    ]
+
+
+def _time_shards(plan, evaluate) -> float:
     """Best-of-``REPEATS`` wall time of one full shard-group evaluation."""
     best = float("inf")
     for _ in range(REPEATS):
         started = time.perf_counter()
-        evaluate_shards(plan.shards, multigraph=multigraph)
+        evaluate(plan)
         best = min(best, time.perf_counter() - started)
     return best
 
@@ -89,18 +118,16 @@ def run_multigraph_benchmark() -> dict:
 
     # Both sides are timed in steady state: scenarios materialised, engines
     # prepared, sequences cached.  One untimed pass each warms everything.
-    evaluate_shards(plan.shards, multigraph=False)
-    evaluate_shards(plan.shards, multigraph=True)
+    scalar_rows = _per_scenario_rows(plan)
+    stacked_rows = _stacked_rows(plan)
 
-    scalar_elapsed = _time_shards(plan, multigraph=False)
-    stacked_elapsed = _time_shards(plan, multigraph=True)
+    scalar_elapsed = _time_shards(plan, _per_scenario_rows)
+    stacked_elapsed = _time_shards(plan, _stacked_rows)
 
-    scalar_table = run_sweep(plan, multigraph=False).table
-    stacked_table = run_sweep(plan, multigraph=True).table
-    identical = (
-        scalar_table.headers == stacked_table.headers
-        and scalar_table.rows == stacked_table.rows
-    )
+    stacked_table = run_sweep(plan).table
+    identical = scalar_rows == stacked_rows and stacked_table.rows == [
+        row for rows in scalar_rows for row in rows
+    ]
     speedup = scalar_elapsed / stacked_elapsed if stacked_elapsed > 0 else float("inf")
     return {
         "plan": plan,
@@ -126,11 +153,11 @@ def run_warm_start_check(plan) -> dict:
     try:
         configure_kernel_store(cache_dir=cache_dir)
         clear_prepared_caches()
-        cold_table = run_sweep(plan, multigraph=True).table
+        cold_table = run_sweep(plan).table
         cold = prepared_cache_info()
 
         clear_prepared_caches()
-        warm_table = run_sweep(plan, multigraph=True).table
+        warm_table = run_sweep(plan).table
         warm = prepared_cache_info()
         return {
             "cold_compiles": cold["kernel_compiles"],
@@ -154,7 +181,7 @@ def _emit(report: dict, warm: dict) -> None:
     pairs = shards * PAIRS
     rows = [
         [
-            "per-scenario (PR-5 scalar path)",
+            "per-scenario (scalar path)",
             shards,
             pairs,
             f"{report['scalar_elapsed'] * 1000:.1f}",
@@ -208,7 +235,7 @@ def _emit(report: dict, warm: dict) -> None:
 def _check(report: dict, warm: dict) -> str:
     """Return an error message, or '' when the reports meet the bar."""
     if not report["identical"]:
-        return "aggregated tables differ between per-scenario and multi-graph runs"
+        return "rows differ between per-scenario and multi-graph runs"
     if not warm["identical"]:
         return "warm-start table differs from the cold run"
     if warm["cold_compiles"] < 1 or warm["cold_saves"] < 1:
@@ -239,7 +266,7 @@ def test_multigraph_lockstep_speedup(benchmark):
     assert not error, error
     plan = report["plan"]
     benchmark.pedantic(
-        lambda: evaluate_shards(plan.shards, multigraph=True),
+        lambda: _stacked_rows(plan),
         rounds=5,
         iterations=1,
     )
@@ -248,7 +275,7 @@ def test_multigraph_lockstep_speedup(benchmark):
 def main() -> int:
     """Standalone entry point (no pytest needed; used by the CI smoke step)."""
     if not HAVE_NUMPY:  # pragma: no cover - exercised by the no-NumPy CI job
-        print("skip: NumPy unavailable, evaluate_shards falls back per shard")
+        print("skip: NumPy unavailable, the multi-graph kernel cannot run")
         return 0
     report = run_multigraph_benchmark()
     warm = run_warm_start_check(report["plan"])

@@ -29,7 +29,7 @@ in one table-driven pass:
   dynamic scenarios);
 * the lockstep batched walk kernel (:mod:`repro.core.batch_kernel`) matches
   the scalar walks element for element when the same pairs are routed as one
-  batch through ``route_many(lockstep=True)`` on static networks (the
+  batch through the engine's lockstep realisation on static networks (the
   ``batch-parity`` invariant);
 * the Bracha reliable-broadcast layer (:mod:`repro.core.reliable_broadcast`)
   keeps its correctness conditions on the *malicious-node scenario axis*
@@ -77,7 +77,7 @@ from repro.analysis.experiments import (
 from repro.analysis.runner import parallel_map
 from repro.analysis.reporting import format_table
 from repro.baselines import applicable_routers
-from repro.core.engine import prepare, prepare_schedule
+from repro.core.engine import _route_lockstep, prepare, prepare_schedule
 from repro.core.reliable_broadcast import (
     QuorumThresholds,
     UESTransport,
@@ -539,11 +539,17 @@ def _check_static_scenario(
                 )
 
     # --- the batched walk kernel against the scalar walks, pair for pair -- #
-    # route_many(lockstep=True) routes the whole batch through the NumPy
-    # lockstep kernel (scalar reference when NumPy is absent — the invariant
-    # then degenerates to a self-check, which is exactly the fallback
-    # contract); every element must equal the per-pair scalar result.
-    batched_results = engine.route_many(pairs, provider=provider, lockstep=True)
+    # The batch is far below route_many's lockstep thresholds, so the whole
+    # batch is routed through the lockstep realisation directly (route_many,
+    # i.e. the scalar reference, when NumPy is absent — the invariant then
+    # degenerates to a self-check, which is exactly the fallback contract);
+    # every element must equal the per-pair scalar result.
+    from repro.core import batch_kernel
+
+    if batch_kernel.HAVE_NUMPY:
+        [batched_results] = _route_lockstep([(engine, pairs, None)], provider)
+    else:
+        batched_results = engine.route_many(pairs, provider=provider)
     for (s, t), scalar_result, batched_result in zip(
         pairs, engine_results, batched_results
     ):

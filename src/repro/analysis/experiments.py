@@ -32,6 +32,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.core.kernel_store import LRUCache
 from repro.errors import ExperimentError, GraphStructureError
 from repro.graphs import generators
 from repro.graphs.labeled_graph import LabeledGraph
@@ -44,6 +45,7 @@ __all__ = [
     "ScenarioSpec",
     "ExperimentResult",
     "ExperimentTable",
+    "ScenarioStore",
     "reference_run_parameter_sweep",
     "is_dynamic_scenario",
     "is_streamed_scenario",
@@ -331,6 +333,66 @@ def _mutate_snapshot(graph: LabeledGraph, mutation: str, rng: random.Random) -> 
         if edge.key() != dropped.key()
     ]
     return LabeledGraph.from_edges(kept, vertices=graph.vertices)
+
+
+class ScenarioStore:
+    """Bounded cache of materialised scenarios (networks and schedules).
+
+    Specs are frozen dataclasses, so the key is the spec itself; a spec whose
+    ``extra`` carries unhashable values (JSON lists arrive that way from the
+    wire) is built fresh and not cached.  Shards or tasks over the same spec
+    then share one graph/schedule *object*, which is what lets the
+    identity-keyed :func:`repro.core.engine.prepare` / ``prepare_schedule``
+    caches hit.  Each :class:`~repro.api.session.Session` owns one (its
+    counters feed :meth:`~repro.api.session.Session.cache_info`), and the
+    sweep runner holds one per process.
+
+    Thread-safe: both caches are :class:`~repro.core.kernel_store.LRUCache`
+    instances, which lock every operation (the server dispatches one shared
+    session from a thread pool).  Builds run outside the locks; two threads
+    racing on the same cold spec may both build it — the builds are
+    deterministic, so either result is correct and one wins the cache slot.
+    """
+
+    _CAPACITY = 32
+
+    def __init__(self) -> None:
+        self._networks = LRUCache(self._CAPACITY)
+        self._schedules = LRUCache(self._CAPACITY)
+
+    @staticmethod
+    def _get(cache: LRUCache, spec: ScenarioSpec, build):
+        try:
+            built = cache.get(spec)
+        except TypeError:  # unhashable extra values: build fresh, skip caching
+            cache.record_miss()
+            return build(spec)
+        if built is None:
+            built = build(spec)
+            cache.put(spec, built)
+        return built
+
+    def network(self, spec: ScenarioSpec) -> AdHocNetwork:
+        """The built :class:`~repro.network.adhoc.AdHocNetwork` for ``spec``."""
+        return self._get(self._networks, spec, build_scenario)
+
+    def schedule(self, spec: ScenarioSpec) -> TopologySchedule:
+        """The built :class:`~repro.network.dynamics.TopologySchedule` for ``spec``."""
+        return self._get(self._schedules, spec, build_schedule)
+
+    def clear(self) -> None:
+        """Drop every cached scenario and reset the counters."""
+        self._networks.clear()
+        self._schedules.clear()
+
+    def info(self) -> Dict[str, int]:
+        """Cache sizes and hit/miss counters."""
+        return {
+            "session_networks": len(self._networks),
+            "session_schedules": len(self._schedules),
+            "session_hits": self._networks.hits + self._schedules.hits,
+            "session_misses": self._networks.misses + self._schedules.misses,
+        }
 
 
 def unit_disk_scenarios(

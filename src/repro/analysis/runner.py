@@ -14,14 +14,16 @@ shards that grid across a process pool:
   worker runs it or in which order shards complete.
 * :func:`evaluate_shard` is the worker body: it builds the shard's scenario
   locally (specs are tiny and picklable; graphs are not shipped between
-  processes).  A per-process spec-keyed scenario cache plus the shared
+  processes).  A per-process
+  :class:`~repro.analysis.experiments.ScenarioStore` plus the shared
   :func:`repro.core.engine.prepare` / ``prepare_schedule`` engine caches mean
   that shards over the same spec — one scenario routed by several routers —
   build and compile their graph once per worker process.
 * :func:`evaluate_shards` is the batched worker body: all static
   engine-router shards of a group are aggregated into **one**
-  :func:`repro.core.engine.route_many_multi` call, so every scenario's pairs
-  advance together over the stacked multi-graph lockstep tensor
+  :func:`repro.core.engine.route_many_multi` call, so a group whose
+  aggregate batch clears the lockstep thresholds advances every scenario's
+  pairs together over the stacked multi-graph lockstep tensor
   (:class:`repro.core.batch_kernel.MultiGraphWalk`) — an entire sweep group
   becomes a handful of NumPy calls instead of a per-scenario Python loop.
   Rows are bitwise identical to :func:`evaluate_shard` (asserted by tests
@@ -55,7 +57,7 @@ import dataclasses
 import hashlib
 import json
 import os
-from collections import Counter, OrderedDict
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -65,8 +67,8 @@ from repro.analysis.experiments import (
     POSITIONAL_FAMILIES,
     ExperimentResult,
     ScenarioSpec,
+    ScenarioStore,
     build_scenario,
-    build_schedule,
     is_dynamic_scenario,
     is_streamed_scenario,
     pick_source_target_pairs,
@@ -309,31 +311,12 @@ def plan_sweep(
     )
 
 
-#: Per-process cache of materialised scenarios, keyed by spec (specs are
-#: frozen dataclasses, hashable unless a caller smuggles unhashable values
-#: into ``extra``).  Shards with the same spec — one scenario routed by
-#: several routers — then share one graph/schedule *object*, which is exactly
-#: what lets the identity-keyed :func:`repro.core.engine.prepare` /
-#: ``prepare_schedule`` caches hit across shards within a worker.  Bounded so
-#: a worker that sees many scenarios does not pin them all.
-_SCENARIO_CACHE: "OrderedDict[Tuple[str, ScenarioSpec], object]" = OrderedDict()
-_SCENARIO_CACHE_LIMIT = 32
-
-
-def _materialise(kind: str, spec: ScenarioSpec, build: Callable[[ScenarioSpec], object]):
-    try:
-        key = (kind, spec)
-        cached = _SCENARIO_CACHE.get(key)
-    except TypeError:  # unhashable extra values: build fresh, skip caching
-        return build(spec)
-    if cached is None:
-        cached = build(spec)
-        _SCENARIO_CACHE[key] = cached
-        while len(_SCENARIO_CACHE) > _SCENARIO_CACHE_LIMIT:
-            _SCENARIO_CACHE.popitem(last=False)
-    else:
-        _SCENARIO_CACHE.move_to_end(key)
-    return cached
+#: Per-process cache of materialised scenarios.  Shards with the same spec —
+#: one scenario routed by several routers — then share one graph/schedule
+#: *object*, which is exactly what lets the identity-keyed
+#: :func:`repro.core.engine.prepare` / ``prepare_schedule`` caches hit across
+#: shards within a worker.
+_SCENARIOS = ScenarioStore()
 
 
 def _row(
@@ -393,21 +376,22 @@ def evaluate_shard(shard: SweepShard) -> List[List[object]]:
     """Build the shard's scenario locally and produce its table rows.
 
     Runs in a worker process (or inline on the serial path — same code, same
-    rows).  Scenarios are materialised through a per-process spec-keyed cache
-    and all topology state goes through the shared per-process engine caches
+    rows).  Scenarios are materialised through the per-process
+    :class:`~repro.analysis.experiments.ScenarioStore` and all topology
+    state goes through the shared per-process engine caches
     (:func:`repro.core.engine.prepare` / ``prepare_schedule``), so a worker
     that receives several shards over the same spec builds and compiles its
     graph exactly once.  The engine and schedule shards route their pairs in
-    one ``route_many`` call, so a shard whose batch is large enough rides the
-    lockstep batched walk kernel (:mod:`repro.core.batch_kernel`) inside its
-    worker; small shards take the scalar reference loop — rows are identical
-    either way.  Caching is an optimisation only: scenario construction is
-    deterministic per spec, so the rows are identical with the caches
-    cleared.
+    one ``route_many`` call, so an engine shard whose batch is large enough
+    rides the lockstep batched walk kernel (:mod:`repro.core.batch_kernel`)
+    inside its worker; small shards take the scalar reference loop — rows
+    are identical either way.  Caching is an optimisation only: scenario
+    construction is deterministic per spec, so the rows are identical with
+    the caches cleared.
     """
     spec = shard.spec
     if shard.router == SCHEDULE_ROUTER:
-        schedule = _materialise("schedule", spec, build_schedule)
+        schedule = _SCENARIOS.schedule(spec)
         engine = prepare_schedule(schedule)
         pairs = pick_source_target_pairs(schedule.snapshots[0], shard.pairs, seed=shard.seed)
         return [
@@ -437,7 +421,7 @@ def evaluate_shard(shard: SweepShard) -> List[List[object]]:
         pairs = pick_streamed_pairs(family, shard.pairs, seed=shard.seed)
         results = route_streamed_pairs(family, pairs)
         return _engine_rows(spec, shard.router, pairs, results)
-    network = _materialise("network", spec, build_scenario)
+    network = _SCENARIOS.network(spec)
     pairs = pick_source_target_pairs(network, shard.pairs, seed=shard.seed)
     if shard.router == ENGINE_ROUTER:
         engine = prepare(network.graph)
@@ -462,37 +446,25 @@ def evaluate_shard(shard: SweepShard) -> List[List[object]]:
     return rows
 
 
-def evaluate_shards(
-    shards: Sequence[SweepShard],
-    multigraph: Optional[bool] = None,
-) -> List[List[List[object]]]:
+def evaluate_shards(shards: Sequence[SweepShard]) -> List[List[List[object]]]:
     """Evaluate several shards at once; returns rows per shard, in order.
 
     All static engine-router shards are aggregated into one
     :func:`repro.core.engine.route_many_multi` call: every scenario's graph
-    is prepared (once, via the shared kernel-store caches), and all
-    scenarios' pairs advance together over the stacked multi-graph lockstep
-    tensor — a handful of NumPy calls for the whole group, instead of
-    re-entering Python per scenario.  Schedule and baseline shards run
-    through :func:`evaluate_shard` unchanged.
-
-    ``multigraph`` is the dispatch tri-state: ``None`` (default) lets the
-    aggregate batch size decide (small groups fall back to the scalar
-    reference, exactly like ``route_many``), ``True`` forces the stacked
-    kernel, ``False`` reproduces the per-shard PR-5 path — one
-    :func:`evaluate_shard` call per shard — which is the comparator
-    ``benchmarks/bench_multigraph.py`` measures against.  Rows are bitwise
-    identical for every setting.
+    is prepared (once, via the shared kernel-store caches), and when the
+    aggregate batch clears the lockstep thresholds all scenarios' pairs
+    advance together over the stacked multi-graph lockstep tensor — a
+    handful of NumPy calls for the whole group, instead of re-entering
+    Python per scenario; smaller groups run the scalar reference per
+    scenario.  Schedule and baseline shards run through
+    :func:`evaluate_shard` unchanged.  Rows are bitwise identical to one
+    :func:`evaluate_shard` call per shard.
     """
     shards = list(shards)
     rows_by_index: Dict[int, List[List[object]]] = {}
     engine_shards: List[SweepShard] = []
     for shard in shards:
-        if (
-            multigraph is not False
-            and shard.router == ENGINE_ROUTER
-            and not is_streamed_scenario(shard.spec)
-        ):
+        if shard.router == ENGINE_ROUTER and not is_streamed_scenario(shard.spec):
             engine_shards.append(shard)
         else:
             rows_by_index[shard.index] = evaluate_shard(shard)
@@ -500,13 +472,11 @@ def evaluate_shards(
         tasks = []
         shard_pairs: List[List[Tuple[int, int]]] = []
         for shard in engine_shards:
-            network = _materialise("network", shard.spec, build_scenario)
+            network = _SCENARIOS.network(shard.spec)
             pairs = pick_source_target_pairs(network, shard.pairs, seed=shard.seed)
             shard_pairs.append(pairs)
             tasks.append((prepare(network.graph), pairs, network.namespace_size))
-        batched = route_many_multi(
-            tasks, lockstep=True if multigraph else None
-        )
+        batched = route_many_multi(tasks)
         for shard, pairs, results in zip(engine_shards, shard_pairs, batched):
             rows_by_index[shard.index] = _engine_rows(
                 shard.spec, shard.router, pairs, results
@@ -515,11 +485,10 @@ def evaluate_shards(
 
 
 def _evaluate_shard_group(
-    group: Tuple[Tuple[SweepShard, ...], Optional[bool]]
+    shards: Tuple[SweepShard, ...]
 ) -> List[Tuple[int, List[List[object]]]]:
     """Picklable pool task: one worker's shard group through ``evaluate_shards``."""
-    shards, multigraph = group
-    rows = evaluate_shards(shards, multigraph=multigraph)
+    rows = evaluate_shards(shards)
     return [(shard.index, shard_rows) for shard, shard_rows in zip(shards, rows)]
 
 
@@ -572,7 +541,7 @@ def _worker_init() -> None:
     # A forked worker inherits the parent's warm scenario and prepared-engine
     # caches; dropping them makes worker behaviour identical across start
     # methods and keeps the parent's graphs from being pinned in every worker.
-    _SCENARIO_CACHE.clear()
+    _SCENARIOS.clear()
     clear_prepared_caches()
 
 
@@ -581,7 +550,6 @@ def run_sweep(
     workers: int = 1,
     out_path: Optional[str] = None,
     resume: bool = False,
-    multigraph: Optional[bool] = None,
 ) -> SweepOutcome:
     """Execute a sweep plan; return the deterministic aggregated table.
 
@@ -597,13 +565,10 @@ def run_sweep(
     record-hash check are skipped — the chain seal, not just the plan
     fingerprint, decides what counts as done.
 
-    ``multigraph`` forwards the dispatch tri-state of
-    :func:`evaluate_shards`: ``None`` auto-dispatches on aggregate batch
-    size, ``True`` forces the stacked multi-graph kernel, ``False``
-    reproduces the per-shard PR-5 path.  Rows are bitwise identical for
-    every setting and every worker count: aggregation replays the shards in
-    plan order, so the returned table matches the serial reference
-    regardless of completion order or how many shards were resumed.
+    Rows are bitwise identical for every worker count: aggregation replays
+    the shards in plan order, so the returned table matches the serial
+    reference regardless of completion order or how many shards were
+    resumed.
     """
     if resume and out_path is None:
         raise ExperimentError("resume=True needs an out_path: there is no shard stream to resume from")
@@ -703,9 +668,7 @@ def run_sweep(
                 )
 
         if workers <= 1 or len(pending) <= 1:
-            for shard, rows in zip(
-                pending, evaluate_shards(pending, multigraph=multigraph)
-            ):
+            for shard, rows in zip(pending, evaluate_shards(pending)):
                 record_shard(shard, rows)
         elif pending:
             # Contiguous groups preserve plan locality (shards over the same
@@ -723,10 +686,7 @@ def run_sweep(
             with ProcessPoolExecutor(
                 max_workers=group_count, initializer=_worker_init
             ) as pool:
-                futures = [
-                    pool.submit(_evaluate_shard_group, (group, multigraph))
-                    for group in groups
-                ]
+                futures = [pool.submit(_evaluate_shard_group, group) for group in groups]
                 for future in as_completed(futures):
                     for index, rows in future.result():
                         record_shard(shard_of[index], rows)

@@ -25,9 +25,9 @@ exactly.  See ``docs/api.md`` for the task catalogue, envelope schema,
 backend matrix and migration table.
 """
 
+from repro.analysis.experiments import ScenarioStore
 from repro.api.backends import Backend, InlineBackend, ProcessPoolBackend
 from repro.api.envelope import TaskResult, from_json, from_wire, to_json, to_wire
-from repro.api.executors import ScenarioStore
 from repro.api.registry import TASKS, TaskSpec, task_by_name
 from repro.api.requests import (
     REQUEST_TYPES,

@@ -26,7 +26,7 @@ asserts.  Two backends ship:
     the degree reduction per process.
 
 Backends are stateless apart from the session-owned
-:class:`~repro.api.executors.ScenarioStore` handed to :meth:`Backend.run`,
+:class:`~repro.analysis.experiments.ScenarioStore` handed to :meth:`Backend.run`,
 so one backend instance can serve many sessions.
 """
 
@@ -36,10 +36,9 @@ import os
 import time
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.analysis.experiments import build_scenario
+from repro.analysis.experiments import ScenarioStore, build_scenario
 from repro.api.envelope import TaskResult
 from repro.api.executors import (
-    ScenarioStore,
     TaskComputation,
     assemble_route_batch,
     execute_broadcast,

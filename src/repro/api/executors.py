@@ -9,7 +9,8 @@ the differential-parity property the test suite asserts: two backends that
 run the same request share these exact code paths for everything except
 *where* the work happens.
 
-Scenario materialisation goes through a :class:`ScenarioStore` — the
+Scenario materialisation goes through a
+:class:`~repro.analysis.experiments.ScenarioStore` — the
 per-session cache of built networks and schedules — so a session that
 submits many tasks over the same :class:`~repro.analysis.experiments.ScenarioSpec`
 builds the graph once and the identity-keyed engine caches
@@ -19,17 +20,10 @@ subsequent task.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.analysis.experiments import (
-    ScenarioSpec,
-    build_scenario,
-    build_schedule,
-    pick_source_target_pairs,
-)
+from repro.analysis.experiments import ScenarioStore, pick_source_target_pairs
 from repro.analysis.metrics import (
     delivery_rate,
     failure_detection_rate,
@@ -47,7 +41,6 @@ from repro.core.stconnectivity import exploration_connectivity
 from repro.network.dynamics import DynamicOutcome
 
 __all__ = [
-    "ScenarioStore",
     "TaskComputation",
     "result_provenance",
     "route_result_payload",
@@ -104,72 +97,6 @@ def result_provenance(request) -> Dict[str, object]:
         "kernel_store": store_fingerprint(),
         "parent": None,
     }
-
-
-class ScenarioStore:
-    """Per-session cache of materialised scenarios (networks and schedules).
-
-    Specs are frozen dataclasses, so the key is the spec itself; a spec whose
-    ``extra`` smuggles unhashable values is built fresh and not cached (same
-    tolerance as the sweep runner's per-process cache).  Bounded so a
-    long-lived session over many scenarios does not pin them all.  ``hits`` /
-    ``misses`` feed :meth:`repro.api.session.Session.cache_info`.
-
-    Thread-safe: the server (:mod:`repro.server`) dispatches one shared
-    session from a thread pool, so the cache's compound mutations are guarded
-    by a lock.  Scenario *builds* run outside the lock (they dominate the
-    cost); two threads racing on the same cold spec may both build it — the
-    builds are deterministic, so either result is correct and one wins the
-    cache slot.
-    """
-
-    _LIMIT = 32
-
-    def __init__(self) -> None:
-        self._networks: "OrderedDict[ScenarioSpec, object]" = OrderedDict()
-        self._schedules: "OrderedDict[ScenarioSpec, object]" = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-
-    def _get(self, cache: OrderedDict, spec: ScenarioSpec, build):
-        with self._lock:
-            try:
-                cached = cache.get(spec)
-            except TypeError:  # unhashable extra values: build fresh, skip caching
-                cached = None
-                spec_hashable = False
-            else:
-                spec_hashable = True
-            if cached is not None:
-                self.hits += 1
-                cache.move_to_end(spec)
-                return cached
-            self.misses += 1
-        built = build(spec)
-        if spec_hashable:
-            with self._lock:
-                cache[spec] = built
-                while len(cache) > self._LIMIT:
-                    cache.popitem(last=False)
-        return built
-
-    def network(self, spec: ScenarioSpec):
-        """The built :class:`~repro.network.adhoc.AdHocNetwork` for ``spec``."""
-        return self._get(self._networks, spec, build_scenario)
-
-    def schedule(self, spec: ScenarioSpec):
-        """The built :class:`~repro.network.dynamics.TopologySchedule` for ``spec``."""
-        return self._get(self._schedules, spec, build_schedule)
-
-    def info(self) -> Dict[str, int]:
-        """Session-scoped cache statistics."""
-        return {
-            "session_networks": len(self._networks),
-            "session_schedules": len(self._schedules),
-            "session_hits": self.hits,
-            "session_misses": self.misses,
-        }
 
 
 # --------------------------------------------------------------------------- #
@@ -504,10 +431,10 @@ def execute_compare(request, store: ScenarioStore) -> TaskComputation:
 def execute_sweep(request, workers: int) -> TaskComputation:
     """Body of the ``sweep`` task; ``workers`` is decided by the backend.
 
-    The runner batches each worker's static engine shards through the
-    multi-graph lockstep kernel automatically (``run_sweep``'s default
-    ``multigraph=None`` auto-dispatch); rows are bitwise identical to the
-    per-shard reference path either way.
+    The runner batches each worker's static engine shards through one
+    ``route_many_multi`` call, which takes the multi-graph lockstep kernel
+    when the aggregate batch is large enough; rows are bitwise identical to
+    the per-shard reference path either way.
     """
     from repro.analysis.runner import plan_sweep, run_sweep
 

@@ -1,6 +1,6 @@
 """The :class:`Session` facade — one front door for every task.
 
-A session owns a scenario cache (:class:`~repro.api.executors.ScenarioStore`)
+A session owns a scenario cache (:class:`~repro.analysis.experiments.ScenarioStore`)
 and a set of named backends, routes each request type to its default backend,
 and returns every outcome in the uniform
 :class:`~repro.api.envelope.TaskResult` envelope::
@@ -24,9 +24,9 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional
 
+from repro.analysis.experiments import ScenarioStore
 from repro.api.backends import Backend, InlineBackend, ProcessPoolBackend
 from repro.api.envelope import TaskResult
-from repro.api.executors import ScenarioStore
 from repro.api.requests import (
     BroadcastReliableRequest,
     BroadcastRequest,

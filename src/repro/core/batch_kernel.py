@@ -61,12 +61,12 @@ only the constant factor differs.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import RoutingError
 from repro.graphs.labeled_graph import LabeledGraph  # noqa: F401  (doc references)
+from repro.core.kernel_store import LRUCache
 from repro.core.universal import OffsetStream
 from repro.core.walk_kernel import CompiledWalk
 
@@ -106,9 +106,6 @@ _CHUNK_ROWS_MAX = 4096
 #: size bound — hands its unresolved pairs back to the scalar kernel instead
 #: of exhausting memory; results are identical either way.
 _MAX_BUFFER_ELEMENTS = 1 << 26
-
-#: Bound on cached per-kernel batched steppers.
-_BATCH_CACHE_LIMIT = 64
 
 #: Outcome codes of :class:`ScheduleBatchedWalk` (mirroring DynamicOutcome,
 #: which lives above this module in the layer order).
@@ -793,25 +790,23 @@ class MultiGraphWalk:
 
 #: Batched steppers keyed by ``id(kernel)``; entries hold the kernel strongly
 #: so an id cannot be recycled while its entry lives.
-_BATCH_CACHE: "OrderedDict[int, BatchedWalk]" = OrderedDict()
+_BATCH_CACHE = LRUCache(64)
 
 #: Stacked multi-graph steppers keyed by the tuple of member stepper ids;
 #: entries hold the steppers strongly so the ids stay valid.
-_MULTI_CACHE: "OrderedDict[Tuple[int, ...], Tuple[Tuple[BatchedWalk, ...], MultiGraphWalk]]" = OrderedDict()
-_MULTI_CACHE_LIMIT = 8
+_MULTI_CACHE = LRUCache(8)
 
 
 def batched_walk_for(kernel: CompiledWalk) -> BatchedWalk:
     """The shared :class:`BatchedWalk` for a kernel (built on demand)."""
     key = id(kernel)
-    entry = _BATCH_CACHE.get(key)
+    entry = _BATCH_CACHE.peek(key)
     if entry is not None and entry.kernel is kernel:
-        _BATCH_CACHE.move_to_end(key)
+        _BATCH_CACHE.touch(key)
         return entry
+    _BATCH_CACHE.record_miss()
     entry = BatchedWalk(kernel)
-    _BATCH_CACHE[key] = entry
-    while len(_BATCH_CACHE) > _BATCH_CACHE_LIMIT:
-        _BATCH_CACHE.popitem(last=False)
+    _BATCH_CACHE.put(key, entry)
     return entry
 
 
@@ -824,14 +819,13 @@ def multigraph_walk_for(steppers: Sequence[BatchedWalk]) -> MultiGraphWalk:
     """
     members = tuple(steppers)
     key = tuple(id(stepper) for stepper in members)
-    entry = _MULTI_CACHE.get(key)
+    entry = _MULTI_CACHE.peek(key)
     if entry is not None and all(a is b for a, b in zip(entry[0], members)):
-        _MULTI_CACHE.move_to_end(key)
+        _MULTI_CACHE.touch(key)
         return entry[1]
+    _MULTI_CACHE.record_miss()
     multi = MultiGraphWalk(members)
-    _MULTI_CACHE[key] = (members, multi)
-    while len(_MULTI_CACHE) > _MULTI_CACHE_LIMIT:
-        _MULTI_CACHE.popitem(last=False)
+    _MULTI_CACHE.put(key, (members, multi))
     return multi
 
 

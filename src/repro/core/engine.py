@@ -27,11 +27,15 @@ small keyed cache so independent call sites (routing, counting, broadcast,
 the distributed protocols, benchmarks) all land on the same engine for the
 same graph object.
 
-Static batches large enough to amortise vectorization run on the lockstep
-batched walk kernel of :mod:`repro.core.batch_kernel` (all walks advance one
-synchronous step at a time over the compiled arrays); small batches, and
-every batch when NumPy is not installed, run the scalar loop
-``reference_route_many`` — the executable specification the batched path
+Static batches have one dispatch, :func:`route_many_multi` (``route_many`` is
+that call with one task).  Batches whose total size and work clear the
+lockstep thresholds run on the lockstep kernels of
+:mod:`repro.core.batch_kernel` (all walks advance one synchronous step at a
+time over the compiled arrays): :class:`~repro.core.batch_kernel.BatchedWalk`
+when every task shares one kernel,
+:class:`~repro.core.batch_kernel.MultiGraphWalk` otherwise.  Smaller
+batches, and every batch when NumPy is not installed, run the scalar loop
+``reference_route_many`` — the executable specification the lockstep path
 must match element for element (asserted by the ``batch-parity`` conformance
 invariant and ``benchmarks/bench_batch.py``).  Schedule batches always run
 the scalar loop: the schedule lockstep stepper measured slower than it on
@@ -112,33 +116,16 @@ __all__ = [
     "route_many_multi",
 ]
 
-#: Automatic ``route_many`` dispatch: the lockstep kernel pays a fixed NumPy
-#: per-step overhead, so it wins only when the scalar work it replaces is
-#: large — which scales with the batch size *and* the walk length (itself
-#: governed by the reduced-graph size).  The auto policy therefore requires
-#: both a minimum batch and a minimum ``batch x kernel-vertices`` product
-#: (calibrated by measurement: a 64-pair batch breaks even around a 12x12
-#: grid, whose kernel has ~530 virtual vertices).  The thresholds only steer
-#: the *default* — ``lockstep=True``/``False`` overrides them; results are
-#: identical on both paths.
+#: Static batch dispatch: the lockstep kernels pay a fixed NumPy per-step
+#: overhead, so they win only when the scalar work they replace is large —
+#: which scales with the batch size *and* the walk length (itself governed by
+#: the reduced-graph size).  :func:`route_many_multi` therefore requires both
+#: a minimum aggregate batch and a minimum ``pairs x kernel-vertices`` work
+#: product (calibrated by measurement: a 64-pair batch breaks even around a
+#: 12x12 grid, whose kernel has ~530 virtual vertices).  Results are identical
+#: on both sides of the thresholds.
 _LOCKSTEP_AUTO_MIN_STATIC = 32
 _LOCKSTEP_AUTO_MIN_WORK = 32_768
-
-
-def _use_lockstep(
-    requested: Optional[bool], batch_size: int, kernel_size: int
-) -> bool:
-    """Resolve the ``lockstep`` tri-state against NumPy, batch and walk size."""
-    from repro.core.batch_kernel import HAVE_NUMPY
-
-    if not HAVE_NUMPY or batch_size == 0:
-        return False
-    if requested is None:
-        return (
-            batch_size >= _LOCKSTEP_AUTO_MIN_STATIC
-            and batch_size * kernel_size >= _LOCKSTEP_AUTO_MIN_WORK
-        )
-    return bool(requested)
 
 
 class PreparedNetwork:
@@ -366,12 +353,12 @@ class PreparedNetwork:
         size_bound: Optional[int] = None,
         start_port: int = 0,
         namespace_size: Optional[int] = None,
-        lockstep: Optional[bool] = None,
     ) -> List[RouteResult]:
         """Route every ``(source, target)`` pair against the shared state.
 
         This is the batch API the repeated-route workloads should use: one
-        engine build, then one pass over the compiled walk kernel.  Batches
+        engine build, then one pass over the compiled walk kernel.  It is
+        :func:`route_many_multi` with this engine as the only task: batches
         large enough for vectorization to pay off (both a minimum batch size
         and a minimum batch x kernel-size work product — small batches and
         short walks are faster scalar) run on the NumPy lockstep kernel
@@ -381,28 +368,14 @@ class PreparedNetwork:
         :meth:`reference_route_many`, the executable specification.  Results
         are bit-for-bit identical either way (the ``batch-parity``
         conformance invariant and ``benchmarks/bench_batch.py`` assert it).
-
-        ``lockstep`` forces the choice: ``True`` routes through the batched
-        kernel whenever NumPy is available (no size threshold), ``False``
-        always uses the scalar reference, ``None`` (default) picks
-        automatically.
         """
-        pairs = list(pairs)
-        if _use_lockstep(lockstep, len(pairs), self._kernel.num_vertices):
-            return self._route_many_batched(
-                pairs,
-                provider=provider,
-                size_bound=size_bound,
-                start_port=start_port,
-                namespace_size=namespace_size,
-            )
-        return self.reference_route_many(
-            pairs,
+        [results] = route_many_multi(
+            [(self, pairs, namespace_size)],
             provider=provider,
             size_bound=size_bound,
             start_port=start_port,
-            namespace_size=namespace_size,
         )
+        return results
 
     def reference_route_many(
         self,
@@ -415,8 +388,8 @@ class PreparedNetwork:
         """The scalar batch loop — the executable specification of ``route_many``.
 
         One :meth:`route` call per pair over the compiled kernel.  The
-        lockstep batched path must match this list element for element; it is
-        also the automatic fallback when NumPy is unavailable or the batch is
+        lockstep path must match this list element for element; it is also
+        what :meth:`route_many` runs when NumPy is unavailable or the batch is
         too small for vectorization to pay off.
         """
         return [
@@ -430,69 +403,6 @@ class PreparedNetwork:
             )
             for source, target in pairs
         ]
-
-    def _route_many_batched(
-        self,
-        pairs: List[Tuple[int, int]],
-        provider: Optional[SequenceProvider],
-        size_bound: Optional[int],
-        start_port: int,
-        namespace_size: Optional[int],
-    ) -> List[RouteResult]:
-        """Batch body: group pairs by size bound, run the lockstep kernel.
-
-        Pairs whose walks exceed the kernel's trajectory buffer cap are
-        finished on the scalar kernel — same results, bounded memory.
-        """
-        from repro.core.batch_kernel import batched_walk_for
-
-        namespace = namespace_size if namespace_size is not None else self._namespace
-        for source in {source for source, _ in pairs}:
-            self._require_source(source)
-        groups: Dict[int, List[int]] = {}
-        for index, (source, _target) in enumerate(pairs):
-            bound = self.resolve_size_bound(source, size_bound)
-            groups.setdefault(bound, []).append(index)
-        stepper = batched_walk_for(self._kernel)
-        results: List[Optional[RouteResult]] = [None] * len(pairs)
-        for bound, indices in groups.items():
-            offsets = self.offsets_for(bound, provider)
-            length = len(offsets)
-            header_bits = _header_bits(namespace, length)
-            group_pairs = [pairs[index] for index in indices]
-            accounts, unresolved = stepper.run(
-                group_pairs, offsets, start_port=start_port
-            )
-            for local_index, account in accounts.items():
-                index = indices[local_index]
-                source, target = pairs[index]
-                results[index] = RouteResult(
-                    outcome=(
-                        RouteOutcome.SUCCESS if account.success else RouteOutcome.FAILURE
-                    ),
-                    delivered=account.success,
-                    source=source,
-                    target=target,
-                    size_bound=bound,
-                    sequence_length=length,
-                    forward_virtual_steps=account.forward_steps,
-                    backward_virtual_steps=account.backward_steps,
-                    physical_hops=account.physical_hops,
-                    target_found_at_step=account.target_found_at,
-                    header_bits=header_bits,
-                )
-            for local_index in unresolved:
-                index = indices[local_index]
-                source, target = pairs[index]
-                results[index] = self.route(
-                    source,
-                    target,
-                    provider=provider,
-                    size_bound=size_bound,
-                    start_port=start_port,
-                    namespace_size=namespace_size,
-                )
-        return results
 
     # ------------------------------------------------------------------ #
     # Walks shared with the sibling algorithms
@@ -966,30 +876,27 @@ def prepare_schedule(schedule: "TopologySchedule") -> PreparedSchedule:
 
 
 def route_many_multi(
-    tasks: Sequence[Tuple[object, Sequence[Tuple[int, int]], Optional[int]]],
+    tasks: Sequence[Tuple[object, Iterable[Tuple[int, int]], Optional[int]]],
     provider: Optional[SequenceProvider] = None,
     size_bound: Optional[int] = None,
     start_port: int = 0,
-    lockstep: Optional[bool] = None,
 ) -> List[List[RouteResult]]:
-    """Route several per-graph batches as **one** lockstep run.
+    """Route several per-graph batches; the one static batch dispatch.
 
     ``tasks`` is a sequence of ``(engine_or_graph, pairs, namespace_size)``
-    triples — typically one per sweep scenario.  All tasks' pairs are grouped
-    into per-(graph, size-bound) jobs and advanced together over the stacked
-    transition tensor of :class:`repro.core.batch_kernel.MultiGraphWalk`, so
-    an entire sweep shard executes as a handful of NumPy calls instead of a
-    per-scenario Python loop.  Results come back as one
+    triples — typically one per sweep scenario, or the single task of
+    :meth:`PreparedNetwork.route_many`.  Results come back as one
     :class:`~repro.core.routing.RouteResult` list per task, element-for-
-    element identical to calling each engine's ``route_many`` (and therefore
-    to the scalar ``reference_route_many`` specification) — the multi-graph
-    parity tests and ``benchmarks/bench_multigraph.py`` assert it.
+    element identical to each engine's scalar ``reference_route_many``
+    specification — the batch and multi-graph parity tests and
+    ``benchmarks/bench_multigraph.py`` assert it.
 
-    ``lockstep`` carries the usual tri-state: ``None`` auto-dispatches on the
-    *aggregate* batch size and work product (this is the whole point — many
-    small per-scenario batches that would each fall below the lockstep
-    threshold clear it together), ``True`` forces the stacked kernel,
-    ``False`` falls back to per-task ``route_many`` with ``lockstep=False``.
+    The dispatch looks at the *aggregate* batch size and work product, so
+    many small per-scenario batches that would each fall below the lockstep
+    thresholds clear them together.  Above the thresholds (and with NumPy
+    installed) all tasks' pairs are grouped into per-(graph, size-bound) jobs
+    and advanced together by the lockstep kernels; below them each task runs
+    its engine's ``reference_route_many``.
     """
     from repro.core.batch_kernel import HAVE_NUMPY
 
@@ -1007,36 +914,51 @@ def route_many_multi(
         len(pairs) * engine.kernel.num_vertices
         for engine, pairs, _ns in normalized
     )
-    if lockstep is None:
-        use_stacked = (
-            HAVE_NUMPY
-            and total_pairs >= _LOCKSTEP_AUTO_MIN_STATIC
-            and aggregate_work >= _LOCKSTEP_AUTO_MIN_WORK
+    if (
+        HAVE_NUMPY
+        and total_pairs >= _LOCKSTEP_AUTO_MIN_STATIC
+        and aggregate_work >= _LOCKSTEP_AUTO_MIN_WORK
+    ):
+        return _route_lockstep(normalized, provider, size_bound, start_port)
+    return [
+        engine.reference_route_many(
+            pairs,
+            provider=provider,
+            size_bound=size_bound,
+            start_port=start_port,
+            namespace_size=namespace_size,
         )
-    else:
-        use_stacked = bool(lockstep) and HAVE_NUMPY and total_pairs > 0
-    if not use_stacked:
-        return [
-            engine.route_many(
-                pairs,
-                provider=provider,
-                size_bound=size_bound,
-                start_port=start_port,
-                namespace_size=namespace_size,
-                lockstep=lockstep,
-            )
-            for engine, pairs, namespace_size in normalized
-        ]
+        for engine, pairs, namespace_size in normalized
+    ]
 
+
+def _route_lockstep(
+    tasks: Sequence[Tuple[PreparedNetwork, List[Tuple[int, int]], Optional[int]]],
+    provider: Optional[SequenceProvider] = None,
+    size_bound: Optional[int] = None,
+    start_port: int = 0,
+) -> List[List[RouteResult]]:
+    """The lockstep realisation of :func:`route_many_multi` (needs NumPy).
+
+    Every task's pairs are grouped into one job per size bound.  When all
+    jobs run on one kernel, each job is one
+    :class:`~repro.core.batch_kernel.BatchedWalk` run; otherwise all jobs
+    advance together over the stacked tensor of
+    :class:`~repro.core.batch_kernel.MultiGraphWalk`, which measured 1.6–2x
+    slower than ``BatchedWalk`` on a single graph.  Pairs whose walks exceed
+    a kernel's trajectory buffer cap are finished on the scalar kernel — same
+    results, bounded memory.
+    """
     from repro.core.batch_kernel import batched_walk_for, multigraph_walk_for
 
-    # One BatchedWalk per distinct kernel; one job per (task, size bound).
     steppers: List[object] = []
     stepper_index: Dict[int, int] = {}
     jobs: List[Tuple[int, List[Tuple[int, int]], OffsetStream]] = []
     #: job -> (task index, task-local pair indices, bound, header_bits, length)
     job_meta: List[Tuple[int, List[int], int, int, int]] = []
-    for task_index, (engine, pairs, namespace_size) in enumerate(normalized):
+    for task_index, (engine, pairs, namespace_size) in enumerate(tasks):
+        if not pairs:
+            continue
         namespace = (
             namespace_size if namespace_size is not None else engine._namespace
         )
@@ -1065,15 +987,26 @@ def route_many_multi(
                 )
             )
 
-    multi = multigraph_walk_for(steppers)
-    accounts, unresolved = multi.run(jobs, start_port=start_port)
+    if len(steppers) > 1:
+        accounts, unresolved = multigraph_walk_for(steppers).run(
+            jobs, start_port=start_port
+        )
+    else:
+        accounts, unresolved = {}, []
+        for job_index, (graph_slot, job_pairs, offsets) in enumerate(jobs):
+            job_accounts, job_unresolved = steppers[graph_slot].run(
+                job_pairs, offsets, start_port=start_port
+            )
+            for local_index, account in job_accounts.items():
+                accounts[job_index, local_index] = account
+            unresolved.extend((job_index, local_index) for local_index in job_unresolved)
 
     results: List[List[Optional[RouteResult]]] = [
-        [None] * len(pairs) for _engine, pairs, _ns in normalized
+        [None] * len(pairs) for _engine, pairs, _ns in tasks
     ]
     for (job_index, local_index), account in accounts.items():
         task_index, indices, bound, header_bits, length = job_meta[job_index]
-        _engine, pairs, _ns = normalized[task_index]
+        _engine, pairs, _ns = tasks[task_index]
         pair_index = indices[local_index]
         source, target = pairs[pair_index]
         results[task_index][pair_index] = RouteResult(
@@ -1093,7 +1026,7 @@ def route_many_multi(
         )
     for job_index, local_index in unresolved:
         task_index, indices = job_meta[job_index][0], job_meta[job_index][1]
-        engine, pairs, namespace_size = normalized[task_index]
+        engine, pairs, namespace_size = tasks[task_index]
         pair_index = indices[local_index]
         source, target = pairs[pair_index]
         results[task_index][pair_index] = engine.route(

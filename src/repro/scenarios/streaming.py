@@ -230,7 +230,6 @@ def route_streamed_pairs(
     family: StreamingGraphFamily,
     pairs: List[Tuple[int, int]],
     provider=None,
-    lockstep: Optional[bool] = None,
 ) -> List["RouteResult"]:
     """Route global pairs shard-locally, bit-identical to the union.
 
@@ -273,10 +272,7 @@ def route_streamed_pairs(
             )
             local_pairs.append((source - offset, local_target))
         routed = engine.route_many(
-            local_pairs,
-            provider=provider,
-            namespace_size=namespace,
-            lockstep=lockstep,
+            local_pairs, provider=provider, namespace_size=namespace
         )
         for position, result in zip(positions, routed):
             source, target = pairs[position]

@@ -21,6 +21,7 @@ from repro.api import (
     CountRequest,
     RouteBatchRequest,
     RouteRequest,
+    ScenarioStore,
     ScheduleRouteRequest,
     Session,
     SweepRequest,
@@ -231,6 +232,24 @@ def test_submit_many_shares_session_state(session):
     assert info["session_misses"] == 1
     assert info["session_hits"] == 2
     assert info["session_tasks"] == 3
+
+
+def test_unhashable_scenario_extra_is_built_fresh_not_cached():
+    # JSON lists arrive from the wire as lists: such a spec cannot key the
+    # scenario cache, so every call builds it and counts a miss.
+    store = ScenarioStore()
+    spec = ScenarioSpec(
+        name="tagged", family="grid", size=9, seed=0, extra=(("tags", [1, 2]),)
+    )
+    first, second = store.network(spec), store.network(spec)
+    assert first is not second
+    assert first.graph == second.graph
+    assert store.info() == {
+        "session_networks": 0,
+        "session_schedules": 0,
+        "session_hits": 0,
+        "session_misses": 2,
+    }
 
 
 def test_cache_info_reports_session_and_process_counters(session):

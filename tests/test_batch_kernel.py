@@ -1,28 +1,32 @@
 """The lockstep batched walk kernel vs the scalar reference, property-tested.
 
-The batched path of ``route_many`` (:mod:`repro.core.batch_kernel`) must be
-an *invisible* optimisation: for any scenario — connected or disconnected —
+The lockstep realisation of ``route_many`` (:mod:`repro.core.batch_kernel`)
+must be an *invisible* optimisation: for any scenario — connected or disconnected —
 and any pair batch — including repeated pairs and self-pairs — its output
 must equal the scalar reference loop element for element.  The schedule
 stepper, which no engine path calls, is held to the same accounting.
 Hypothesis drives that equality over random networks, random schedules and
-random batches; unit tests pin the dispatch policy (auto threshold, forced
-modes, the no-NumPy fallback) and the trajectory-buffer cap's scalar
-spill-over.
+random batches; unit tests pin the dispatch policy (thresholds, the no-NumPy
+fallback), the trajectory-buffer cap's scalar spill-over, and the shared
+stepper cache under concurrent use.
 """
 
 from __future__ import annotations
 
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.experiments import ScenarioSpec, build_schedule
+from repro.analysis.experiments import ScenarioSpec, ScenarioStore, build_schedule
 from repro.core import batch_kernel
+from repro.core import engine as engine_module
 from repro.core.batch_kernel import HAVE_NUMPY, batched_walk_for
-from repro.core.engine import PreparedNetwork, prepare, prepare_schedule
+from repro.core.engine import PreparedNetwork, _route_lockstep, prepare, prepare_schedule
+from repro.core.kernel_store import LRUCache
 from repro.core.universal import RandomSequenceProvider
 from repro.graphs import generators
 from repro.graphs.labeled_graph import LabeledGraph
@@ -53,6 +57,7 @@ def _random_graph(n: int, p: float, seed: int) -> LabeledGraph:
 # --------------------------------------------------------------------------- #
 
 
+@needs_numpy
 @_RELAXED
 @given(
     n=st.integers(min_value=2, max_value=12),
@@ -72,7 +77,7 @@ def test_static_route_many_batched_equals_reference(
     pairs.append(pairs[0])
     pairs.append((pairs[0][0], pairs[0][0]))
     reference = engine.reference_route_many(pairs, provider=_PROVIDER)
-    batched = engine.route_many(pairs, provider=_PROVIDER, lockstep=True)
+    [batched] = _route_lockstep([(engine, pairs, None)], provider=_PROVIDER)
     assert batched == reference
 
 
@@ -156,15 +161,15 @@ def test_schedule_route_many_batched_equals_reference(case):
 # --------------------------------------------------------------------------- #
 
 
-def _forbid_batched(monkeypatch, cls, name="_route_many_batched"):
+def _forbid_batched(monkeypatch, owner=engine_module, name="_route_lockstep"):
     def _fail(self, *args, **kwargs):  # pragma: no cover - failure path only
         raise AssertionError(f"{name} must not run here")
 
-    monkeypatch.setattr(cls, name, _fail)
+    monkeypatch.setattr(owner, name, _fail)
 
 
 def test_small_batches_take_the_reference_path(grid_4x4, provider, monkeypatch):
-    _forbid_batched(monkeypatch, PreparedNetwork)
+    _forbid_batched(monkeypatch)
     engine = prepare(grid_4x4)
     pairs = [(0, 15), (3, 12)]  # below the auto threshold
     assert engine.route_many(pairs, provider=provider) == engine.reference_route_many(
@@ -172,22 +177,15 @@ def test_small_batches_take_the_reference_path(grid_4x4, provider, monkeypatch):
     )
 
 
-def test_lockstep_false_forces_the_reference_path(grid_4x4, provider, monkeypatch):
-    _forbid_batched(monkeypatch, PreparedNetwork)
-    engine = prepare(grid_4x4)
-    pairs = [(0, 15)] * 40  # above the auto threshold
-    results = engine.route_many(pairs, provider=provider, lockstep=False)
-    assert results == engine.reference_route_many(pairs, provider=provider)
-
-
 def test_missing_numpy_falls_back_to_reference(grid_4x4, provider, monkeypatch):
-    # With NumPy "absent", even lockstep=True must silently take the scalar
-    # loop — that is the automatic-fallback contract.
+    # With NumPy "absent" the batch must silently take the scalar loop even
+    # when it clears every threshold — that is the automatic-fallback contract.
     monkeypatch.setattr(batch_kernel, "HAVE_NUMPY", False)
-    _forbid_batched(monkeypatch, PreparedNetwork)
+    monkeypatch.setattr(engine_module, "_LOCKSTEP_AUTO_MIN_WORK", 0)
+    _forbid_batched(monkeypatch)
     engine = prepare(grid_4x4)
     pairs = [(0, 15)] * 40
-    results = engine.route_many(pairs, provider=provider, lockstep=True)
+    results = engine.route_many(pairs, provider=provider)
     assert results == engine.reference_route_many(pairs, provider=provider)
 
 
@@ -212,7 +210,7 @@ def test_auto_policy_keeps_small_graphs_on_the_reference_path(
 ):
     # A big batch over a tiny kernel fails the work-product threshold: the
     # scalar loop is faster there, so the default must not vectorize.
-    _forbid_batched(monkeypatch, PreparedNetwork)
+    _forbid_batched(monkeypatch)
     engine = prepare(grid_4x4)
     rng = random.Random(5)
     pairs = [(rng.randrange(16), rng.randrange(16)) for _ in range(48)]
@@ -240,7 +238,7 @@ def test_buffer_cap_hands_unresolved_pairs_back(provider):
 def test_engine_finishes_capped_batches_on_the_scalar_kernel(
     grid_4x4, provider, monkeypatch
 ):
-    # When the stepper truncates, _route_many_batched must finish the
+    # When the stepper truncates, the lockstep realisation must finish the
     # unresolved pairs on the scalar kernel — results stay bitwise identical.
     class _TinyCapStepper:
         def __init__(self, inner):
@@ -258,5 +256,55 @@ def test_engine_finishes_capped_batches_on_the_scalar_kernel(
     )
     rng = random.Random(9)
     pairs = [(rng.randrange(16), rng.randrange(16)) for _ in range(20)]
-    batched = engine.route_many(pairs, provider=provider, lockstep=True)
+    [batched] = _route_lockstep([(engine, pairs, None)], provider=provider)
     assert batched == engine.reference_route_many(pairs, provider=provider)
+
+
+# --------------------------------------------------------------------------- #
+# Shared caches under concurrent use
+# --------------------------------------------------------------------------- #
+
+
+@needs_numpy
+def test_shared_caches_survive_concurrent_eviction(monkeypatch):
+    # The daemon's dispatch pool drives these caches from several threads.
+    # With three times more keys than capacity, every lookup races an
+    # eviction; each call must still return the entry for its own key, and
+    # the caches must stay bounded.
+    capacity = 4
+    monkeypatch.setattr(batch_kernel, "_BATCH_CACHE", LRUCache(capacity))
+    monkeypatch.setattr(ScenarioStore, "_CAPACITY", capacity)
+    store = ScenarioStore()
+    sizes = range(3, 3 + 3 * capacity)
+    kernels = [prepare(generators.cycle_graph(n)).kernel for n in sizes]
+    specs = [ScenarioSpec(name=f"ring-{n}", family="ring", size=n, seed=0) for n in sizes]
+    workers = 8
+    barrier = threading.Barrier(workers)
+    errors = []
+
+    def hammer(offset):
+        try:
+            barrier.wait()
+            for step in range(150):
+                index = (offset + step) % len(kernels)
+                assert batched_walk_for(kernels[index]).kernel is kernels[index]
+                network = store.network(specs[index])
+                assert network.graph.num_vertices == specs[index].size
+        except BaseException as exc:  # pragma: no cover - failure path only
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=hammer, args=(offset,)) for offset in range(workers)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    assert len(batch_kernel._BATCH_CACHE) <= capacity
+    assert store.info()["session_networks"] <= capacity

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +24,7 @@ from repro.analysis.experiments import ScenarioSpec, build_schedule
 from repro.baselines import applicable_routers
 from repro.baselines.dfs_routing import dfs_token_route
 from repro.baselines.flooding import flood_route
+from repro.core.batch_kernel import HAVE_NUMPY, BatchedWalk
 from repro.core.engine import prepare
 from repro.core.routing import RouteOutcome
 from repro.graphs import generators
@@ -66,6 +68,28 @@ def test_report_table_renders(provider):
     assert "ring-n6" in table
     assert "ues-engine" in table
     assert report.ok
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="NumPy unavailable: no lockstep kernel")
+def test_static_batch_parity_runs_the_lockstep_kernel(provider, monkeypatch):
+    # Conformance batches are far below route_many's lockstep thresholds;
+    # batch-parity must still compare the kernel against the scalar walks,
+    # not the scalar loop against itself.
+    calls = []
+    original = BatchedWalk.run
+
+    def counted_run(self, *args, **kwargs):
+        calls.append(len(args[0]))
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(BatchedWalk, "run", counted_run)
+    report = conformance_pass(
+        scenarios=[ScenarioSpec(name="ring-n6", family="ring", size=6, seed=0)],
+        pairs_per_scenario=2,
+        provider=provider,
+    )
+    assert report.ok
+    assert sum(calls) == 2
 
 
 def test_violations_are_reported_not_swallowed(provider, monkeypatch):

@@ -8,13 +8,15 @@ graphs — different families, different sizes, connected or disconnected —
 and any per-task pair batches, its per-task results must equal each engine's
 scalar ``reference_route_many`` element for element.  Hypothesis drives that
 equality over random mixed batches; unit tests pin the aggregate dispatch
-policy, the buffer-cap spill-over, and the sweep runner's batched group path
+policy (which kernel runs, and that no caller option picks it), the
+buffer-cap spill-over, and the sweep runner's batched group path
 (``evaluate_shards``) against its per-shard reference — including groups that
 mix engine, schedule and baseline shards.
 """
 
 from __future__ import annotations
 
+import inspect
 import random
 
 import pytest
@@ -22,17 +24,20 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.experiments import ScenarioSpec
-from repro.analysis.runner import evaluate_shard, evaluate_shards, plan_sweep
+from repro.analysis.runner import evaluate_shard, evaluate_shards, plan_sweep, run_sweep
+from repro.core import engine as engine_module
 from repro.core.batch_kernel import (
     HAVE_NUMPY,
+    BatchedWalk,
     MultiGraphWalk,
     batched_walk_for,
     multigraph_walk_for,
 )
-from repro.core.engine import prepare, route_many_multi
+from repro.core.engine import PreparedNetwork, _route_lockstep, prepare, route_many_multi
 from repro.core.universal import RandomSequenceProvider
 from repro.graphs import generators
 from repro.graphs.labeled_graph import LabeledGraph
+from repro.scenarios.streaming import route_streamed_pairs
 
 #: One provider shared across examples so the per-size sequence cache is hit.
 _PROVIDER = RandomSequenceProvider(seed=77)
@@ -106,7 +111,10 @@ def _mixed_batches(draw):
 @_RELAXED
 @given(tasks=_mixed_batches())
 def test_route_many_multi_equals_reference(tasks):
-    stacked = route_many_multi(tasks, provider=_PROVIDER, lockstep=True)
+    stacked = _route_lockstep(
+        [(prepare(graph), pairs, namespace) for graph, pairs, namespace in tasks],
+        provider=_PROVIDER,
+    )
     for (graph, pairs, _namespace), results in zip(tasks, stacked):
         engine = prepare(graph)
         assert results == engine.reference_route_many(pairs, provider=_PROVIDER)
@@ -116,7 +124,7 @@ def test_route_many_multi_equals_reference(tasks):
 @_RELAXED
 @given(tasks=_mixed_batches())
 def test_route_many_multi_auto_equals_reference(tasks):
-    # The auto tri-state may stack or fall back per task depending on the
+    # The dispatch may stack or fall back per task depending on the
     # aggregate size — either way the results must be the reference's.
     auto = route_many_multi(tasks, provider=_PROVIDER)
     for (graph, pairs, _namespace), results in zip(tasks, auto):
@@ -140,7 +148,8 @@ def _forbid(monkeypatch, cls, name):
 def test_aggregate_dispatch_stacks_small_per_task_batches(monkeypatch):
     # Each task alone is far below the single-graph lockstep threshold; the
     # aggregate clears it, so the stacked kernel must engage (the scalar
-    # reference is forbidden below) and still match the reference exactly.
+    # reference and the single-graph stepper are forbidden below) and still
+    # match the reference exactly.
     graphs = [
         generators.grid_graph(12, 12),
         generators.cycle_graph(150),
@@ -158,10 +167,53 @@ def test_aggregate_dispatch_stacks_small_per_task_batches(monkeypatch):
         expected.append(
             prepare(graph).reference_route_many(pairs, provider=_PROVIDER)
         )
-    from repro.core.engine import PreparedNetwork
-
     _forbid(monkeypatch, PreparedNetwork, "reference_route_many")
+    _forbid(monkeypatch, BatchedWalk, "run")
     assert route_many_multi(tasks, provider=_PROVIDER) == expected
+
+
+@needs_numpy
+def test_single_kernel_batches_take_the_single_graph_stepper(monkeypatch):
+    # One kernel above the thresholds — one task, or two tasks over the same
+    # graph — runs BatchedWalk; the stacked kernel is slower on one graph.
+    graph = generators.grid_graph(12, 12)
+    rng = random.Random(4)
+    n = graph.num_vertices
+    first = [(rng.randrange(n), rng.randrange(n)) for _ in range(80)]
+    second = [(rng.randrange(n), rng.randrange(n)) for _ in range(20)]
+    engine = prepare(graph)
+    expected = [
+        engine.reference_route_many(pairs, provider=_PROVIDER)
+        for pairs in (first, second)
+    ]
+    calls = []
+    original = BatchedWalk.run
+
+    def counted_run(self, *args, **kwargs):
+        calls.append(len(args[0]))
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(BatchedWalk, "run", counted_run)
+    _forbid(monkeypatch, MultiGraphWalk, "run")
+    _forbid(monkeypatch, PreparedNetwork, "reference_route_many")
+    assert engine.route_many(first, provider=_PROVIDER) == expected[0]
+    tasks = [(graph, first, None), (engine, second, None)]
+    assert route_many_multi(tasks, provider=_PROVIDER) == expected
+    assert sum(calls) == 2 * len(first) + len(second)
+
+
+def test_batch_entry_points_take_no_dispatch_option():
+    # The lockstep/scalar choice is made from the batch alone; no public
+    # batch entry point lets a caller override it.
+    for entry_point in (
+        PreparedNetwork.route_many,
+        route_many_multi,
+        route_streamed_pairs,
+        evaluate_shards,
+        run_sweep,
+    ):
+        parameters = inspect.signature(entry_point).parameters
+        assert not {"lockstep", "multigraph"} & set(parameters), entry_point
 
 
 @needs_numpy
@@ -175,17 +227,6 @@ def test_tiny_aggregates_fall_back_per_task(grid_4x4, provider, monkeypatch):
     assert results == engine.reference_route_many(
         [(0, 15), (3, 12)], provider=provider
     )
-
-
-@needs_numpy
-def test_lockstep_false_forces_per_task_reference(monkeypatch):
-    graph = generators.grid_graph(8, 8)
-    vertices = list(graph.vertices)
-    rng = random.Random(3)
-    pairs = [(rng.choice(vertices), rng.choice(vertices)) for _ in range(40)]
-    _forbid(monkeypatch, MultiGraphWalk, "run")
-    [results] = route_many_multi([(graph, pairs, None)], lockstep=False)
-    assert results == prepare(graph).reference_route_many(pairs)
 
 
 # --------------------------------------------------------------------------- #
@@ -214,8 +255,8 @@ def test_buffer_cap_hands_unresolved_pairs_back():
 
 @needs_numpy
 def test_spilled_pairs_complete_on_the_scalar_kernel(monkeypatch):
-    # Wrap the stacked run with a tiny buffer: route_many_multi must finish
-    # the spilled pairs on the scalar engine and still match the reference.
+    # Wrap the stacked run with a tiny buffer: the lockstep realisation must
+    # finish the spilled pairs on the scalar engine and match the reference.
     graphs = [generators.grid_graph(6, 6), generators.cycle_graph(30)]
     tasks = []
     expected = []
@@ -225,7 +266,7 @@ def test_spilled_pairs_complete_on_the_scalar_kernel(monkeypatch):
         pairs = [
             (rng.choice(vertices), rng.choice(vertices)) for _ in range(12)
         ]
-        tasks.append((graph, pairs, None))
+        tasks.append((prepare(graph), pairs, None))
         expected.append(
             prepare(graph).reference_route_many(pairs, provider=_PROVIDER)
         )
@@ -235,7 +276,7 @@ def test_spilled_pairs_complete_on_the_scalar_kernel(monkeypatch):
         return original(self, jobs, start_port=start_port, max_buffer_elements=1)
 
     monkeypatch.setattr(MultiGraphWalk, "run", tiny_buffer_run)
-    assert route_many_multi(tasks, provider=_PROVIDER, lockstep=True) == expected
+    assert _route_lockstep(tasks, provider=_PROVIDER) == expected
 
 
 # --------------------------------------------------------------------------- #
@@ -272,12 +313,20 @@ def _mixed_plan():
     )
 
 
+def _lower_thresholds(monkeypatch):
+    """Let the aggregate dispatch stack the small test plan."""
+    monkeypatch.setattr(engine_module, "_LOCKSTEP_AUTO_MIN_STATIC", 1)
+    monkeypatch.setattr(engine_module, "_LOCKSTEP_AUTO_MIN_WORK", 1)
+
+
 @needs_numpy
-def test_evaluate_shards_matches_per_shard_reference():
+def test_evaluate_shards_matches_per_shard_reference(monkeypatch):
     plan = _mixed_plan()
     reference = [evaluate_shard(shard) for shard in plan.shards]
-    for multigraph in (None, True, False):
-        assert evaluate_shards(plan.shards, multigraph=multigraph) == reference
+    assert evaluate_shards(plan.shards) == reference
+    _lower_thresholds(monkeypatch)
+    _forbid(monkeypatch, PreparedNetwork, "reference_route_many")
+    assert evaluate_shards(plan.shards) == reference
 
 
 def test_evaluate_shards_without_numpy_matches_reference(monkeypatch):
@@ -288,4 +337,5 @@ def test_evaluate_shards_without_numpy_matches_reference(monkeypatch):
     monkeypatch.setattr(batch_kernel, "HAVE_NUMPY", False)
     plan = _mixed_plan()
     reference = [evaluate_shard(shard) for shard in plan.shards]
-    assert evaluate_shards(plan.shards, multigraph=True) == reference
+    _lower_thresholds(monkeypatch)
+    assert evaluate_shards(plan.shards) == reference

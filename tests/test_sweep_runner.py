@@ -163,18 +163,18 @@ def test_same_spec_shards_share_one_materialised_network():
     plan = plan_sweep(
         structured_scenarios("grid", [9]), routers=("ues-engine", "flooding"), pairs=2
     )
-    runner._SCENARIO_CACHE.clear()
+    runner._SCENARIOS.clear()
     try:
-        first = runner._materialise("network", plan.shards[0].spec, lambda s: object())
-        second = runner._materialise("network", plan.shards[1].spec, lambda s: object())
+        first = runner._SCENARIOS.network(plan.shards[0].spec)
+        second = runner._SCENARIOS.network(plan.shards[1].spec)
         assert first is second
     finally:
-        runner._SCENARIO_CACHE.clear()
+        runner._SCENARIOS.clear()
 
     warm = [evaluate_shard(shard) for shard in plan.shards]
     cold = []
     for shard in plan.shards:
-        runner._SCENARIO_CACHE.clear()
+        runner._SCENARIOS.clear()
         clear_prepared_caches()
         cold.append(evaluate_shard(shard))
     assert warm == cold
