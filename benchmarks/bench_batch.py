@@ -4,9 +4,9 @@ Every batch workload (sweeps, conformance, ``route-many``, the ProcessPool
 chunk path) routes a *set* of pairs over one prepared graph.
 :meth:`repro.core.engine.PreparedNetwork.route_many` used to loop the scalar
 walk per pair; the lockstep kernel (:mod:`repro.core.batch_kernel`) advances
-all walks one synchronous step at a time over the compiled flat arrays, with
-one fused NumPy gather per step for the whole batch and per-pair accounting
-recovered from the recorded trajectory.
+all walks in synchronous lockstep over the compiled flat arrays, three steps
+per NumPy gather of a block table for the whole batch, with per-pair
+accounting recovered from the recorded trajectory.
 
 This benchmark routes one 512-pair batch over a 16x16 grid twice:
 
@@ -126,9 +126,9 @@ def _emit(report: dict) -> None:
         rows,
         notes=(
             "Bitwise-identical RouteResult lists on every pair; the lockstep "
-            "kernel advances all walks one synchronous step at a time over "
-            "the compiled arrays (one fused gather per step) and recovers "
-            "per-pair forward/backward accounting from the recorded "
+            "kernel advances all walks in synchronous lockstep over the "
+            "compiled arrays (three steps per gather of a block table) and "
+            "recovers per-pair forward/backward accounting from the recorded "
             "trajectory."
         ),
     )

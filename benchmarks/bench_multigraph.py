@@ -3,11 +3,12 @@
 A sweep group routes small per-scenario batches over *many different*
 graphs.  Routed one shard at a time, each shard's pairs go through
 ``route_many`` alone, and a batch of 8–28 pairs is below the lockstep
-dispatch threshold, so every scenario runs the scalar reference loop.  The multi-graph kernel (:class:`repro.core.batch_kernel.MultiGraphWalk`)
-stacks all compiled transition tables into one tensor with per-walk graph
-offsets, so an entire sweep group advances in one fused gather per global
-step — :func:`repro.analysis.runner.evaluate_shards` turns a whole shard
-group into a handful of NumPy calls.
+dispatch threshold, so every scenario runs the scalar reference loop.  The
+multi-graph kernel (:class:`repro.core.batch_kernel.MultiGraphWalk`) stacks
+all compiled transition tables into one block table with per-walk graph
+offsets, so an entire sweep group advances three global steps per gather —
+:func:`repro.analysis.runner.evaluate_shards` turns a whole shard group into
+a handful of NumPy calls.
 
 This benchmark runs one sweep plan (grid + ring scenarios, small per-shard
 batches) twice:
@@ -188,7 +189,7 @@ def _emit(report: dict, warm: dict) -> None:
             "1.0",
         ],
         [
-            "multi-graph lockstep (stacked tensor)",
+            "multi-graph lockstep (stacked block table)",
             shards,
             pairs,
             f"{report['stacked_elapsed'] * 1000:.1f}",
@@ -204,8 +205,8 @@ def _emit(report: dict, warm: dict) -> None:
         notes=(
             "Bitwise-identical aggregated tables; the stacked kernel "
             "concatenates every scenario's compiled transition tables into "
-            "one tensor with per-walk graph offsets, so all scenarios' walks "
-            "advance in a single gather per global step.  Warm start: "
+            "one block table with per-walk graph offsets, so all scenarios' "
+            "walks advance three global steps per gather.  Warm start: "
             f"{warm['warm_compiles']} recompilations after reloading "
             f"{warm['warm_disk_hits']} kernels from the disk tier."
         ),

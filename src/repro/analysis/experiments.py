@@ -181,8 +181,11 @@ def build_scenario(spec: ScenarioSpec) -> AdHocNetwork:
     Structured families round ``size`` to the nearest valid configuration
     (a grid needs a square side, a prism an even count, ``two-rings`` two
     cycles of >= 3 vertices, ...), so the realised vertex count can differ
-    slightly from ``spec.size`` — read it off the returned network.
+    slightly from ``spec.size`` — read it off the returned network.  A
+    ``size`` below 1 is rejected rather than rounded up.
     """
+    if spec.size < 1:
+        raise ExperimentError(f"scenario {spec.name!r}: size must be >= 1, got {spec.size}")
     family = spec.family
     if family == "unit-disk":
         if spec.radius is None:
@@ -489,14 +492,15 @@ def pick_source_target_pairs(
     vertices = list(getattr(network, "graph", network).vertices)
     if not vertices:
         raise ExperimentError("cannot pick pairs from an empty network")
-    rng = random.Random(seed)
+    choice = random.Random(seed).choice
+    distinct = distinct and len(vertices) > 1
     chosen: List[Tuple[int, int]] = []
     for _ in range(pairs):
-        source = rng.choice(vertices)
-        target = rng.choice(vertices)
-        if distinct and len(vertices) > 1:
+        source = choice(vertices)
+        target = choice(vertices)
+        if distinct:
             while target == source:
-                target = rng.choice(vertices)
+                target = choice(vertices)
         chosen.append((source, target))
     return chosen
 

@@ -23,7 +23,7 @@ shards that grid across a process pool:
   engine-router shards of a group are aggregated into **one**
   :func:`repro.core.engine.route_many_multi` call, so a group whose
   aggregate batch clears the lockstep thresholds advances every scenario's
-  pairs together over the stacked multi-graph lockstep tensor
+  pairs together over the stacked multi-graph block table
   (:class:`repro.core.batch_kernel.MultiGraphWalk`) — an entire sweep group
   becomes a handful of NumPy calls instead of a per-scenario Python loop.
   Rows are bitwise identical to :func:`evaluate_shard` (asserted by tests
@@ -453,7 +453,7 @@ def evaluate_shards(shards: Sequence[SweepShard]) -> List[List[List[object]]]:
     :func:`repro.core.engine.route_many_multi` call: every scenario's graph
     is prepared (once, via the shared kernel-store caches), and when the
     aggregate batch clears the lockstep thresholds all scenarios' pairs
-    advance together over the stacked multi-graph lockstep tensor — a
+    advance together over the stacked multi-graph block table — a
     handful of NumPy calls for the whole group, instead of re-entering
     Python per scenario; smaller groups run the scalar reference per
     scenario.  Schedule and baseline shards run through

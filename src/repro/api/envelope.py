@@ -105,6 +105,18 @@ class TaskResult(WireCodable):
         return dataclasses.replace(self, elapsed_seconds=elapsed_seconds)
 
 
+def _integer(value: object, field: str) -> int:
+    """A wire integer field, decoded strictly.
+
+    JSON booleans are Python ``int`` subclasses and ``int()`` truncates
+    floats and parses strings; each of those would decode to a request
+    whose re-encoding differs from the bytes sent, so all are rejected.
+    """
+    if type(value) is not int:
+        raise TaskError(f"{field!r} must be an integer, got {value!r}")
+    return value
+
+
 # --------------------------------------------------------------------------- #
 # ScenarioSpec <-> wire
 # --------------------------------------------------------------------------- #
@@ -128,10 +140,10 @@ def _spec_from_wire(data: Dict[str, object]) -> ScenarioSpec:
     return ScenarioSpec(
         name=str(data["name"]),
         family=str(data["family"]),
-        size=int(data["size"]),
-        seed=int(data["seed"]),
+        size=_integer(data["size"], "size"),
+        seed=_integer(data["seed"], "seed"),
         radius=data.get("radius"),
-        dimension=int(data.get("dimension", 2)),
+        dimension=_integer(data.get("dimension", 2), "dimension"),
         namespace_size=data.get("namespace_size"),
         extra=extra,
     )
@@ -146,7 +158,9 @@ def _pairs_to_wire(pairs) -> Optional[list]:
 def _pairs_from_wire(pairs) -> Optional[tuple]:
     if pairs is None:
         return None
-    return tuple((int(source), int(target)) for source, target in pairs)
+    return tuple(
+        (_integer(source, "pairs"), _integer(target, "pairs")) for source, target in pairs
+    )
 
 
 # --------------------------------------------------------------------------- #
@@ -167,10 +181,10 @@ def _encode_route(request: RouteRequest) -> Dict[str, object]:
 def _decode_route(fields: Dict[str, object]) -> RouteRequest:
     return RouteRequest(
         scenario=_spec_from_wire(fields["scenario"]),
-        source=int(fields["source"]),
-        target=int(fields["target"]),
+        source=_integer(fields["source"], "source"),
+        target=_integer(fields["target"], "target"),
         size_bound=fields.get("size_bound"),
-        start_port=int(fields.get("start_port", 0)),
+        start_port=_integer(fields.get("start_port", 0), "start_port"),
     )
 
 
@@ -192,9 +206,9 @@ def _decode_batch_as(cls, fields: Dict[str, object]):
         "pairs": _pairs_from_wire(fields.get("pairs")),
     }
     if "num_pairs" in fields:
-        kwargs["num_pairs"] = int(fields["num_pairs"])
+        kwargs["num_pairs"] = _integer(fields["num_pairs"], "num_pairs")
     if "pair_seed" in fields:
-        kwargs["pair_seed"] = int(fields["pair_seed"])
+        kwargs["pair_seed"] = _integer(fields["pair_seed"], "pair_seed")
     if "size_bound" in fields:
         kwargs["size_bound"] = fields["size_bound"]
     return cls(**kwargs)
@@ -205,7 +219,10 @@ def _encode_source_task(request) -> Dict[str, object]:
 
 
 def _decode_source_task_as(cls, fields: Dict[str, object]):
-    return cls(scenario=_spec_from_wire(fields["scenario"]), source=int(fields["source"]))
+    return cls(
+        scenario=_spec_from_wire(fields["scenario"]),
+        source=_integer(fields["source"], "source"),
+    )
 
 
 def _encode_broadcast_reliable(request: BroadcastReliableRequest) -> Dict[str, object]:
@@ -225,24 +242,25 @@ def _encode_broadcast_reliable(request: BroadcastReliableRequest) -> Dict[str, o
 def _decode_broadcast_reliable(fields: Dict[str, object]) -> BroadcastReliableRequest:
     kwargs: Dict[str, object] = {
         "scenario": _spec_from_wire(fields["scenario"]),
-        "source": int(fields["source"]),
+        "source": _integer(fields["source"], "source"),
     }
     if "value" in fields:
         kwargs["value"] = str(fields["value"])
     if "byzantine" in fields:
         kwargs["byzantine"] = tuple(
-            (int(node), str(behavior)) for node, behavior in fields["byzantine"]
+            (_integer(node, "byzantine"), str(behavior))
+            for node, behavior in fields["byzantine"]
         )
     if "num_byzantine" in fields:
-        kwargs["num_byzantine"] = int(fields["num_byzantine"])
+        kwargs["num_byzantine"] = _integer(fields["num_byzantine"], "num_byzantine")
     if "behaviors" in fields:
         kwargs["behaviors"] = tuple(str(b) for b in fields["behaviors"])
     if "fault_seed" in fields:
-        kwargs["fault_seed"] = int(fields["fault_seed"])
+        kwargs["fault_seed"] = _integer(fields["fault_seed"], "fault_seed")
     if "crashes" in fields:
-        kwargs["crashes"] = tuple(int(node) for node in fields["crashes"])
+        kwargs["crashes"] = tuple(_integer(node, "crashes") for node in fields["crashes"])
     if "delay" in fields:
-        kwargs["delay"] = int(fields["delay"])
+        kwargs["delay"] = _integer(fields["delay"], "delay")
     return BroadcastReliableRequest(**kwargs)
 
 
@@ -257,8 +275,8 @@ def _encode_connectivity(request: ConnectivityRequest) -> Dict[str, object]:
 def _decode_connectivity(fields: Dict[str, object]) -> ConnectivityRequest:
     return ConnectivityRequest(
         scenario=_spec_from_wire(fields["scenario"]),
-        source=int(fields["source"]),
-        target=int(fields["target"]),
+        source=_integer(fields["source"], "source"),
+        target=_integer(fields["target"], "target"),
     )
 
 
@@ -273,9 +291,9 @@ def _encode_compare(request: CompareRequest) -> Dict[str, object]:
 def _decode_compare(fields: Dict[str, object]) -> CompareRequest:
     kwargs: Dict[str, object] = {"scenario": _spec_from_wire(fields["scenario"])}
     if "num_pairs" in fields:
-        kwargs["num_pairs"] = int(fields["num_pairs"])
+        kwargs["num_pairs"] = _integer(fields["num_pairs"], "num_pairs")
     if "pair_seed" in fields:
-        kwargs["pair_seed"] = int(fields["pair_seed"])
+        kwargs["pair_seed"] = _integer(fields["pair_seed"], "pair_seed")
     return CompareRequest(**kwargs)
 
 
@@ -296,9 +314,9 @@ def _decode_sweep(fields: Dict[str, object]) -> SweepRequest:
     return SweepRequest(
         scenarios=tuple(_spec_from_wire(spec) for spec in fields["scenarios"]),
         routers=tuple(str(r) for r in fields.get("routers", ("ues-engine",))),
-        pairs=int(fields.get("pairs", 8)),
-        master_seed=int(fields.get("master_seed", 0)),
-        workers=int(fields.get("workers", 1)),
+        pairs=_integer(fields.get("pairs", 8), "pairs"),
+        master_seed=_integer(fields.get("master_seed", 0), "master_seed"),
+        workers=_integer(fields.get("workers", 1), "workers"),
         out_path=fields.get("out_path"),
         resume=bool(fields.get("resume", False)),
         experiment=str(fields.get("experiment", "api-sweep")),
@@ -326,9 +344,9 @@ def _decode_conformance(fields: Dict[str, object]) -> ConformanceRequest:
             if scenarios is None
             else tuple(_spec_from_wire(spec) for spec in scenarios)
         ),
-        pairs_per_scenario=int(fields.get("pairs_per_scenario", 4)),
-        seed=int(fields.get("seed", 0)),
-        workers=int(fields.get("workers", 1)),
+        pairs_per_scenario=_integer(fields.get("pairs_per_scenario", 4), "pairs_per_scenario"),
+        seed=_integer(fields.get("seed", 0), "seed"),
+        workers=_integer(fields.get("workers", 1), "workers"),
     )
 
 

@@ -4,21 +4,26 @@ Every batch workload in the repository (sweeps, conformance, ``route-many``,
 the ProcessPool chunk path) routes *sets* of pairs over one prepared graph,
 and until this module existed :meth:`repro.core.engine.PreparedNetwork.route_many`
 simply looped the scalar walk per pair.  This module advances all in-flight
-walks **one synchronous step at a time** — the round-based, full-information
-view of the walk — over the flat arrays of
-:class:`repro.core.walk_kernel.CompiledWalk`, with one fused gather per step
-for the whole batch.
+walks in synchronous lockstep — the round-based, full-information view of
+the walk — over the flat arrays of
+:class:`repro.core.walk_kernel.CompiledWalk`.  The walk is a deterministic
+function of the state and the next offset, so :data:`BLOCK_STEPS`
+consecutive steps compose into one lookup keyed by (block offsets, state):
+the static steppers move every front a whole block per gather through a
+*block table* (:func:`_block_table`).
 
 Three steppers are provided:
 
 :class:`BatchedWalk` (static networks)
     Walk state is a single integer ``state = 3 * vertex + entry_port``; the
     rotation map is pre-fused into three transition arrays ``step[o]`` (one
-    per offset value) so a forward step for *all* walks is the one gather
-    ``state = step[o][state]``.  Walks that share a start state share their
-    entire forward trajectory (the walk is deterministic per start state), so
-    the stepper advances only the *distinct source fronts* in lockstep while
-    recording the owner trajectory; each pair's termination step, backward
+    per offset value), and :meth:`BatchedWalk.run` composes them into the
+    block table, so a block of steps for *all* walks is the one row gather
+    ``block[code * num_states + state]``.  Walks that share a start state
+    share their entire forward trajectory (the walk is deterministic per
+    start state), so the stepper advances only the *distinct source fronts*
+    in lockstep while recording the owner trajectory; each pair's
+    termination step, backward
     phase and physical/virtual step accounting are then recovered from that
     trajectory by vectorized reductions — the backward phase retraces the
     forward walk exactly (reversibility, Section 2 of the paper), so its
@@ -37,12 +42,12 @@ Three steppers are provided:
 
 :class:`MultiGraphWalk` (static networks, several graphs at once)
     The per-graph transition tables of several :class:`BatchedWalk` steppers
-    are stacked into one ``(3, total_states)`` tensor with cumulative
-    per-graph state bases, and each distinct exploration sequence becomes a
-    row of one zero-padded offsets matrix — so walks over *different*
-    compiled graphs, with *different* sequence lengths, all advance with a
-    single fused gather per global step (``state = step[off, state]`` where
-    ``off`` is gathered per front from the offsets matrix).  Per-front
+    are stacked with cumulative per-graph state bases and composed into one
+    block table over the global state space, and each distinct exploration
+    sequence becomes a row of one zero-padded offsets matrix — so walks over
+    *different* compiled graphs, with *different* sequence lengths, all
+    advance a block per gather (``state = block[code * num_states + state]``
+    where ``code`` is gathered per front from the offsets matrix).  Per-front
     sequence-length clamps keep termination detection and accounting exactly
     those of :class:`BatchedWalk`; the accounting reductions are literally
     shared (:func:`_account_from_trajectory`), so the multi-graph path is
@@ -97,9 +102,22 @@ HAVE_NUMPY = _np is not None
 #: Chunks start small and double up to the cap: short walks (small graphs,
 #: nearby targets) terminate within the first few chunks instead of paying
 #: thousands of wasted lockstep iterations, while long walks quickly reach
-#: the large chunk size that amortises detection.
+#: the large chunk size that amortises detection.  The cap stays at 1024:
+#: each chunk costs only a few extra calls, while doubling further lets the
+#: last chunk overshoot the longest walk by thousands of stepped rows.
 _CHUNK_ROWS_MIN = 64
-_CHUNK_ROWS_MAX = 4096
+_CHUNK_ROWS_MAX = 1024
+
+#: Walk steps one gather advances: the steppers look up a block of
+#: ``BLOCK_STEPS`` consecutive steps in one row of a :func:`_block_table`,
+#: which costs ``3**BLOCK_STEPS * BLOCK_STEPS * 4`` bytes per walk state.
+#: Each step costs a few microseconds of NumPy call overhead whatever the
+#: front count, so larger blocks pay until the table's memory shows.  On
+#: the ``batch-warm`` benchmark (2 cores, NumPy 2.4), 3 took the round p50
+#: from ~162 to ~100 ms at 324 B per state (1.2 MB for its stacked sweep)
+#: and left peak RSS at 57.5-58 MB; 4 was a few ms faster but, at 1,296 B
+#: per state, raised peak RSS to 61.7 MB.
+BLOCK_STEPS = 3
 
 #: Cap on buffered trajectory elements per batch (int32 each).  A batch whose
 #: walks out-run the cap — pathologically long failure walks under a huge
@@ -121,6 +139,40 @@ def _require_numpy() -> None:
             "the lockstep batch kernel needs NumPy; install it or use the "
             "scalar reference_route_many path"
         )
+
+
+def _block_table(step: "_np.ndarray") -> "_np.ndarray":
+    """Compose the ``(3, num_states)`` transitions into :data:`BLOCK_STEPS` steps.
+
+    Row ``code * num_states + s`` holds the states after each of the
+    :data:`BLOCK_STEPS` steps that start in state ``s`` and take the
+    offsets written base 3 in ``code`` (first offset most significant), so
+    one row gather advances a front a whole block.
+    """
+    num_states = step.shape[1]
+    table = _np.empty((3**BLOCK_STEPS, num_states, BLOCK_STEPS), dtype=_np.int32)
+    # level[c] is the state reached from every state under the offsets of
+    # the length-j code c; one more offset digit extends c to 3 * c + d.
+    level = _np.arange(num_states, dtype=_np.int32)[None, :]
+    for j in range(BLOCK_STEPS):
+        level = step[:, level].transpose(1, 0, 2).reshape(-1, num_states)
+        table[:, :, j] = _np.repeat(level, 3 ** (BLOCK_STEPS - 1 - j), axis=0)
+    return table.reshape(-1, BLOCK_STEPS)
+
+
+def _block_codes(windows: "_np.ndarray") -> "_np.ndarray":
+    """Block codes of each row of an ``int8`` offsets matrix (``intp``).
+
+    Each row is zero-padded to a whole number of blocks; offset 0 keeps the
+    padded steps' states valid, and callers never read past a row's real
+    length.
+    """
+    count, rows = windows.shape
+    blocks = -(-rows // BLOCK_STEPS)
+    padded = _np.zeros((count, blocks * BLOCK_STEPS), dtype=_np.intp)
+    padded[:, :rows] = windows
+    place_values = 3 ** _np.arange(BLOCK_STEPS - 1, -1, -1, dtype=_np.intp)
+    return padded.reshape(count, blocks, BLOCK_STEPS) @ place_values
 
 
 @dataclass(frozen=True)
@@ -188,6 +240,10 @@ class BatchedWalk:
 
     ``step[o][3 * v + p] = 3 * next_vertex[e] + next_port[e]`` with
     ``e = 3 * v + (p + o) % 3`` — one gather advances every walk by one step.
+    :meth:`run` composes them further into the :func:`_block_table` of
+    :data:`BLOCK_STEPS` steps, built on the first run only, so a stepper
+    that serves only as a member of a :class:`MultiGraphWalk` never holds
+    one.
 
     ``owner_state`` maps a walk state to the original vertex its virtual
     vertex simulates; ``back_v3`` / ``back_port`` are the backward-step
@@ -198,6 +254,7 @@ class BatchedWalk:
     __slots__ = (
         "kernel",
         "step",
+        "block",
         "owner_state",
         "back_v3",
         "back_port",
@@ -222,6 +279,8 @@ class BatchedWalk:
                 (3 * next_vertex[exit_edge] + next_port[exit_edge]).astype(_np.int32)
             )
         self.step = fused
+        #: The block table, built by the first :meth:`run`.
+        self.block: Optional["_np.ndarray"] = None
         self.owner_state = _np.repeat(owner, 3).astype(_np.int32)
         self.back_v3 = (3 * next_vertex).astype(_np.int32)
         self.back_port = next_port.astype(_np.int32)
@@ -241,7 +300,8 @@ class BatchedWalk:
 
         ``pairs`` are ``(source, target)`` original-vertex pairs (duplicates
         and self-pairs allowed); ``offsets`` is the exploration sequence,
-        extended one chunk window at a time.  Returns a mapping from pair
+        extended one chunk window at a time.  Every front advances
+        :data:`BLOCK_STEPS` steps per gather.  Returns a mapping from pair
         index to its :class:`StaticWalkAccount` plus the list of indices the
         stepper did not resolve because the trajectory buffer cap was reached
         — the caller finishes those on the scalar kernel (identical results).
@@ -249,7 +309,15 @@ class BatchedWalk:
         kernel = self.kernel
         length = len(offsets)
         owner_state = self.owner_state
-        step = self.step
+        if self.block is None:
+            # Dispatch threads share cached steppers; two first runs may both
+            # build the table, but they build identical ones.
+            self.block = _block_table(_np.stack(self.step))
+        # The row gather of each offset code's (num_states, BLOCK_STEPS) plane.
+        takes = [
+            plane.take
+            for plane in self.block.reshape(-1, self.num_states, BLOCK_STEPS)
+        ]
 
         # Group pairs by source: walks sharing a start state share their
         # whole forward trajectory, so only distinct fronts are stepped.
@@ -279,8 +347,8 @@ class BatchedWalk:
             remaining[source] = open_pairs
 
         # --- stage 1: lockstep-advance the distinct fronts, recording the
-        # owner trajectory chunk by chunk (transposed: one contiguous row per
-        # front), with termination detection and front compaction per chunk.
+        # owner trajectory chunk by chunk (one contiguous row per front),
+        # with termination detection and front compaction per chunk.
         chunks: List[Tuple[Dict[int, int], "_np.ndarray"]] = []
         active: List[int] = [source for source in order if remaining[source]]
         state = _np.array(
@@ -297,12 +365,21 @@ class BatchedWalk:
             if buffered_elements + len(active) * rows > max_buffer_elements:
                 truncated = True
                 break
-            buffer = _np.empty((len(active), rows), dtype=_np.int32)
-            window = offsets.extend_to(global_step + rows)
-            for row in range(rows):
-                state = step[window[global_step + row]][state]
-                buffer[:, row] = state
-            owners = owner_state[buffer]
+            window = _np.frombuffer(
+                offsets.extend_to(global_step + rows),
+                dtype=_np.int8,
+                count=rows,
+                offset=global_step,
+            )
+            codes = _block_codes(window[None, :])[0].tolist()
+            # buffer[b, f] holds front f's states over the steps of block b.
+            buffer = _np.empty((len(codes), len(active), BLOCK_STEPS), dtype=_np.int32)
+            for out, code in zip(buffer, codes):
+                state = takes[code](state, 0, out)[:, -1]
+            trajectory = buffer.transpose(1, 0, 2).reshape(len(active), -1)
+            # The state after the chunk's last real step, not a padded one.
+            state = trajectory[:, rows - 1]
+            owners = owner_state[trajectory[:, :rows]]
             buffered_elements += owners.size
             column_of = {source: column for column, source in enumerate(active)}
             chunks.append((column_of, owners))
@@ -543,25 +620,27 @@ def translation_table(
 
 
 class MultiGraphWalk:
-    """Lockstep stepper over *several* compiled graphs stacked into one tensor.
+    """Lockstep stepper over *several* compiled graphs stacked into one table.
 
     Construction concatenates the per-offset transition arrays of the given
     :class:`BatchedWalk` steppers with cumulative state bases::
 
         step[o][base_g + s] = base_g + stepper_g.step[o][s]
 
-    so a global walk state carries its graph implicitly and one fused gather
-    advances walks over different graphs simultaneously.  ``owner_state`` is
-    concatenated the same way and yields *graph-local* original vertex ids —
-    each front only ever compares owners against targets of its own graph, so
-    overlapping id ranges between graphs are harmless.
+    and composes them into one :func:`_block_table` over the global state
+    space, so a global walk state carries its graph implicitly and one
+    gather advances walks over different graphs :data:`BLOCK_STEPS` steps at
+    once.  The members' own block tables are never built.  ``owner_state``
+    is concatenated the same way and yields *graph-local* original vertex
+    ids — each front only ever compares owners against targets of its own
+    graph, so overlapping id ranges between graphs are harmless.
 
     :meth:`run` takes *jobs* — ``(stepper index, pairs, offsets)`` triples,
     one per (graph, size-bound) group — whose exploration sequences may have
     different lengths: per chunk window, each job contributes a row of a
     zero-padded ``int8`` offsets matrix (an ``np.frombuffer`` view of its
     stream's prefix, extended to cover the window), fronts gather their
-    current offset from their row, and a per-front sequence-length clamp
+    current block code from their row, and a per-front sequence-length clamp
     ignores any trajectory recorded past the front's own horizon.
     Accounting is the shared :func:`_account_from_trajectory` reduction, so
     results are bitwise identical to running each job through
@@ -570,8 +649,7 @@ class MultiGraphWalk:
 
     __slots__ = (
         "steppers",
-        "step",
-        "step_flat",
+        "block",
         "owner_state",
         "state_base",
         "num_states",
@@ -589,9 +667,9 @@ class MultiGraphWalk:
             total += stepper.num_states
         self.state_base = bases
         self.num_states = total
-        # One (3, total_states) tensor: row o is the offset-o transition of
-        # every graph, shifted into the global state space.
-        self.step = _np.stack(
+        # Row o of the stacked transition is the offset-o step of every
+        # graph, shifted into the global state space.
+        step = _np.stack(
             [
                 _np.concatenate(
                     [
@@ -602,13 +680,10 @@ class MultiGraphWalk:
                 for offset in range(3)
             ]
         )
+        self.block = _block_table(step)
         self.owner_state = _np.concatenate(
             [stepper.owner_state for stepper in self.steppers]
         )
-        # Flat view for the hot loop: state' = step_flat[offset * num_states
-        # + state] folds the (offset, state) double gather into one add plus
-        # one 1-D gather per global step.
-        self.step_flat = _np.ascontiguousarray(self.step).reshape(-1)
 
     def run(
         self,
@@ -616,7 +691,7 @@ class MultiGraphWalk:
         start_port: int = 0,
         max_buffer_elements: int = _MAX_BUFFER_ELEMENTS,
     ) -> Tuple[Dict[Tuple[int, int], StaticWalkAccount], List[Tuple[int, int]]]:
-        """Route every job's pairs in one lockstep run over the stacked tensor.
+        """Route every job's pairs in one lockstep run over the stacked table.
 
         ``jobs`` is a sequence of ``(stepper_index, pairs, offsets)``: the
         pairs are graph-local ``(source, target)`` originals routed over
@@ -625,7 +700,7 @@ class MultiGraphWalk:
         the keys left unresolved by the trajectory buffer cap — the caller
         finishes those on the scalar kernel (identical results).
         """
-        step_flat = self.step_flat
+        take = self.block.take
         num_states = self.num_states
         owner_state = self.owner_state
         state_base = self.state_base
@@ -662,7 +737,8 @@ class MultiGraphWalk:
                     remaining[front].append((pair_index, target))
 
         # --- stage 1: advance all distinct fronts of all jobs in lockstep,
-        # recording the global-state trajectory chunk by chunk.
+        # recording the owner trajectory chunk by chunk (one contiguous row
+        # per front).
         chunks: List[Tuple[Dict[Tuple[int, int], int], "_np.ndarray"]] = []
         active: List[Tuple[int, int]] = [
             front
@@ -691,8 +767,8 @@ class MultiGraphWalk:
                 break
             # Per-chunk window of every job's sequence, zero-padded past each
             # job's horizon (offset 0 keeps padded states valid; accounting
-            # clamps to the real horizon below), gathered per active front
-            # and premultiplied into flat-table bases.
+            # clamps to the real horizon below), turned into block codes,
+            # gathered per active front and premultiplied into table rows.
             off_jobs = _np.zeros((len(jobs), rows), dtype=_np.int8)
             for job, stream in enumerate(streams):
                 usable_rows = min(rows, lengths[job] - global_step)
@@ -703,20 +779,21 @@ class MultiGraphWalk:
                         count=usable_rows,
                         offset=global_step,
                     )
-            bases = off_jobs[front_rows].astype(_np.int32)
-            bases *= num_states
-            bases = _np.ascontiguousarray(bases.T)
-            # Trajectory buffer is (rows, fronts): the per-step store and the
-            # next step's read then touch one contiguous row each.
-            buffer = _np.empty((rows, len(active)), dtype=_np.int32)
-            for row in range(rows):
-                # The one fused gather per global step: bases is per-chunk
-                # scratch, so the flat index is formed in place and the new
-                # states land directly in the trajectory buffer.
-                indices = bases[row]
+            bases = _np.ascontiguousarray(_block_codes(off_jobs)[front_rows].T) * num_states
+            # buffer[b, f] holds front f's states over the steps of block b.
+            buffer = _np.empty(
+                (bases.shape[0], len(active), BLOCK_STEPS), dtype=_np.int32
+            )
+            for out, indices in zip(buffer, bases):
+                # The one gather per block: bases is per-chunk scratch, so
+                # the table row is formed in place and the next states land
+                # directly in the trajectory buffer.
                 indices += state
-                state = _np.take(step_flat, indices, out=buffer[row])
-            owners = owner_state[buffer]
+                state = take(indices, 0, out)[:, -1]
+            trajectory = buffer.transpose(1, 0, 2).reshape(len(active), -1)
+            # The state after the chunk's last real step, not a padded one.
+            state = trajectory[:, rows - 1]
+            owners = owner_state[trajectory[:, :rows]]
             buffered_elements += owners.size
             column_of = {front: column for column, front in enumerate(active)}
             chunks.append((column_of, owners))
@@ -728,7 +805,7 @@ class MultiGraphWalk:
                 usable = min(rows, lengths[job] - global_step)
                 if usable <= 0:
                     continue
-                row_owners = owners[:usable, column_of[front]]
+                row_owners = owners[column_of[front], :usable]
                 still_open: List[Tuple[int, int]] = []
                 for pair_index, target in remaining[front]:
                     hits = _np.nonzero(row_owners == target)[0]
@@ -771,7 +848,7 @@ class MultiGraphWalk:
                 column = column_of.get(front)
                 if column is None:
                     break
-                trajectory_rows.append(owners[:, column])
+                trajectory_rows.append(owners[column])
             trajectory = _np.concatenate(trajectory_rows)
             for pair_index in members[front]:
                 key = (job, pair_index)
@@ -815,7 +892,7 @@ def multigraph_walk_for(steppers: Sequence[BatchedWalk]) -> MultiGraphWalk:
 
     Keyed by the member steppers' identities (held strongly by the entry),
     so repeated sweep shards over the same compiled graphs reuse one stacked
-    tensor instead of re-concatenating it per call.
+    block table instead of rebuilding it per call.
     """
     members = tuple(steppers)
     key = tuple(id(stepper) for stepper in members)

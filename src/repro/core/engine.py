@@ -30,10 +30,10 @@ same graph object.
 Static batches have one dispatch, :func:`route_many_multi` (``route_many`` is
 that call with one task).  Batches whose total size and work clear the
 lockstep thresholds run on the lockstep kernels of
-:mod:`repro.core.batch_kernel` (all walks advance one synchronous step at a
-time over the compiled arrays): :class:`~repro.core.batch_kernel.BatchedWalk`
-when every task shares one kernel,
-:class:`~repro.core.batch_kernel.MultiGraphWalk` otherwise.  Smaller
+:mod:`repro.core.batch_kernel` (all walks advance in synchronous lockstep,
+three steps per gather over the compiled arrays):
+:class:`~repro.core.batch_kernel.BatchedWalk` when every task shares one
+kernel, :class:`~repro.core.batch_kernel.MultiGraphWalk` otherwise.  Smaller
 batches, and every batch when NumPy is not installed, run the scalar loop
 ``reference_route_many`` — the executable specification the lockstep path
 must match element for element (asserted by the ``batch-parity`` conformance
@@ -362,8 +362,8 @@ class PreparedNetwork:
         large enough for vectorization to pay off (both a minimum batch size
         and a minimum batch x kernel-size work product — small batches and
         short walks are faster scalar) run on the NumPy lockstep kernel
-        (:class:`repro.core.batch_kernel.BatchedWalk` — all walks advance one
-        synchronous step at a time with one fused gather per step); small
+        (:class:`repro.core.batch_kernel.BatchedWalk` — all walks advance in
+        synchronous lockstep, three steps per gather of its block table); small
         batches, and every batch when NumPy is absent, run the scalar loop
         :meth:`reference_route_many`, the executable specification.  Results
         are bit-for-bit identical either way (the ``batch-parity``
@@ -943,11 +943,12 @@ def _route_lockstep(
     Every task's pairs are grouped into one job per size bound.  When all
     jobs run on one kernel, each job is one
     :class:`~repro.core.batch_kernel.BatchedWalk` run; otherwise all jobs
-    advance together over the stacked tensor of
-    :class:`~repro.core.batch_kernel.MultiGraphWalk`, which measured 1.6–2x
-    slower than ``BatchedWalk`` on a single graph.  Pairs whose walks exceed
-    a kernel's trajectory buffer cap are finished on the scalar kernel — same
-    results, bounded memory.
+    advance together over the stacked block table of
+    :class:`~repro.core.batch_kernel.MultiGraphWalk`, which measured
+    1.1–1.3x slower than ``BatchedWalk`` on a single graph (512 pairs on a
+    49-node grid, a 36-node torus and an 84-node ring).  Pairs whose walks
+    exceed a kernel's trajectory buffer cap are finished on the scalar
+    kernel — same results, bounded memory.
     """
     from repro.core.batch_kernel import batched_walk_for, multigraph_walk_for
 
@@ -962,12 +963,16 @@ def _route_lockstep(
         namespace = (
             namespace_size if namespace_size is not None else engine._namespace
         )
-        for source in {source for source, _ in pairs}:
+        sources = dict.fromkeys(source for source, _ in pairs)
+        for source in sources:
             engine._require_source(source)
+        bound_of = {
+            source: engine.resolve_size_bound(source, size_bound)
+            for source in sources
+        }
         groups: Dict[int, List[int]] = {}
         for pair_index, (source, _target) in enumerate(pairs):
-            bound = engine.resolve_size_bound(source, size_bound)
-            groups.setdefault(bound, []).append(pair_index)
+            groups.setdefault(bound_of[source], []).append(pair_index)
         kernel_key = id(engine.kernel)
         graph_slot = stepper_index.get(kernel_key)
         if graph_slot is None:
@@ -987,43 +992,48 @@ def _route_lockstep(
                 )
             )
 
-    if len(steppers) > 1:
+    stacked = len(steppers) > 1
+    if stacked:
         accounts, unresolved = multigraph_walk_for(steppers).run(
             jobs, start_port=start_port
         )
     else:
-        accounts, unresolved = {}, []
-        for job_index, (graph_slot, job_pairs, offsets) in enumerate(jobs):
-            job_accounts, job_unresolved = steppers[graph_slot].run(
-                job_pairs, offsets, start_port=start_port
-            )
-            for local_index, account in job_accounts.items():
-                accounts[job_index, local_index] = account
-            unresolved.extend((job_index, local_index) for local_index in job_unresolved)
-
+        unresolved = []
+    success, failure = RouteOutcome.SUCCESS, RouteOutcome.FAILURE
     results: List[List[Optional[RouteResult]]] = [
         [None] * len(pairs) for _engine, pairs, _ns in tasks
     ]
-    for (job_index, local_index), account in accounts.items():
+    for job_index, (graph_slot, job_pairs, offsets) in enumerate(jobs):
+        if stacked:
+            keys: Sequence[object] = [
+                (job_index, local_index) for local_index in range(len(job_pairs))
+            ]
+        else:
+            accounts, job_unresolved = steppers[graph_slot].run(
+                job_pairs, offsets, start_port=start_port
+            )
+            unresolved.extend((job_index, local_index) for local_index in job_unresolved)
+            keys = range(len(job_pairs))
         task_index, indices, bound, header_bits, length = job_meta[job_index]
-        _engine, pairs, _ns = tasks[task_index]
-        pair_index = indices[local_index]
-        source, target = pairs[pair_index]
-        results[task_index][pair_index] = RouteResult(
-            outcome=(
-                RouteOutcome.SUCCESS if account.success else RouteOutcome.FAILURE
-            ),
-            delivered=account.success,
-            source=source,
-            target=target,
-            size_bound=bound,
-            sequence_length=length,
-            forward_virtual_steps=account.forward_steps,
-            backward_virtual_steps=account.backward_steps,
-            physical_hops=account.physical_hops,
-            target_found_at_step=account.target_found_at,
-            header_bits=header_bits,
-        )
+        task_results = results[task_index]
+        for key, pair_index, (source, target) in zip(keys, indices, job_pairs):
+            account = accounts.get(key)
+            if account is None:
+                continue  # spilled: finished on the scalar kernel below
+            delivered = account.success
+            task_results[pair_index] = RouteResult(
+                success if delivered else failure,
+                delivered,
+                source,
+                target,
+                bound,
+                length,
+                account.forward_steps,
+                account.backward_steps,
+                account.physical_hops,
+                account.target_found_at,
+                header_bits,
+            )
     for job_index, local_index in unresolved:
         task_index, indices = job_meta[job_index][0], job_meta[job_index][1]
         engine, pairs, namespace_size = tasks[task_index]

@@ -115,7 +115,7 @@ class RoutingHeader:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RouteResult:
     """Everything a single routing attempt produced.
 
@@ -123,6 +123,15 @@ class RouteResult:
     whether the payload actually reached the target (for a correct run these
     agree: SUCCESS iff delivered).  Step counts distinguish the walk on the
     reduced graph (``virtual``) from actual physical transmissions.
+
+    ``__init__`` is written out because a lockstep batch builds one result
+    per pair.  The one a frozen dataclass generates calls
+    ``object.__setattr__`` per field; storing each field into the instance
+    ``__dict__`` builds a result about three times faster, for 64 more
+    bytes per result (the ``__dict__`` object; its keys stay shared).  On
+    the traced ``batch-warm`` benchmark (2 cores, CPython 3.11) that moved
+    the untraced glue's share of the wall from ~10% to ~7%.  The signature
+    is the fields in order, with their defaults.
     """
 
     outcome: RouteOutcome
@@ -138,6 +147,37 @@ class RouteResult:
     header_bits: int
     node_memory_high_water_bits: int = 0
     simulation: Optional[SimulationResult] = None
+
+    def __init__(
+        self,
+        outcome: RouteOutcome,
+        delivered: bool,
+        source: int,
+        target: int,
+        size_bound: int,
+        sequence_length: int,
+        forward_virtual_steps: int,
+        backward_virtual_steps: int,
+        physical_hops: int,
+        target_found_at_step: Optional[int],
+        header_bits: int,
+        node_memory_high_water_bits: int = 0,
+        simulation: Optional[SimulationResult] = None,
+    ) -> None:
+        fields = self.__dict__
+        fields["outcome"] = outcome
+        fields["delivered"] = delivered
+        fields["source"] = source
+        fields["target"] = target
+        fields["size_bound"] = size_bound
+        fields["sequence_length"] = sequence_length
+        fields["forward_virtual_steps"] = forward_virtual_steps
+        fields["backward_virtual_steps"] = backward_virtual_steps
+        fields["physical_hops"] = physical_hops
+        fields["target_found_at_step"] = target_found_at_step
+        fields["header_bits"] = header_bits
+        fields["node_memory_high_water_bits"] = node_memory_high_water_bits
+        fields["simulation"] = simulation
 
     @property
     def total_virtual_steps(self) -> int:

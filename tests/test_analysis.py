@@ -202,6 +202,36 @@ def test_pick_source_target_pairs_deterministic():
     assert len(a) == 5
 
 
+def _spec_pairs(vertices, pairs, seed, distinct):
+    """The pair draws, spelled out: one ``rng.choice`` per endpoint, the
+    target re-drawn until it differs.  Recorded sweeps, batches and
+    provenance logs depend on exactly these draws."""
+    import random
+
+    rng = random.Random(seed)
+    chosen = []
+    for _ in range(pairs):
+        source = rng.choice(vertices)
+        target = rng.choice(vertices)
+        if distinct and len(vertices) > 1:
+            while target == source:
+                target = rng.choice(vertices)
+        chosen.append((source, target))
+    return chosen
+
+
+@pytest.mark.parametrize("distinct", [True, False])
+@pytest.mark.parametrize("num_vertices", [1, 2, 3, 16, 49])
+def test_pick_source_target_pairs_keeps_the_spec_draws(num_vertices, distinct):
+    graph = generators.path_graph(num_vertices)
+    vertices = list(graph.vertices)
+    for seed in (0, 1, 7, 12345):
+        for count in (0, 1, 5, 64):
+            assert pick_source_target_pairs(
+                graph, count, seed=seed, distinct=distinct
+            ) == _spec_pairs(vertices, count, seed, distinct)
+
+
 def test_run_parameter_sweep_collects_rows(provider):
     scenarios = structured_scenarios("ring", [5, 7])
 

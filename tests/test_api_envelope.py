@@ -416,3 +416,22 @@ def test_typed_from_json_rejects_other_kinds():
     text = to_json(golden_samples()["RouteRequest"])
     with pytest.raises(TaskError):
         BroadcastRequest.from_json(text)
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.0, 2.5, "3", None])
+def test_integer_fields_reject_booleans_and_non_integers(bad):
+    # A JSON ``true`` used to decode to 1 (and 2.5 to 2), so the decoded
+    # request re-encoded to different bytes than were sent.
+    fields = to_wire(RouteRequest(scenario=ScenarioSpec(name="g", family="grid", size=9),
+                                  source=0, target=1))["fields"]
+    for path in (("source",), ("target",), ("start_port",), ("scenario", "size")):
+        hostile = json.loads(json.dumps(fields))
+        holder = hostile
+        for key in path[:-1]:
+            holder = holder[key]
+        holder[path[-1]] = bad
+        with pytest.raises(TaskError, match="must be an integer"):
+            from_wire({"kind": "RouteRequest", "fields": hostile})
+    pairs = {"scenario": fields["scenario"], "pairs": [[0, bad]]}
+    with pytest.raises(TaskError, match="must be an integer"):
+        from_wire({"kind": "RouteBatchRequest", "fields": pairs})

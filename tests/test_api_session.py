@@ -31,7 +31,7 @@ from repro.core.broadcast import broadcast
 from repro.core.counting import count_nodes
 from repro.core.engine import prepare
 from repro.core.stconnectivity import exploration_connectivity
-from repro.errors import TaskError
+from repro.errors import ExperimentError, TaskError
 from repro.network.dynamics import reference_route_over_schedule
 
 GRID = ScenarioSpec(name="api-grid-16", family="grid", size=16, seed=0)
@@ -328,3 +328,14 @@ def test_pooled_batch_with_fewer_pairs_than_workers_matches_inline(num_pairs):
     pooled = session.submit(request, backend="process-pool")
     assert len(inline.payload["results"]) == num_pairs
     assert inline.payload == pooled.payload
+
+
+@pytest.mark.parametrize("size", [0, -4])
+def test_scenario_size_below_one_is_rejected(session, size):
+    # size -4 used to reach the grid builder and raise TypeError (a complex
+    # square root); size 0 silently routed on a default-size grid.
+    spec = ScenarioSpec(name="bad-size", family="grid", size=size)
+    with pytest.raises(ExperimentError, match="size must be >= 1"):
+        build_scenario(spec)
+    with pytest.raises(ExperimentError, match="size must be >= 1"):
+        session.submit(RouteRequest(scenario=spec, source=0, target=1))

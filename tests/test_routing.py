@@ -152,3 +152,28 @@ def test_property_route_outcome_matches_reachability(seed, provider):
     reachable = target in connected_component(graph, source)
     assert result.delivered == reachable
     assert (result.outcome is RouteOutcome.SUCCESS) == reachable
+
+
+def test_route_result_init_is_its_fields_in_order_and_stays_frozen():
+    # RouteResult writes its __init__ out for speed; it must still take
+    # exactly the dataclass fields, in order, with their defaults.
+    import dataclasses
+    import inspect
+    import pickle
+
+    from repro.core.routing import RouteResult
+
+    parameters = list(inspect.signature(RouteResult).parameters.values())
+    fields = dataclasses.fields(RouteResult)
+    assert [p.name for p in parameters] == [f.name for f in fields]
+    assert [p.default for p in parameters] == [
+        inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default
+        for f in fields
+    ]
+    result = RouteResult(RouteOutcome.SUCCESS, True, 0, 3, 8, 96, 5, 2, 4, 5, 21)
+    assert result.node_memory_high_water_bits == 0 and result.simulation is None
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        result.physical_hops = 0
+    assert dataclasses.replace(result, physical_hops=0).physical_hops == 0
+    assert pickle.loads(pickle.dumps(result)) == result
+    assert hash(result) == hash(RouteResult(**dataclasses.asdict(result)))

@@ -393,6 +393,33 @@ def test_untagged_and_bad_field_bodies_are_structured_400():
     assert _error_of(bad_fields)["code"] == "invalid-request"
 
 
+def test_hostile_sizes_and_boolean_integers_are_structured_400():
+    # Before validation: size -4 crashed the executor (500 internal-error),
+    # size 0 routed on a default-size grid, and ``"source": true`` routed
+    # from vertex 1.
+    def body(size=16, source=0):
+        wire = to_wire(RouteRequest(scenario=SPEC, source=0, target=1))
+        wire["fields"]["scenario"]["size"] = size
+        wire["fields"]["source"] = source
+        return json.dumps(wire).encode()
+
+    async def scenario():
+        async with running_server() as server:
+            return [
+                await raw(server, "POST", "/v1/task", body=payload)
+                for payload in (body(size=-4), body(size=0), body(source=True))
+            ]
+
+    negative, zero, boolean = asyncio.run(scenario())
+    for reply in (negative, zero):
+        assert reply.status == 400
+        error = _error_of(reply)
+        assert error["code"] == "task-error" and "size must be >= 1" in error["message"]
+    assert boolean.status == 400
+    error = _error_of(boolean)
+    assert error["code"] == "invalid-request" and "must be an integer" in error["message"]
+
+
 def test_batch_validation_is_atomic_and_indexed():
     async def scenario():
         async with running_server() as server:
