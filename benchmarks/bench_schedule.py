@@ -34,7 +34,7 @@ import sys
 import time
 from typing import List, Tuple
 
-from bench_utils import PROVIDER, emit_table, prepared
+from bench_utils import PROVIDER, emit_bench_json, emit_table, prepared
 from repro.core.exploration import WalkState, step_backward, step_forward
 from repro.graphs import generators
 from repro.graphs.connectivity import connected_component
@@ -231,8 +231,26 @@ def _emit(report: dict) -> None:
             "Identical results on every pair (outcome, steps taken, switches "
             "survived, soundness); the schedule-aware engine only amortises "
             "per-snapshot compilation and resumes the flat-array walk across "
-            "switch-overs."
+            "switch-overs, stepping each forward stretch on fused state tables."
         ),
+    )
+    emit_bench_json(
+        "schedule",
+        {
+            "mode": "smoke" if SMOKE else "full",
+            "config": {
+                "grid_side": GRID_SIDE,
+                "num_pairs": len(pairs),
+                "num_snapshots": NUM_SNAPSHOTS,
+                "switch_every": SWITCH_EVERY,
+                "min_speedup": MIN_SPEEDUP,
+            },
+            "reference_seconds": report["legacy_elapsed"],
+            "engine_seconds": report["engine_elapsed"],
+            "speedup": report["speedup"],
+            "mismatches": len(report["mismatches"]),
+            "delivered": report["delivered"],
+        },
     )
 
 

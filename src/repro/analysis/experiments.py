@@ -28,6 +28,7 @@ resume.
 from __future__ import annotations
 
 import itertools
+import numbers
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -182,10 +183,23 @@ def build_scenario(spec: ScenarioSpec) -> AdHocNetwork:
     (a grid needs a square side, a prism an even count, ``two-rings`` two
     cycles of >= 3 vertices, ...), so the realised vertex count can differ
     slightly from ``spec.size`` — read it off the returned network.  A
-    ``size`` below 1 is rejected rather than rounded up.
+    ``size`` below 1 is rejected rather than rounded up, and so are a
+    ``namespace_size`` that is not an integer and a ``radius`` that is not a
+    real number (booleans included).
     """
     if spec.size < 1:
         raise ExperimentError(f"scenario {spec.name!r}: size must be >= 1, got {spec.size}")
+    namespace_size, radius = spec.namespace_size, spec.radius
+    if namespace_size is not None and (
+        isinstance(namespace_size, bool) or not isinstance(namespace_size, numbers.Integral)
+    ):
+        raise ExperimentError(
+            f"scenario {spec.name!r}: namespace_size must be an integer, got {namespace_size!r}"
+        )
+    if radius is not None and (isinstance(radius, bool) or not isinstance(radius, numbers.Real)):
+        raise ExperimentError(
+            f"scenario {spec.name!r}: radius must be a real number, got {radius!r}"
+        )
     family = spec.family
     if family == "unit-disk":
         if spec.radius is None:
@@ -492,15 +506,26 @@ def pick_source_target_pairs(
     vertices = list(getattr(network, "graph", network).vertices)
     if not vertices:
         raise ExperimentError("cannot pick pairs from an empty network")
-    choice = random.Random(seed).choice
-    distinct = distinct and len(vertices) > 1
+    # ``Random.choice(vertices)`` draws ``getrandbits(k)`` until the value is
+    # below ``n``; the loop below makes exactly those draws without the two
+    # method calls per pick (the spec-draw test pins the equivalence).
+    getrandbits = random.Random(seed).getrandbits
+    count = len(vertices)
+    bits = count.bit_length()
+    distinct = distinct and count > 1
     chosen: List[Tuple[int, int]] = []
     for _ in range(pairs):
-        source = choice(vertices)
-        target = choice(vertices)
-        if distinct:
-            while target == source:
-                target = choice(vertices)
+        draw = getrandbits(bits)
+        while draw >= count:
+            draw = getrandbits(bits)
+        source = vertices[draw]
+        while True:
+            draw = getrandbits(bits)
+            while draw >= count:
+                draw = getrandbits(bits)
+            target = vertices[draw]
+            if not distinct or target != source:
+                break
         chosen.append((source, target))
     return chosen
 

@@ -28,6 +28,7 @@ and re-frozen to tuples on decode where the dataclass demands it.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -117,6 +118,27 @@ def _integer(value: object, field: str) -> int:
     return value
 
 
+def _optional_integer(value: object, field: str) -> Optional[int]:
+    """An optional wire integer field: an integer or ``null``, decoded strictly."""
+    if value is not None and type(value) is not int:
+        raise TaskError(f"{field!r} must be an integer or null, got {value!r}")
+    return value
+
+
+def _optional_real(value: object, field: str) -> Optional[float]:
+    """An optional wire real field: a finite number or ``null``, decoded strictly.
+
+    An integer stays an integer, so the request re-encodes to the bytes sent;
+    booleans, strings and the non-finite values Python's JSON parser admits
+    are rejected.
+    """
+    if value is not None and (
+        type(value) not in (int, float) or not math.isfinite(value)
+    ):
+        raise TaskError(f"{field!r} must be a real number or null, got {value!r}")
+    return value
+
+
 # --------------------------------------------------------------------------- #
 # ScenarioSpec <-> wire
 # --------------------------------------------------------------------------- #
@@ -142,9 +164,9 @@ def _spec_from_wire(data: Dict[str, object]) -> ScenarioSpec:
         family=str(data["family"]),
         size=_integer(data["size"], "size"),
         seed=_integer(data["seed"], "seed"),
-        radius=data.get("radius"),
+        radius=_optional_real(data.get("radius"), "radius"),
         dimension=_integer(data.get("dimension", 2), "dimension"),
-        namespace_size=data.get("namespace_size"),
+        namespace_size=_optional_integer(data.get("namespace_size"), "namespace_size"),
         extra=extra,
     )
 
@@ -183,7 +205,7 @@ def _decode_route(fields: Dict[str, object]) -> RouteRequest:
         scenario=_spec_from_wire(fields["scenario"]),
         source=_integer(fields["source"], "source"),
         target=_integer(fields["target"], "target"),
-        size_bound=fields.get("size_bound"),
+        size_bound=_optional_integer(fields.get("size_bound"), "size_bound"),
         start_port=_integer(fields.get("start_port", 0), "start_port"),
     )
 
@@ -210,7 +232,7 @@ def _decode_batch_as(cls, fields: Dict[str, object]):
     if "pair_seed" in fields:
         kwargs["pair_seed"] = _integer(fields["pair_seed"], "pair_seed")
     if "size_bound" in fields:
-        kwargs["size_bound"] = fields["size_bound"]
+        kwargs["size_bound"] = _optional_integer(fields["size_bound"], "size_bound")
     return cls(**kwargs)
 
 

@@ -22,13 +22,15 @@ Three steppers are provided:
     ``block[code * num_states + state]``.  Walks that share a start state
     share their entire forward trajectory (the walk is deterministic per
     start state), so the stepper advances only the *distinct source fronts*
-    in lockstep while recording the owner trajectory; each pair's
-    termination step, backward
-    phase and physical/virtual step accounting are then recovered from that
-    trajectory by vectorized reductions — the backward phase retraces the
-    forward walk exactly (reversibility, Section 2 of the paper), so its
-    accounting is a pure function of the forward owner sequence.  The numbers
-    produced are identical, walk for walk, to the scalar kernel in
+    in lockstep while recording the owner trajectory.  The bookkeeping is
+    per front too: each chunk finds every open pair's hit with one
+    comparison against its front's owner row (in bounded slices), and each
+    front's backward phase and physical/virtual step accounting is recovered
+    once, for all its pairs, from its owner-change mask and source visits — the
+    backward phase retraces the forward walk exactly (reversibility,
+    Section 2 of the paper), so its accounting is a pure function of the
+    forward owner sequence.  The numbers produced are identical, walk for
+    walk, to the scalar kernel in
     :meth:`repro.core.engine.PreparedNetwork.route`.
 
 :class:`ScheduleBatchedWalk` (dynamic-topology extension)
@@ -49,8 +51,8 @@ Three steppers are provided:
     advance a block per gather (``state = block[code * num_states + state]``
     where ``code`` is gathered per front from the offsets matrix).  Per-front
     sequence-length clamps keep termination detection and accounting exactly
-    those of :class:`BatchedWalk`; the accounting reductions are literally
-    shared (:func:`_account_from_trajectory`), so the multi-graph path is
+    those of :class:`BatchedWalk`; the per-front accounting reduction is
+    literally shared (:func:`_account_from_trajectory`), so the multi-graph path is
     bitwise identical to running each graph's batch alone — which is itself
     bitwise identical to the scalar walk.  This is what lets an entire sweep
     shard (all scenarios x all pairs) execute as a handful of NumPy calls in
@@ -66,6 +68,7 @@ only the constant factor differs.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -124,6 +127,12 @@ BLOCK_STEPS = 3
 #: size bound — hands its unresolved pairs back to the scalar kernel instead
 #: of exhausting memory; results are identical either way.
 _MAX_BUFFER_ELEMENTS = 1 << 26
+
+#: Elements one hit-detection comparison of :class:`BatchedWalk` covers at
+#: most: each chunk compares its open pairs' owner rows with their targets
+#: in slices of about this many elements, so the temporaries stay small
+#: whatever the batch size.
+_DETECT_SLICE_ELEMENTS = 1 << 16
 
 #: Outcome codes of :class:`ScheduleBatchedWalk` (mirroring DynamicOutcome,
 #: which lives above this module in the layer order).
@@ -190,36 +199,44 @@ def _account_from_trajectory(
     trajectory: "_np.ndarray",
     source: int,
     sequence_length: int,
-    target_found: Optional[int],
-) -> StaticWalkAccount:
-    """Recover one pair's full accounting from its recorded owner trajectory.
+    found: Sequence[Optional[int]],
+) -> List[StaticWalkAccount]:
+    """Recover the accounting of every pair of one front from its owner trajectory.
 
-    The backward phase retraces the forward walk exactly (reversibility,
+    ``trajectory`` is the front's recorded owner sequence (position 0 is the
+    source) and ``found`` holds each of the front's pairs' hit step, or
+    ``None`` for a pair whose target the whole sequence never met.  The
+    backward phase retraces the forward walk exactly (reversibility,
     Section 2 of the paper), so every reported number is a function of the
-    forward owner sequence: the walk runs ``forward_steps`` steps (the hit
-    step, or the whole sequence on failure), backtracks to the *last* visit
-    of the source, and counts a physical hop at every owner change in both
-    directions.  Shared verbatim by :class:`BatchedWalk` and
+    forward owner sequence: a pair's walk runs ``forward_steps`` steps (its
+    hit step, or the whole sequence on failure), backtracks to the *last*
+    visit of the source at or before that step, and counts a physical hop at
+    every owner change in both directions.  The front's owner-change mask
+    and the positions of its source visits are computed once, up to its last
+    hit; each pair then takes one binary search (``bisect``, the scalar
+    ``searchsorted``) for its last source visit at or before its hit step
+    and two counts on the mask: the changes before the hit, and those
+    between that visit and the hit.  (Vectorised lookups, or a ``cumsum``
+    over the walk, were faster on ``BatchedWalk``'s fronts of a dozen pairs
+    but slower than the per-pair reduction they replace on the one- and
+    two-pair fronts a sweep mostly has.)  Shared verbatim by :class:`BatchedWalk` and
     :class:`MultiGraphWalk`, so the single- and multi-graph lockstep paths
     cannot drift apart.
     """
-    forward_steps = sequence_length if target_found is None else target_found
-    owner_walk = trajectory[: forward_steps + 1]
-    changes = owner_walk[1:] != owner_walk[:-1]
-    source_visits = _np.nonzero(owner_walk == source)[0]
-    if not source_visits.size:  # pragma: no cover - impossible:
-        # position 0 is the source's gateway.
-        raise RoutingError("backtracking failed to return to the source")
-    last_visit = int(source_visits[-1])
-    return StaticWalkAccount(
-        success=target_found is not None,
-        forward_steps=int(forward_steps),
-        backward_steps=int(forward_steps - last_visit),
-        physical_hops=int(
-            _np.count_nonzero(changes) + _np.count_nonzero(changes[last_visit:])
-        ),
-        target_found_at=target_found,
-    )
+    steps = [sequence_length if hit is None else hit for hit in found]
+    walk = trajectory[: max(steps) + 1]
+    # changed[k]: the owner changes on step k + 1.
+    changed = walk[1:] != walk[:-1]
+    # Position 0 is the source's gateway, so every pair has a visit to find.
+    source_visits = (walk == source).nonzero()[0].tolist()
+    count = _np.count_nonzero
+    accounts: List[StaticWalkAccount] = []
+    for hit, step in zip(found, steps):
+        visit = source_visits[bisect_right(source_visits, step) - 1]
+        # NumPy counts come back as NumPy integers; results carry plain ints.
+        hops = int(count(changed[:step]) + count(changed[visit:step]))
+        accounts.append(StaticWalkAccount(hit is not None, step, step - visit, hops, hit))
+    return accounts
 
 
 @dataclass(frozen=True)
@@ -300,8 +317,13 @@ class BatchedWalk:
 
         ``pairs`` are ``(source, target)`` original-vertex pairs (duplicates
         and self-pairs allowed); ``offsets`` is the exploration sequence,
-        extended one chunk window at a time.  Every front advances
-        :data:`BLOCK_STEPS` steps per gather.  Returns a mapping from pair
+        extended one chunk window at a time.  Every front (the pairs of one
+        source) advances :data:`BLOCK_STEPS` steps per gather.  After each
+        chunk, all open pairs are checked against their fronts' owner rows
+        in one comparison, taken in slices of about
+        :data:`_DETECT_SLICE_ELEMENTS` elements; a front stops once none of
+        its pairs is open.  The accounting then runs once per front
+        (:func:`_account_from_trajectory`).  Returns a mapping from pair
         index to its :class:`StaticWalkAccount` plus the list of indices the
         stepper did not resolve because the trajectory buffer cap was reached
         — the caller finishes those on the scalar kernel (identical results).
@@ -330,29 +352,38 @@ class BatchedWalk:
                 order.append(source)
             bucket.append(index)
 
-        accounts: Dict[int, StaticWalkAccount] = {}
-        found_at: Dict[int, int] = {}
-        # remaining[source] -> [(pair index, target), ...] not yet terminated.
-        remaining: Dict[int, List[Tuple[int, int]]] = {}
-        for source in order:
-            open_pairs: List[Tuple[int, int]] = []
+        # found[index]: the pair's hit step; a self-pair's walk succeeds
+        # before taking a single step (owner(start state) == source).
+        found: List[Optional[int]] = [None] * len(pairs)
+        # The open pairs as parallel arrays: pair index, target, and the
+        # column of the pair's front among the active fronts.
+        open_index: List[int] = []
+        open_target: List[int] = []
+        open_column: List[int] = []
+        active: List[int] = []  # positions in ``order``
+        for front, source in enumerate(order):
             for index in by_source[source]:
                 target = pairs[index][1]
                 if target == source:
-                    # owner(start state) == source: the scalar walk succeeds
-                    # before taking a single step.
-                    found_at[index] = 0
+                    found[index] = 0
                 else:
-                    open_pairs.append((index, target))
-            remaining[source] = open_pairs
+                    open_index.append(index)
+                    open_target.append(target)
+                    open_column.append(len(active))
+            if open_column and open_column[-1] == len(active):
+                active.append(front)
+        pair_index = _np.array(open_index, dtype=_np.int64)
+        pair_target = _np.array(open_target, dtype=_np.int32)
+        pair_column = _np.array(open_column, dtype=_np.int64)
 
         # --- stage 1: lockstep-advance the distinct fronts, recording the
-        # owner trajectory chunk by chunk (one contiguous row per front),
+        # owner trajectory chunk by chunk (one row per front and chunk),
         # with termination detection and front compaction per chunk.
-        chunks: List[Tuple[Dict[int, int], "_np.ndarray"]] = []
-        active: List[int] = [source for source in order if remaining[source]]
+        trajectory_rows: List[List["_np.ndarray"]] = [
+            [_np.array([source], dtype=_np.int32)] for source in order
+        ]
         state = _np.array(
-            [3 * kernel.gateway(source) + start_port for source in active],
+            [3 * kernel.gateway(order[front]) + start_port for front in active],
             dtype=_np.int32,
         )
         buffered_elements = 0
@@ -381,52 +412,55 @@ class BatchedWalk:
             state = trajectory[:, rows - 1]
             owners = owner_state[trajectory[:, :rows]]
             buffered_elements += owners.size
-            column_of = {source: column for column, source in enumerate(active)}
-            chunks.append((column_of, owners))
-            for source in active:
-                row_owners = owners[column_of[source]]
-                still_open: List[Tuple[int, int]] = []
-                for index, target in remaining[source]:
-                    hits = _np.nonzero(row_owners == target)[0]
-                    if hits.size:
-                        found_at[index] = global_step + int(hits[0]) + 1
-                    else:
-                        still_open.append((index, target))
-                remaining[source] = still_open
+            for front, row in zip(active, owners):
+                trajectory_rows[front].append(row)
+            # Every open pair against its front's owner row, in slices of
+            # bounded size: a pair's first match is its hit.
+            first = _np.empty(len(pair_index), dtype=_np.int64)
+            hit = _np.empty(len(pair_index), dtype=bool)
+            per_slice = max(1, _DETECT_SLICE_ELEMENTS // rows)
+            for start in range(0, len(pair_index), per_slice):
+                span = slice(start, start + per_slice)
+                matches = owners[pair_column[span]] == pair_target[span, None]
+                first[span] = matches.argmax(axis=1)
+                hit[span] = matches.any(axis=1)
+            for index, step in zip(
+                pair_index[hit].tolist(), (first[hit] + global_step + 1).tolist()
+            ):
+                found[index] = step
             global_step += rows
-            survivors = [source for source in active if remaining[source]]
-            if len(survivors) != len(active):
-                keep = _np.array(
-                    [column_of[source] for source in survivors], dtype=_np.int64
-                )
-                state = state[keep]
-                active = survivors
+            still_open = ~hit
+            pair_index = pair_index[still_open]
+            pair_target = pair_target[still_open]
+            pair_column = pair_column[still_open]
+            walking = _np.zeros(len(active), dtype=bool)
+            walking[pair_column] = True
+            if not walking.all():
+                pair_column = (_np.cumsum(walking) - 1)[pair_column]
+                survivors = _np.flatnonzero(walking)
+                state = state[survivors]
+                active = [active[column] for column in survivors.tolist()]
 
-        # --- stage 2: per-pair accounting by vectorized reductions over the
+        # --- stage 2: per-front accounting by vectorized reductions over the
         # recorded owner trajectory (the backward phase retraces the forward
         # walk, so its step/hop counts are functions of that trajectory).
-        unresolved: List[int] = []
-        for source in order:
-            if truncated and remaining[source]:
-                # This front was still walking when the buffer cap hit: every
-                # unfinished pair goes back to the scalar kernel.
-                unresolved.extend(index for index, _ in remaining[source])
-            trajectory_rows: List["_np.ndarray"] = [
-                _np.array([source], dtype=_np.int32)
-            ]
-            for column_of, owners in chunks:
-                column = column_of.get(source)
-                if column is None:
-                    break
-                trajectory_rows.append(owners[column])
-            trajectory = _np.concatenate(trajectory_rows)
-            for index in by_source[source]:
-                target_found = found_at.get(index)
-                if target_found is None and truncated:
-                    continue  # already queued as unresolved
-                accounts[index] = _account_from_trajectory(
-                    trajectory, source, length, target_found
-                )
+        # Pairs still open after a truncated run go back to the scalar
+        # kernel; after a complete run they are failures.
+        unresolved = pair_index.tolist() if truncated else []
+        skipped = set(unresolved)
+        accounts: Dict[int, StaticWalkAccount] = {}
+        for front, source in enumerate(order):
+            indices = [index for index in by_source[source] if index not in skipped]
+            if not indices:
+                continue
+            rows = trajectory_rows[front]
+            front_accounts = _account_from_trajectory(
+                rows[0] if len(rows) == 1 else _np.concatenate(rows),
+                source,
+                length,
+                [found[index] for index in indices],
+            )
+            accounts.update(zip(indices, front_accounts))
         return accounts, unresolved
 
 
@@ -830,7 +864,8 @@ class MultiGraphWalk:
                 front_rows = front_rows[keep]
                 active = survivors
 
-        # --- stage 2: shared per-pair accounting over recorded trajectories.
+        # --- stage 2: the shared per-front accounting over the recorded
+        # trajectories.
         unresolved: List[Tuple[int, int]] = []
         truncated_fronts = set(active) if truncated else set()
         for front in front_order:
@@ -841,6 +876,13 @@ class MultiGraphWalk:
                 unresolved.extend(
                     (job, pair_index) for pair_index, _ in remaining[front]
                 )
+            keys = [
+                (job, pair_index)
+                for pair_index in members[front]
+                if (job, pair_index) in found_at or front not in truncated_fronts
+            ]
+            if not keys:
+                continue  # every pair already queued as unresolved
             trajectory_rows: List["_np.ndarray"] = [
                 _np.array([source], dtype=_np.int32)
             ]
@@ -849,15 +891,13 @@ class MultiGraphWalk:
                 if column is None:
                     break
                 trajectory_rows.append(owners[column])
-            trajectory = _np.concatenate(trajectory_rows)
-            for pair_index in members[front]:
-                key = (job, pair_index)
-                target_found = found_at.get(key)
-                if target_found is None and front in truncated_fronts:
-                    continue  # already queued as unresolved
-                accounts[key] = _account_from_trajectory(
-                    trajectory, source, lengths[job], target_found
-                )
+            front_accounts = _account_from_trajectory(
+                _np.concatenate(trajectory_rows),
+                source,
+                lengths[job],
+                [found_at.get(key) for key in keys],
+            )
+            accounts.update(zip(keys, front_accounts))
         return accounts, unresolved
 
 

@@ -53,7 +53,11 @@ kernel exactly once — rotation-identical snapshots share one kernel, and each
 compilation lands in the same per-graph cache the static engine uses — and
 the schedule walk *resumes* across switch-overs by translating the current
 virtual position between kernels in O(1) instead of re-deriving the reduction
-per call.  Outcomes are identical to
+per call.  Each distinct kernel also gets fused state tables when the
+schedule is prepared (``forward[o][state]`` and ``owner_of_state[state]``
+over ``state = 3 * vertex + entry``), so the forward ticks between two switch
+times run as one tight loop over the ``bytes`` prefix that tests the target
+only when the owner changes.  Outcomes are identical to
 :func:`repro.network.dynamics.reference_route_over_schedule`, the original
 per-call implementation kept as the executable specification.
 
@@ -80,7 +84,9 @@ exposes the cache sizes and hit counters for diagnostics.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
+from operator import length_hint
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.kernel_store import (
@@ -208,6 +214,8 @@ class PreparedNetwork:
         discovers — is read from the precomputed component table in O(1).
         """
         if size_bound is not None:
+            if isinstance(size_bound, bool) or not isinstance(size_bound, numbers.Integral):
+                raise RoutingError(f"size_bound must be an integer, got {size_bound!r}")
             if size_bound < 1:
                 raise RoutingError("size_bound must be positive")
             return size_bound
@@ -594,6 +602,40 @@ def prepare(network_or_graph: object) -> PreparedNetwork:
 # Schedule-aware engine (dynamic-topology extension)
 # ---------------------------------------------------------------------- #
 
+#: Offsets a forward stretch of :meth:`PreparedSchedule.route` copies out of
+#: the prefix at a time, so a short walk never copies a long prefix.
+_STRETCH_WINDOW = 4096
+
+
+#: One kernel's fused state tables: ``(forward, owner_of_state)``.
+_FusedTables = Tuple[Tuple[Tuple[int, ...], ...], Tuple[int, ...]]
+
+
+def _fused_tables(kernel: CompiledWalk, states: Sequence[int]) -> _FusedTables:
+    """The schedule walk's state tables of one kernel: ``(forward, owner_of_state)``.
+
+    A walk state is ``3 * vertex + entry``.  ``forward[o][state]`` is the
+    state one forward step with offset ``o`` leads to, and
+    ``owner_of_state[state]`` is the original vertex its virtual vertex
+    simulates, so a forward step is two tuple reads instead of the kernel
+    arithmetic.  The forward tables take their entries from ``states``
+    (``states[i] == i``, at least as long as this kernel's state count), so
+    every kernel of a schedule shares one int object per state and a table
+    costs a pointer per entry.
+    """
+    num_states = 3 * kernel.num_vertices
+    # landing[edge]: the state reached by leaving through ``edge``.
+    landing = [
+        states[3 * vertex + port] for vertex, port in zip(kernel.next_vertex, kernel.next_port)
+    ]
+    # Under offset o, entries 0, 1, 2 leave through ports (entry + o) % 3.
+    forward = tuple(
+        tuple([landing[base + port] for base in range(0, num_states, 3) for port in exits])
+        for exits in ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+    )
+    owner_of_state = tuple([owner for owner in kernel.owner for _entry in range(3)])
+    return forward, owner_of_state
+
 
 class PreparedSchedule:
     """All per-schedule routing state, compiled once and resumed across switches.
@@ -614,17 +656,26 @@ class PreparedSchedule:
       not merely same edge set — the walk consults port labels) share one
       kernel even when they are distinct objects;
     * the exploration sequence is the provider's lazy offset stream, read
-      through the snapshot-0 engine.
+      through the snapshot-0 engine;
+    * every distinct kernel gets its fused state tables (:func:`_fused_tables`):
+      ``forward[o][state]`` and ``owner_of_state[state]``, with the walk state
+      ``3 * vertex + entry``.  They belong to this object and go with it.
 
     :meth:`route` then replays the schedule walk by *resuming* the flat-array
     walk across switch-overs: at each switch the current virtual position is
     translated between kernels in O(1) (owner + carried-port offset) instead
     of re-deriving the degree reduction, which is what the pre-engine
-    implementation paid on every call.  Results are identical to
-    :func:`repro.network.dynamics.reference_route_over_schedule`, the
-    original implementation kept as the executable specification (see the
-    parity tests in ``tests/test_dynamics.py`` and the speedup benchmark in
-    ``benchmarks/bench_schedule.py``).
+    implementation paid on every call.  A forward walk steps on every tick,
+    so the ticks up to the next switch time run as one stretch: a loop over
+    the prefix through ``forward`` that reads ``owner_of_state`` and tests
+    the target only when the owner changes.  Switch-overs, stranding, the
+    turn, the backward phase (which keeps the kernel arithmetic), soundness
+    and the tick budget are those of the per-tick walk.  Results are
+    identical to :func:`repro.network.dynamics.reference_route_over_schedule`,
+    the original implementation kept as the executable specification (see
+    the parity tests in ``tests/test_dynamics.py``, the property over drawn
+    schedules in ``tests/test_schedule_stretches.py`` and the speedup
+    benchmark in ``benchmarks/bench_schedule.py``).
     """
 
     def __init__(
@@ -655,6 +706,13 @@ class PreparedSchedule:
         self._engines = engines
         self._kernels = [engine.kernel for engine in engines]
         self._num_compiled = len(engines_by_graph)
+        # The fused state tables of each distinct kernel, per snapshot.
+        states = list(range(3 * max(kernel.num_vertices for kernel in self._kernels)))
+        tables_of: Dict[int, _FusedTables] = {}
+        for kernel in self._kernels:
+            if id(kernel) not in tables_of:
+                tables_of[id(kernel)] = _fused_tables(kernel, states)
+        self._tables = [tables_of[id(kernel)] for kernel in self._kernels]
 
     # ------------------------------------------------------------------ #
     # Shared state accessors
@@ -709,28 +767,27 @@ class PreparedSchedule:
         )
         length = len(stream)
         offsets = stream.prefix
-        available = len(offsets)
 
         switch_times = schedule.switch_times
         kernels = self._kernels
+        tables = self._tables
         num_snapshots = len(snapshots)
 
         active = 0
         active_graph = snapshots[0]
         kernel = kernels[0]
-        next_vertex = kernel.next_vertex
-        next_port = kernel.next_port
-        owner = kernel.owner
+        forward, owner_of_state = tables[0]
 
-        vertex = kernel.gateway(source)
-        entry = 0
+        state = 3 * kernel.gateway(source)
         current_original = source
         switches_survived = 0
         steps = 0
         direction_forward = True
         status_failure = False
 
-        for time in range(2 * length + 2):
+        time = 0
+        budget = 2 * length + 2
+        while time < budget:
             # Activate every snapshot whose switch time has passed.  A switch
             # to a *different graph object* translates the walk position into
             # the new kernel (owner + carried-port offset, both O(1)); a
@@ -743,7 +800,7 @@ class PreparedSchedule:
                     continue
                 new_kernel = kernels[active]
                 switches_survived += 1
-                translated = kernel.translate_virtual(new_kernel, vertex)
+                translated = kernel.translate_virtual(new_kernel, state // 3)
                 if translated is None:
                     return DynamicRouteResult(
                         outcome=DynamicOutcome.STRANDED,
@@ -754,12 +811,10 @@ class PreparedSchedule:
                             f"degree of node {current_original} changed under the message"
                         ),
                     )
-                vertex = translated
+                state = 3 * translated + state % 3
                 active_graph = new_graph
                 kernel = new_kernel
-                next_vertex = kernel.next_vertex
-                next_port = kernel.next_port
-                owner = kernel.owner
+                forward, owner_of_state = tables[active]
 
             if direction_forward:
                 if current_original == target:
@@ -769,19 +824,35 @@ class PreparedSchedule:
                         switches_survived=switches_survived,
                         sound=True,
                     )
-                # ``available <= length``: one comparison per tick covers the
-                # end of the generated prefix and the end of the sequence.
-                if steps >= available:
-                    if steps >= length:
-                        direction_forward = False
-                        status_failure = True
-                        continue
-                    offsets = stream.extend_to(steps + 1)
-                    available = len(offsets)
-                edge = 3 * vertex + (entry + offsets[steps]) % 3
-                vertex = next_vertex[edge]
-                entry = next_port[edge]
-                steps += 1
+                if steps >= length:
+                    direction_forward = False
+                    status_failure = True
+                    time += 1
+                    continue
+                # A forward walk steps on every tick (``steps == time``), so
+                # the ticks up to the next switch time run as one stretch over
+                # the prefix, testing the target only when the owner changes.
+                # A hit ends the stretch; the next tick applies any switch due
+                # and then reports the delivery, as the per-tick walk does.
+                stop = length
+                if active + 1 < num_snapshots:
+                    stop = min(stop, switch_times[active + 1])
+                while steps < stop and current_original != target:
+                    if steps >= len(offsets):
+                        offsets = stream.extend_to(steps + 1)
+                    window = offsets[steps : min(stop, len(offsets), steps + _STRETCH_WINDOW)]
+                    ticks = iter(window)
+                    for offset in ticks:
+                        state = forward[offset][state]
+                        owner = owner_of_state[state]
+                        if owner != current_original:
+                            current_original = owner
+                            if owner == target:
+                                break
+                    # A bytes iterator's length hint is exactly what it has
+                    # not yielded yet.
+                    steps += len(window) - length_hint(ticks)
+                time = steps
             else:
                 if current_original == source or steps == 0:
                     sound = (
@@ -800,12 +871,14 @@ class PreparedSchedule:
                             else "failure reported although a path existed throughout"
                         ),
                     )
-                edge = 3 * vertex + entry
-                previous_vertex = next_vertex[edge]
-                entry = (next_port[edge] - offsets[steps - 1]) % 3
+                # A backward step leaves through the entry edge, which is the
+                # state index itself.
+                state = 3 * kernel.next_vertex[state] + (
+                    kernel.next_port[state] - offsets[steps - 1]
+                ) % 3
                 steps -= 1
-                vertex = previous_vertex
-            current_original = owner[vertex]
+                current_original = owner_of_state[state]
+                time += 1
 
         return DynamicRouteResult(
             outcome=DynamicOutcome.STRANDED,

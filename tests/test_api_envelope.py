@@ -56,7 +56,8 @@ _SPECS = st.builds(
     family=st.sampled_from(SCENARIO_FAMILIES),
     size=st.integers(1, 500),
     seed=st.integers(0, 2 ** 32),
-    radius=st.none() | st.floats(0.01, 2.0, allow_nan=False),
+    # An integer radius must decode as the integer sent, not as a float.
+    radius=st.none() | st.floats(0.01, 2.0, allow_nan=False) | st.integers(1, 5),
     dimension=st.sampled_from([2, 3]),
     namespace_size=st.none() | st.integers(1, 2 ** 48),
     extra=st.lists(st.tuples(_NAMES, _SCALARS), max_size=3).map(tuple),
@@ -435,3 +436,37 @@ def test_integer_fields_reject_booleans_and_non_integers(bad):
     pairs = {"scenario": fields["scenario"], "pairs": [[0, bad]]}
     with pytest.raises(TaskError, match="must be an integer"):
         from_wire({"kind": "RouteBatchRequest", "fields": pairs})
+
+
+_DROP_EDGE = ScenarioSpec(
+    name="g", family="grid", size=9, extra=(("snapshots", 2), ("mutation", "drop-edge"))
+)
+
+
+@pytest.mark.parametrize("bad", [True, False, 2.5, 7.0, "7", [7], {}])
+def test_optional_integer_fields_decode_strictly(bad):
+    # ``"size_bound": 2.5`` used to decode and raise AttributeError in the
+    # executor, ``"7"`` a TypeError (both daemon 500s), and ``true`` routed
+    # with bound 1; ``"namespace_size": "x"`` was a TypeError too.
+    kinds = [
+        ("RouteRequest", RouteRequest(scenario=_DROP_EDGE, source=0, target=1)),
+        ("RouteBatchRequest", RouteBatchRequest(scenario=_DROP_EDGE, num_pairs=2)),
+        ("ScheduleRouteRequest", ScheduleRouteRequest(scenario=_DROP_EDGE, num_pairs=2)),
+    ]
+    for kind, request in kinds:
+        for path in (("size_bound",), ("scenario", "namespace_size")):
+            hostile = to_wire(request)
+            holder = hostile["fields"]
+            for key in path[:-1]:
+                holder = holder[key]
+            holder[path[-1]] = bad
+            with pytest.raises(TaskError, match=f"'{path[-1]}' must be an integer or null"):
+                from_wire(hostile)
+
+
+@pytest.mark.parametrize("bad", [True, False, "0.3", [0.3], float("nan"), float("inf")])
+def test_radius_decodes_as_a_real_number_or_null(bad):
+    wire = to_wire(RouteRequest(scenario=_DROP_EDGE, source=0, target=1))
+    wire["fields"]["scenario"]["radius"] = bad
+    with pytest.raises(TaskError, match="'radius' must be a real number or null"):
+        from_wire(wire)

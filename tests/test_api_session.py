@@ -31,7 +31,7 @@ from repro.core.broadcast import broadcast
 from repro.core.counting import count_nodes
 from repro.core.engine import prepare
 from repro.core.stconnectivity import exploration_connectivity
-from repro.errors import ExperimentError, TaskError
+from repro.errors import ExperimentError, RoutingError, TaskError
 from repro.network.dynamics import reference_route_over_schedule
 
 GRID = ScenarioSpec(name="api-grid-16", family="grid", size=16, seed=0)
@@ -328,6 +328,33 @@ def test_pooled_batch_with_fewer_pairs_than_workers_matches_inline(num_pairs):
     pooled = session.submit(request, backend="process-pool")
     assert len(inline.payload["results"]) == num_pairs
     assert inline.payload == pooled.payload
+
+
+@pytest.mark.parametrize("bad", [True, 2.5, "7"])
+def test_hostile_optional_numeric_fields_are_structured_errors(session, bad):
+    # A size bound of 2.5 used to raise AttributeError in the sequence
+    # provider and "7" a TypeError; ``True`` silently routed with bound 1.
+    # The same for namespace sizes and radii that are not numbers.
+    grid = ScenarioSpec(name="hostile", family="grid", size=9)
+    dynamic = ScenarioSpec(
+        name="hostile-drop", family="grid", size=9,
+        extra=(("snapshots", 2), ("mutation", "drop-edge")),
+    )
+    requests = [
+        RouteRequest(scenario=grid, source=0, target=8, size_bound=bad),
+        RouteBatchRequest(scenario=grid, num_pairs=40, pair_seed=1, size_bound=bad),
+        ScheduleRouteRequest(scenario=dynamic, num_pairs=3, size_bound=bad),
+    ]
+    for request in requests:
+        with pytest.raises(RoutingError, match="size_bound must be an integer"):
+            session.submit(request)
+    spec = ScenarioSpec(name="hostile-ns", family="grid", size=9, namespace_size=bad)
+    with pytest.raises(ExperimentError, match="namespace_size must be an integer"):
+        session.submit(RouteRequest(scenario=spec, source=0, target=8))
+    if not isinstance(bad, float):
+        spec = ScenarioSpec(name="hostile-r", family="unit-disk", size=9, radius=bad)
+        with pytest.raises(ExperimentError, match="radius must be a real number"):
+            session.submit(RouteRequest(scenario=spec, source=0, target=8))
 
 
 @pytest.mark.parametrize("size", [0, -4])

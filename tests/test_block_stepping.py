@@ -6,7 +6,10 @@ arrays.  Chunk windows are zero-padded to whole blocks, so a chunk end, a
 job's sequence horizon and a buffer-cap truncation can all fall inside a
 block.  The properties here drive exactly those cases — explicit offset
 sequences of every length modulo the block size, chunk sizes patched small,
-jobs of different lengths, truncating buffer caps — and require that
+jobs of different lengths, truncating buffer caps — together with fronts
+that carry many pairs (repeated targets and self-pairs among them, since
+each front's accounting is computed once for all its pairs) and, for
+``BatchedWalk``, hit-detection slices patched small — and require that
 
 * every resolved account equals the scalar ``reference_route_many`` run on
   the same sequence, and
@@ -94,7 +97,15 @@ def _jobs(draw, max_graphs: int):
                 max_size=8,
             )
         )
-        jobs.append((slot, pairs, offsets))
+        # Fronts carrying many pairs: one source with up to a dozen
+        # targets, repeated targets and the source itself among them.
+        for _ in range(draw(st.integers(min_value=0, max_value=2))):
+            source = draw(st.sampled_from(vertices))
+            targets = draw(
+                st.lists(st.sampled_from(vertices + [source]), min_size=1, max_size=12)
+            )
+            pairs += [(source, target) for target in targets]
+        jobs.append((slot, draw(st.permutations(pairs)), offsets))
     return graphs, jobs
 
 
@@ -108,6 +119,15 @@ def _reference(graph: LabeledGraph, pairs, offsets: bytes, start_port: int):
     return prepare(graph).reference_route_many(
         pairs, provider=_FixedSequence(offsets), start_port=start_port
     )
+
+
+def _assert_plain(account: batch_kernel.StaticWalkAccount) -> None:
+    # Accounts end up in JSON results and provenance records: NumPy scalars
+    # compare equal to ints but do not serialize.
+    assert type(account.success) is bool
+    for value in (account.forward_steps, account.backward_steps, account.physical_hops):
+        assert type(value) is int
+    assert account.target_found_at is None or type(account.target_found_at) is int
 
 
 def _as_account(result) -> batch_kernel.StaticWalkAccount:
@@ -167,13 +187,22 @@ def _spec_unresolved(
 
 @needs_numpy
 @_RELAXED
-@given(case=_jobs(max_graphs=1), chunks=_CHUNKS, cap=_CAPS, start_port=st.integers(0, 2))
-def test_batched_block_stepping_equals_reference(case, chunks, cap, start_port):
+@given(
+    case=_jobs(max_graphs=1),
+    chunks=_CHUNKS,
+    cap=_CAPS,
+    start_port=st.integers(0, 2),
+    detect_slice=st.integers(1, 48),
+)
+def test_batched_block_stepping_equals_reference(case, chunks, cap, start_port, detect_slice):
+    # The hit detection's slices are patched small too, so a slice boundary
+    # can split the open pairs of one front.
     graphs, jobs = case
     kernel = prepare(graphs[0]).kernel
     for _slot, pairs, offsets in jobs:
         with mock.patch.object(batch_kernel, "_CHUNK_ROWS_MIN", chunks[0]), \
-                mock.patch.object(batch_kernel, "_CHUNK_ROWS_MAX", chunks[1]):
+                mock.patch.object(batch_kernel, "_CHUNK_ROWS_MAX", chunks[1]), \
+                mock.patch.object(batch_kernel, "_DETECT_SLICE_ELEMENTS", detect_slice):
             accounts, unresolved = BatchedWalk(kernel).run(
                 pairs, OffsetStream(offsets), start_port=start_port, max_buffer_elements=cap
             )
@@ -183,6 +212,7 @@ def test_batched_block_stepping_equals_reference(case, chunks, cap, start_port):
         assert set(accounts) | set(unresolved) == set(range(len(pairs)))
         for index, account in accounts.items():
             assert account == _as_account(reference[index])
+            _assert_plain(account)
 
 
 @needs_numpy
@@ -212,6 +242,7 @@ def test_multigraph_block_stepping_equals_reference(case, chunks, cap, start_por
     assert set(accounts) | set(unresolved) == every_key
     for (job, index), account in accounts.items():
         assert account == _as_account(references[job][index])
+        _assert_plain(account)
 
 
 def _walk_block(step: Sequence[Sequence[int]], code: int, state: int) -> List[int]:

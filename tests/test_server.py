@@ -420,6 +420,41 @@ def test_hostile_sizes_and_boolean_integers_are_structured_400():
     assert error["code"] == "invalid-request" and "must be an integer" in error["message"]
 
 
+def test_hostile_optional_numeric_fields_are_structured_400():
+    # Before strict decoding: ``"size_bound": 2.5`` and ``"7"`` crashed the
+    # executor and ``"namespace_size": "x"`` too (500 internal-error), while
+    # ``"size_bound": true`` routed with bound 1.
+    def body(kind="size_bound", value=None):
+        wire = to_wire(RouteRequest(scenario=SPEC, source=0, target=1))
+        holder = wire["fields"] if kind == "size_bound" else wire["fields"]["scenario"]
+        holder[kind] = value
+        return json.dumps(wire).encode()
+
+    bodies = [
+        body(value=2.5),
+        body(value="7"),
+        body(value=True),
+        body("namespace_size", "x"),
+        body("radius", True),
+    ]
+
+    async def scenario():
+        async with running_server() as server:
+            replies = [await raw(server, "POST", "/v1/task", body=payload) for payload in bodies]
+            good = await raw(server, "POST", "/v1/task", body=body(value=16))
+            return replies, good
+
+    replies, good = asyncio.run(scenario())
+    for reply in replies:
+        assert reply.status == 400
+        error = _error_of(reply)
+        assert error["code"] == "invalid-request"
+        assert "must be an integer or null" in error["message"] or (
+            "must be a real number or null" in error["message"]
+        )
+    assert good.status == 200
+
+
 def test_batch_validation_is_atomic_and_indexed():
     async def scenario():
         async with running_server() as server:
