@@ -1,63 +1,57 @@
 """Lockstep batched walk kernel — NumPy vectorization over ``CompiledWalk`` arrays.
 
 Every batch workload in the repository (sweeps, conformance, ``route-many``,
-the ProcessPool chunk path) routes *sets* of pairs over one prepared graph,
-and until this module existed :meth:`repro.core.engine.PreparedNetwork.route_many`
-simply looped the scalar walk per pair.  This module advances all in-flight
-walks in synchronous lockstep — the round-based, full-information view of
-the walk — over the flat arrays of
+the ProcessPool chunk path) routes *sets* of pairs over prepared graphs.
+This module advances all in-flight walks in synchronous lockstep — the
+round-based, full-information view of the walk — over the flat arrays of
 :class:`repro.core.walk_kernel.CompiledWalk`.  The walk is a deterministic
-function of the state and the next offset, so :data:`BLOCK_STEPS`
-consecutive steps compose into one lookup keyed by (block offsets, state):
-the static steppers move every front a whole block per gather through a
-*block table* (:func:`_block_table`).
+function of the state ``3 * vertex + entry_port`` and the next offset, so
+:data:`BLOCK_STEPS` consecutive steps compose into one lookup keyed by
+(block offsets, state): a *block table* (:func:`_block_table`) moves a walk
+a whole block per gather, ``block[code * num_states + state]``.
 
-Three steppers are provided:
+**One loop for static batches.**  :func:`_run_lockstep` is the only
+stepping loop; its executable specification is the scalar
+``reference_route_many``.  It takes *jobs* — ``(state base, kernel, pairs,
+stream)`` — and groups their pairs into (job, source) *fronts*: walks that
+share a start state and a sequence share their whole forward trajectory,
+so only fronts are stepped.  Fronts advance in doubling chunks; after each
+chunk every open pair is compared with its front's owner row (in bounded
+slices, clamped to the pair's own sequence horizon), fronts without open
+pairs retire, and a run that would out-grow the trajectory buffer hands
+its open pairs back for the scalar kernel.  Each front is then accounted
+once, for all its pairs, by :func:`_account_from_trajectory`: the backward
+phase retraces the forward walk exactly (reversibility, Section 2 of the
+paper), so its accounting is a pure function of the forward owner
+sequence.  The numbers produced are identical, walk for walk, to
+:meth:`repro.core.engine.PreparedNetwork.route`.
 
-:class:`BatchedWalk` (static networks)
-    Walk state is a single integer ``state = 3 * vertex + entry_port``; the
-    rotation map is pre-fused into three transition arrays ``step[o]`` (one
-    per offset value), and :meth:`BatchedWalk.run` composes them into the
-    block table, so a block of steps for *all* walks is the one row gather
-    ``block[code * num_states + state]``.  Walks that share a start state
-    share their entire forward trajectory (the walk is deterministic per
-    start state), so the stepper advances only the *distinct source fronts*
-    in lockstep while recording the owner trajectory.  The bookkeeping is
-    per front too: each chunk finds every open pair's hit with one
-    comparison against its front's owner row (in bounded slices), and each
-    front's backward phase and physical/virtual step accounting is recovered
-    once, for all its pairs, from its owner-change mask and source visits — the
-    backward phase retraces the forward walk exactly (reversibility,
-    Section 2 of the paper), so its accounting is a pure function of the
-    forward owner sequence.  The numbers produced are identical, walk for
-    walk, to the scalar kernel in
-    :meth:`repro.core.engine.PreparedNetwork.route`.
+Two table builders feed the loop:
 
-:class:`ScheduleBatchedWalk` (dynamic-topology extension)
-    Literal lockstep state vectors ``(vertex, entry_port, phase)`` with
-    per-walk active/terminated masks: all walks share one global clock (the
-    schedule's switch times are global), forward walks advance with a shared
-    sequence index, backward walks carry per-walk indices, and snapshot
+:class:`BatchedWalk` (one graph)
+    Fuses the rotation map into three transition arrays ``step[o]`` (one
+    per offset value) and composes them into its own block table on its
+    first :meth:`~BatchedWalk.run`, a one-job call of the loop.
+
+:class:`MultiGraphWalk` (several graphs at once)
+    Stacks the transition arrays of several :class:`BatchedWalk` steppers
+    with cumulative per-graph state bases into one block table over the
+    global state space, so walks over *different* graphs, with *different*
+    sequence lengths, advance in one run — an entire sweep shard (all
+    scenarios x all pairs) in a handful of NumPy calls
+    (:func:`repro.core.engine.route_many_multi`,
+    :func:`repro.analysis.runner.evaluate_shards`).
+
+The loop makes one selection, from its input alone: when every job reads
+the same stream object, one block code serves all fronts and each block is
+a gather from that code's plane of the table; otherwise each front's table
+rows are formed from its own job's codes, one gather over the whole table.
+
+:class:`ScheduleBatchedWalk` (dynamic-topology extension, on no engine path)
+    Literal lockstep state vectors with one global clock; snapshot
     switch-overs translate every in-flight walk between kernels through a
-    precomputed translation table (:func:`translation_table`).  Semantics are
-    tick-for-tick those of :meth:`repro.core.engine.PreparedSchedule.route`.
-
-:class:`MultiGraphWalk` (static networks, several graphs at once)
-    The per-graph transition tables of several :class:`BatchedWalk` steppers
-    are stacked with cumulative per-graph state bases and composed into one
-    block table over the global state space, and each distinct exploration
-    sequence becomes a row of one zero-padded offsets matrix — so walks over
-    *different* compiled graphs, with *different* sequence lengths, all
-    advance a block per gather (``state = block[code * num_states + state]``
-    where ``code`` is gathered per front from the offsets matrix).  Per-front
-    sequence-length clamps keep termination detection and accounting exactly
-    those of :class:`BatchedWalk`; the per-front accounting reduction is
-    literally shared (:func:`_account_from_trajectory`), so the multi-graph path is
-    bitwise identical to running each graph's batch alone — which is itself
-    bitwise identical to the scalar walk.  This is what lets an entire sweep
-    shard (all scenarios x all pairs) execute as a handful of NumPy calls in
-    :func:`repro.core.engine.route_many_multi` /
-    :func:`repro.analysis.runner.evaluate_shards`.
+    precomputed :func:`translation_table`.  Semantics are tick-for-tick
+    those of :meth:`repro.core.engine.PreparedSchedule.route`.
 
 **NumPy is optional.**  When it is not importable, :data:`HAVE_NUMPY` is
 False, the classes raise on construction, and the engine's ``route_many``
@@ -128,7 +122,7 @@ BLOCK_STEPS = 3
 #: of exhausting memory; results are identical either way.
 _MAX_BUFFER_ELEMENTS = 1 << 26
 
-#: Elements one hit-detection comparison of :class:`BatchedWalk` covers at
+#: Elements one hit-detection comparison of :func:`_run_lockstep` covers at
 #: most: each chunk compares its open pairs' owner rows with their targets
 #: in slices of about this many elements, so the temporaries stay small
 #: whatever the batch size.
@@ -219,9 +213,9 @@ def _account_from_trajectory(
     between that visit and the hit.  (Vectorised lookups, or a ``cumsum``
     over the walk, were faster on ``BatchedWalk``'s fronts of a dozen pairs
     but slower than the per-pair reduction they replace on the one- and
-    two-pair fronts a sweep mostly has.)  Shared verbatim by :class:`BatchedWalk` and
-    :class:`MultiGraphWalk`, so the single- and multi-graph lockstep paths
-    cannot drift apart.
+    two-pair fronts a sweep mostly has.)  :func:`_run_lockstep` calls it once
+    per front; a front may carry a padded tail past its own sequence, which
+    no ``found`` step and no failure's ``sequence_length`` reaches.
     """
     steps = [sequence_length if hit is None else hit for hit in found]
     walk = trajectory[: max(steps) + 1]
@@ -239,6 +233,183 @@ def _account_from_trajectory(
     return accounts
 
 
+#: One job of :func:`_run_lockstep`: ``(state base, kernel, pairs, stream)``.
+_LockstepJob = Tuple[int, CompiledWalk, Sequence[Tuple[int, int]], OffsetStream]
+
+
+def _run_lockstep(
+    block: "_np.ndarray",
+    num_states: int,
+    owner_state: "_np.ndarray",
+    jobs: Sequence[_LockstepJob],
+    start_port: int,
+    max_buffer_elements: int,
+) -> Tuple[List[Dict[int, StaticWalkAccount]], List[Tuple[int, int]]]:
+    streams = [stream for _base, _kernel, _pairs, stream in jobs]
+    lengths = [len(stream) for stream in streams]
+    max_length = max(lengths, default=0)
+    # When every front reads one stream, one block code serves all fronts
+    # and each block is a gather from that code's plane of the table.
+    shared = all(stream is streams[0] for stream in streams)
+    takes = [plane.take for plane in block.reshape(-1, num_states, BLOCK_STEPS)]
+
+    # Group pairs into (job, source, pair indices) fronts: walks sharing a
+    # start state and a sequence share their whole forward trajectory.
+    fronts: List[Tuple[int, int, List[int]]] = []
+    for job, (_base, _kernel, pairs, _stream) in enumerate(jobs):
+        by_source: Dict[int, List[int]] = {}
+        for index, (source, _target) in enumerate(pairs):
+            bucket = by_source.get(source)
+            if bucket is None:
+                by_source[source] = bucket = []
+            bucket.append(index)
+        fronts.extend((job, source, indices) for source, indices in by_source.items())
+
+    # A target that is not a vertex of its job's graph enters the open-pair
+    # arrays as one less than the smallest owner, which no owner equals, so
+    # its walk fails as the scalar one does.
+    no_vertex = int(owner_state.min(initial=0)) - 1
+    # Pair ids run over all jobs: pair i of job j is ``first_id[j] + i``.
+    first_id = [0]
+    for _base, _kernel, pairs, _stream in jobs:
+        first_id.append(first_id[-1] + len(pairs))
+    # found[id]: the pair's hit step; a self-pair's walk succeeds before
+    # taking a single step (owner(start state) == source).
+    found: List[Optional[int]] = [None] * first_id[-1]
+    # The open pairs as parallel arrays: pair id, target, and the column of
+    # the pair's front among the active fronts.
+    open_id: List[int] = []
+    open_target: List[int] = []
+    open_column: List[int] = []
+    active: List[int] = []  # positions in ``fronts``
+    for front, (job, source, indices) in enumerate(fronts):
+        _base, kernel, pairs, _stream = jobs[job]
+        for index in indices:
+            target = pairs[index][1]
+            if target == source:
+                found[first_id[job] + index] = 0
+            elif lengths[job]:
+                open_id.append(first_id[job] + index)
+                open_target.append(target if target in kernel.gateway_of else no_vertex)
+                open_column.append(len(active))
+        if open_column and open_column[-1] == len(active):
+            active.append(front)
+    front_job = _np.array([fronts[front][0] for front in active], dtype=_np.int64)
+    pair_id = _np.array(open_id, dtype=_np.int64)
+    pair_target = _np.array(open_target, dtype=_np.int32)
+    pair_column = _np.array(open_column, dtype=_np.int64)
+    pair_horizon = _np.array(lengths, dtype=_np.int64)[front_job[pair_column]]
+
+    # Lockstep-advance the active fronts in doubling chunks, recording each
+    # front's owner trajectory (one row per chunk), with hit detection and
+    # front compaction per chunk.
+    trajectory_rows: List[List["_np.ndarray"]] = [
+        [_np.array([source], dtype=_np.int32)] for _job, source, _indices in fronts
+    ]
+    state = _np.array(
+        [
+            jobs[job][0] + 3 * jobs[job][1].gateway(source) + start_port
+            for job, source, _indices in (fronts[front] for front in active)
+        ],
+        dtype=_np.int32,
+    )
+    buffered_elements = 0
+    global_step = 0
+    truncated = False
+    chunk_rows = _CHUNK_ROWS_MIN
+    while active and global_step < max_length:
+        rows = min(chunk_rows, max_length - global_step)
+        chunk_rows = min(2 * chunk_rows, _CHUNK_ROWS_MAX)
+        if buffered_elements + len(active) * rows > max_buffer_elements:
+            truncated = True
+            break
+        # Each job's window of the chunk (one window when the stream is
+        # shared), zero-padded past its horizon (offset 0 keeps padded
+        # states valid; detection and accounting never read them).
+        windows = _np.zeros((1 if shared else len(jobs), rows), dtype=_np.int8)
+        for job, window in enumerate(windows):
+            usable = min(rows, lengths[job] - global_step)
+            if usable > 0:
+                window[:usable] = _np.frombuffer(
+                    streams[job].extend_to(global_step + usable),
+                    dtype=_np.int8,
+                    count=usable,
+                    offset=global_step,
+                )
+        codes = _block_codes(windows)
+        # buffer[b, f] holds front f's states over the steps of block b.
+        buffer = _np.empty((codes.shape[1], len(active), BLOCK_STEPS), dtype=_np.int32)
+        if shared:
+            for out, code in zip(buffer, codes[0].tolist()):
+                state = takes[code](state, 0, out)[:, -1]
+        else:
+            # Each front's table rows, premultiplied per chunk; the state is
+            # added in place, so each block is still one gather.
+            table_rows = _np.ascontiguousarray(codes[front_job].T) * num_states
+            for out, indices in zip(buffer, table_rows):
+                indices += state
+                state = block.take(indices, 0, out)[:, -1]
+        trajectory = buffer.transpose(1, 0, 2).reshape(len(active), -1)
+        # The state after the chunk's last real step, not a padded one.
+        state = trajectory[:, rows - 1]
+        owners = owner_state[trajectory[:, :rows]]
+        buffered_elements += owners.size
+        for front, row in zip(active, owners):
+            trajectory_rows[front].append(row)
+        # Every open pair against its front's owner row, in slices of
+        # bounded size: a pair's first match is its hit, unless it lies past
+        # the pair's own horizon.
+        first = _np.empty(len(pair_id), dtype=_np.int64)
+        hit = _np.empty(len(pair_id), dtype=bool)
+        per_slice = max(1, _DETECT_SLICE_ELEMENTS // rows)
+        for start in range(0, len(pair_id), per_slice):
+            span = slice(start, start + per_slice)
+            matches = owners[pair_column[span]] == pair_target[span, None]
+            first[span] = matches.argmax(axis=1)
+            hit[span] = matches.any(axis=1)
+        hit &= first < pair_horizon - global_step
+        for pair, step in zip(pair_id[hit].tolist(), (first[hit] + global_step + 1).tolist()):
+            found[pair] = step
+        global_step += rows
+        still_open = ~hit & (pair_horizon > global_step)
+        pair_id = pair_id[still_open]
+        pair_target = pair_target[still_open]
+        pair_column = pair_column[still_open]
+        pair_horizon = pair_horizon[still_open]
+        walking = _np.zeros(len(active), dtype=bool)
+        walking[pair_column] = True
+        if not walking.all():
+            pair_column = (_np.cumsum(walking) - 1)[pair_column]
+            survivors = _np.flatnonzero(walking)
+            state = state[survivors]
+            front_job = front_job[survivors]
+            active = [active[column] for column in survivors.tolist()]
+
+    # Account each front once over its recorded trajectory, into one dict
+    # per job keyed by pair index.  Pairs still open after a truncated run
+    # go back to the caller's scalar kernel; after a complete run they are
+    # failures.
+    left_open = list(zip(front_job[pair_column].tolist(), pair_id.tolist())) if truncated else []
+    unresolved = [(job, pair - first_id[job]) for job, pair in left_open]
+    skipped = {pair for _job, pair in left_open}
+    accounts: List[Dict[int, StaticWalkAccount]] = [{} for _job in jobs]
+    for front, (job, source, indices) in enumerate(fronts):
+        base = first_id[job]
+        if skipped:
+            indices = [index for index in indices if base + index not in skipped]
+            if not indices:
+                continue
+        rows = trajectory_rows[front]
+        front_accounts = _account_from_trajectory(
+            rows[0] if len(rows) == 1 else _np.concatenate(rows),
+            source,
+            lengths[job],
+            [found[base + index] for index in indices],
+        )
+        accounts[job].update(zip(indices, front_accounts))
+    return accounts, unresolved
+
+
 @dataclass(frozen=True)
 class ScheduleWalkAccount:
     """Per-walk accounting of one batched schedule route (scalar-identical)."""
@@ -251,7 +422,7 @@ class ScheduleWalkAccount:
 
 
 class BatchedWalk:
-    """NumPy view of one :class:`CompiledWalk` plus the static lockstep stepper.
+    """NumPy view of one :class:`CompiledWalk`: its tables for the lockstep loop.
 
     Construction fuses the rotation map into per-offset transition arrays:
 
@@ -302,10 +473,6 @@ class BatchedWalk:
         self.back_v3 = (3 * next_vertex).astype(_np.int32)
         self.back_port = next_port.astype(_np.int32)
 
-    # ------------------------------------------------------------------ #
-    # Static batch routing
-    # ------------------------------------------------------------------ #
-
     def run(
         self,
         pairs: Sequence[Tuple[int, int]],
@@ -316,152 +483,26 @@ class BatchedWalk:
         """Route ``pairs`` in lockstep; return per-index accounts + unresolved.
 
         ``pairs`` are ``(source, target)`` original-vertex pairs (duplicates
-        and self-pairs allowed); ``offsets`` is the exploration sequence,
-        extended one chunk window at a time.  Every front (the pairs of one
-        source) advances :data:`BLOCK_STEPS` steps per gather.  After each
-        chunk, all open pairs are checked against their fronts' owner rows
-        in one comparison, taken in slices of about
-        :data:`_DETECT_SLICE_ELEMENTS` elements; a front stops once none of
-        its pairs is open.  The accounting then runs once per front
-        (:func:`_account_from_trajectory`).  Returns a mapping from pair
+        and self-pairs allowed); ``offsets`` is the exploration sequence.
+        This is :func:`_run_lockstep` with one job over this kernel's own
+        block table, built on the first run.  Returns a mapping from pair
         index to its :class:`StaticWalkAccount` plus the list of indices the
         stepper did not resolve because the trajectory buffer cap was reached
         — the caller finishes those on the scalar kernel (identical results).
         """
-        kernel = self.kernel
-        length = len(offsets)
-        owner_state = self.owner_state
         if self.block is None:
             # Dispatch threads share cached steppers; two first runs may both
             # build the table, but they build identical ones.
             self.block = _block_table(_np.stack(self.step))
-        # The row gather of each offset code's (num_states, BLOCK_STEPS) plane.
-        takes = [
-            plane.take
-            for plane in self.block.reshape(-1, self.num_states, BLOCK_STEPS)
-        ]
-
-        # Group pairs by source: walks sharing a start state share their
-        # whole forward trajectory, so only distinct fronts are stepped.
-        order: List[int] = []
-        by_source: Dict[int, List[int]] = {}
-        for index, (source, _target) in enumerate(pairs):
-            bucket = by_source.get(source)
-            if bucket is None:
-                by_source[source] = bucket = []
-                order.append(source)
-            bucket.append(index)
-
-        # found[index]: the pair's hit step; a self-pair's walk succeeds
-        # before taking a single step (owner(start state) == source).
-        found: List[Optional[int]] = [None] * len(pairs)
-        # The open pairs as parallel arrays: pair index, target, and the
-        # column of the pair's front among the active fronts.
-        open_index: List[int] = []
-        open_target: List[int] = []
-        open_column: List[int] = []
-        active: List[int] = []  # positions in ``order``
-        for front, source in enumerate(order):
-            for index in by_source[source]:
-                target = pairs[index][1]
-                if target == source:
-                    found[index] = 0
-                else:
-                    open_index.append(index)
-                    open_target.append(target)
-                    open_column.append(len(active))
-            if open_column and open_column[-1] == len(active):
-                active.append(front)
-        pair_index = _np.array(open_index, dtype=_np.int64)
-        pair_target = _np.array(open_target, dtype=_np.int32)
-        pair_column = _np.array(open_column, dtype=_np.int64)
-
-        # --- stage 1: lockstep-advance the distinct fronts, recording the
-        # owner trajectory chunk by chunk (one row per front and chunk),
-        # with termination detection and front compaction per chunk.
-        trajectory_rows: List[List["_np.ndarray"]] = [
-            [_np.array([source], dtype=_np.int32)] for source in order
-        ]
-        state = _np.array(
-            [3 * kernel.gateway(order[front]) + start_port for front in active],
-            dtype=_np.int32,
+        [accounts], unresolved = _run_lockstep(
+            self.block,
+            self.num_states,
+            self.owner_state,
+            [(0, self.kernel, pairs, offsets)],
+            start_port,
+            max_buffer_elements,
         )
-        buffered_elements = 0
-        global_step = 0
-        truncated = False
-        chunk_rows = _CHUNK_ROWS_MIN
-        while active and global_step < length:
-            rows = min(chunk_rows, length - global_step)
-            chunk_rows = min(2 * chunk_rows, _CHUNK_ROWS_MAX)
-            if buffered_elements + len(active) * rows > max_buffer_elements:
-                truncated = True
-                break
-            window = _np.frombuffer(
-                offsets.extend_to(global_step + rows),
-                dtype=_np.int8,
-                count=rows,
-                offset=global_step,
-            )
-            codes = _block_codes(window[None, :])[0].tolist()
-            # buffer[b, f] holds front f's states over the steps of block b.
-            buffer = _np.empty((len(codes), len(active), BLOCK_STEPS), dtype=_np.int32)
-            for out, code in zip(buffer, codes):
-                state = takes[code](state, 0, out)[:, -1]
-            trajectory = buffer.transpose(1, 0, 2).reshape(len(active), -1)
-            # The state after the chunk's last real step, not a padded one.
-            state = trajectory[:, rows - 1]
-            owners = owner_state[trajectory[:, :rows]]
-            buffered_elements += owners.size
-            for front, row in zip(active, owners):
-                trajectory_rows[front].append(row)
-            # Every open pair against its front's owner row, in slices of
-            # bounded size: a pair's first match is its hit.
-            first = _np.empty(len(pair_index), dtype=_np.int64)
-            hit = _np.empty(len(pair_index), dtype=bool)
-            per_slice = max(1, _DETECT_SLICE_ELEMENTS // rows)
-            for start in range(0, len(pair_index), per_slice):
-                span = slice(start, start + per_slice)
-                matches = owners[pair_column[span]] == pair_target[span, None]
-                first[span] = matches.argmax(axis=1)
-                hit[span] = matches.any(axis=1)
-            for index, step in zip(
-                pair_index[hit].tolist(), (first[hit] + global_step + 1).tolist()
-            ):
-                found[index] = step
-            global_step += rows
-            still_open = ~hit
-            pair_index = pair_index[still_open]
-            pair_target = pair_target[still_open]
-            pair_column = pair_column[still_open]
-            walking = _np.zeros(len(active), dtype=bool)
-            walking[pair_column] = True
-            if not walking.all():
-                pair_column = (_np.cumsum(walking) - 1)[pair_column]
-                survivors = _np.flatnonzero(walking)
-                state = state[survivors]
-                active = [active[column] for column in survivors.tolist()]
-
-        # --- stage 2: per-front accounting by vectorized reductions over the
-        # recorded owner trajectory (the backward phase retraces the forward
-        # walk, so its step/hop counts are functions of that trajectory).
-        # Pairs still open after a truncated run go back to the scalar
-        # kernel; after a complete run they are failures.
-        unresolved = pair_index.tolist() if truncated else []
-        skipped = set(unresolved)
-        accounts: Dict[int, StaticWalkAccount] = {}
-        for front, source in enumerate(order):
-            indices = [index for index in by_source[source] if index not in skipped]
-            if not indices:
-                continue
-            rows = trajectory_rows[front]
-            front_accounts = _account_from_trajectory(
-                rows[0] if len(rows) == 1 else _np.concatenate(rows),
-                source,
-                length,
-                [found[index] for index in indices],
-            )
-            accounts.update(zip(indices, front_accounts))
-        return accounts, unresolved
+        return accounts, [index for _job, index in unresolved]
 
 
 # Nothing in ``src/`` calls ScheduleBatchedWalk, ScheduleWalkAccount,
@@ -670,14 +711,9 @@ class MultiGraphWalk:
     graph, so overlapping id ranges between graphs are harmless.
 
     :meth:`run` takes *jobs* — ``(stepper index, pairs, offsets)`` triples,
-    one per (graph, size-bound) group — whose exploration sequences may have
-    different lengths: per chunk window, each job contributes a row of a
-    zero-padded ``int8`` offsets matrix (an ``np.frombuffer`` view of its
-    stream's prefix, extended to cover the window), fronts gather their
-    current block code from their row, and a per-front sequence-length clamp
-    ignores any trajectory recorded past the front's own horizon.
-    Accounting is the shared :func:`_account_from_trajectory` reduction, so
-    results are bitwise identical to running each job through
+    one per (graph, size-bound) group, whose sequences may have different
+    lengths — and runs them through :func:`_run_lockstep` over the stacked
+    table, so results are bitwise identical to running each job through
     :class:`BatchedWalk` alone.
     """
 
@@ -734,171 +770,23 @@ class MultiGraphWalk:
         the keys left unresolved by the trajectory buffer cap — the caller
         finishes those on the scalar kernel (identical results).
         """
-        take = self.block.take
-        num_states = self.num_states
-        owner_state = self.owner_state
-        state_base = self.state_base
-        steppers = self.steppers
-
-        # The hot loop reads each job's walked window per chunk instead of
-        # materialising a padded jobs x max_length matrix — sequences run to
-        # millions of entries while typical batches resolve within a few
-        # thousand steps.
-        streams = [offsets for _stepper, _pairs, offsets in jobs]
-        lengths = [len(offsets) for offsets in streams]
-        max_length = max(lengths, default=0)
-
-        # Group each job's pairs by source: within one job, walks sharing a
-        # start state share their whole forward trajectory (same graph, same
-        # sequence), exactly as in BatchedWalk.
-        accounts: Dict[Tuple[int, int], StaticWalkAccount] = {}
-        found_at: Dict[Tuple[int, int], int] = {}
-        front_order: List[Tuple[int, int]] = []  # (job, source)
-        members: Dict[Tuple[int, int], List[int]] = {}
-        remaining: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
-        for job_index, (_stepper_index, pairs, _offsets) in enumerate(jobs):
-            for pair_index, (source, target) in enumerate(pairs):
-                front = (job_index, source)
-                if front not in members:
-                    members[front] = []
-                    remaining[front] = []
-                    front_order.append(front)
-                members[front].append(pair_index)
-                if target == source:
-                    # owner(start state) == source: success before any step.
-                    found_at[(job_index, pair_index)] = 0
-                else:
-                    remaining[front].append((pair_index, target))
-
-        # --- stage 1: advance all distinct fronts of all jobs in lockstep,
-        # recording the owner trajectory chunk by chunk (one contiguous row
-        # per front).
-        chunks: List[Tuple[Dict[Tuple[int, int], int], "_np.ndarray"]] = []
-        active: List[Tuple[int, int]] = [
-            front
-            for front in front_order
-            if remaining[front] and lengths[front[0]] > 0
-        ]
-        state = _np.array(
+        accounts, unresolved = _run_lockstep(
+            self.block,
+            self.num_states,
+            self.owner_state,
             [
-                state_base[jobs[job][0]]
-                + 3 * steppers[jobs[job][0]].kernel.gateway(source)
-                + start_port
-                for job, source in active
+                (self.state_base[slot], self.steppers[slot].kernel, pairs, offsets)
+                for slot, pairs, offsets in jobs
             ],
-            dtype=_np.int32,
+            start_port,
+            max_buffer_elements,
         )
-        front_rows = _np.array([job for job, _source in active], dtype=_np.int64)
-        buffered_elements = 0
-        global_step = 0
-        truncated = False
-        chunk_rows = _CHUNK_ROWS_MIN
-        while active and global_step < max_length:
-            rows = min(chunk_rows, max_length - global_step)
-            chunk_rows = min(2 * chunk_rows, _CHUNK_ROWS_MAX)
-            if buffered_elements + len(active) * rows > max_buffer_elements:
-                truncated = True
-                break
-            # Per-chunk window of every job's sequence, zero-padded past each
-            # job's horizon (offset 0 keeps padded states valid; accounting
-            # clamps to the real horizon below), turned into block codes,
-            # gathered per active front and premultiplied into table rows.
-            off_jobs = _np.zeros((len(jobs), rows), dtype=_np.int8)
-            for job, stream in enumerate(streams):
-                usable_rows = min(rows, lengths[job] - global_step)
-                if usable_rows > 0:
-                    off_jobs[job, :usable_rows] = _np.frombuffer(
-                        stream.extend_to(global_step + usable_rows),
-                        dtype=_np.int8,
-                        count=usable_rows,
-                        offset=global_step,
-                    )
-            bases = _np.ascontiguousarray(_block_codes(off_jobs)[front_rows].T) * num_states
-            # buffer[b, f] holds front f's states over the steps of block b.
-            buffer = _np.empty(
-                (bases.shape[0], len(active), BLOCK_STEPS), dtype=_np.int32
-            )
-            for out, indices in zip(buffer, bases):
-                # The one gather per block: bases is per-chunk scratch, so
-                # the table row is formed in place and the next states land
-                # directly in the trajectory buffer.
-                indices += state
-                state = take(indices, 0, out)[:, -1]
-            trajectory = buffer.transpose(1, 0, 2).reshape(len(active), -1)
-            # The state after the chunk's last real step, not a padded one.
-            state = trajectory[:, rows - 1]
-            owners = owner_state[trajectory[:, :rows]]
-            buffered_elements += owners.size
-            column_of = {front: column for column, front in enumerate(active)}
-            chunks.append((column_of, owners))
-            for front in active:
-                job, source = front
-                # Clamp to this front's own horizon: trajectory recorded past
-                # its sequence length came from padded offsets and is never
-                # part of this front's walk.
-                usable = min(rows, lengths[job] - global_step)
-                if usable <= 0:
-                    continue
-                row_owners = owners[column_of[front], :usable]
-                still_open: List[Tuple[int, int]] = []
-                for pair_index, target in remaining[front]:
-                    hits = _np.nonzero(row_owners == target)[0]
-                    if hits.size:
-                        found_at[(job, pair_index)] = (
-                            global_step + int(hits[0]) + 1
-                        )
-                    else:
-                        still_open.append((pair_index, target))
-                remaining[front] = still_open
-            global_step += rows
-            survivors = [
-                front
-                for front in active
-                if remaining[front] and lengths[front[0]] > global_step
-            ]
-            if len(survivors) != len(active):
-                keep = _np.array(
-                    [column_of[front] for front in survivors], dtype=_np.int64
-                )
-                state = state[keep]
-                front_rows = front_rows[keep]
-                active = survivors
-
-        # --- stage 2: the shared per-front accounting over the recorded
-        # trajectories.
-        unresolved: List[Tuple[int, int]] = []
-        truncated_fronts = set(active) if truncated else set()
-        for front in front_order:
-            job, source = front
-            if front in truncated_fronts:
-                # Still walking when the buffer cap hit: every unfinished
-                # pair goes back to the scalar kernel.
-                unresolved.extend(
-                    (job, pair_index) for pair_index, _ in remaining[front]
-                )
-            keys = [
-                (job, pair_index)
-                for pair_index in members[front]
-                if (job, pair_index) in found_at or front not in truncated_fronts
-            ]
-            if not keys:
-                continue  # every pair already queued as unresolved
-            trajectory_rows: List["_np.ndarray"] = [
-                _np.array([source], dtype=_np.int32)
-            ]
-            for column_of, owners in chunks:
-                column = column_of.get(front)
-                if column is None:
-                    break
-                trajectory_rows.append(owners[column])
-            front_accounts = _account_from_trajectory(
-                _np.concatenate(trajectory_rows),
-                source,
-                lengths[job],
-                [found_at.get(key) for key in keys],
-            )
-            accounts.update(zip(keys, front_accounts))
-        return accounts, unresolved
+        keyed = {
+            (job, index): account
+            for job, job_accounts in enumerate(accounts)
+            for index, account in job_accounts.items()
+        }
+        return keyed, unresolved
 
 
 # --------------------------------------------------------------------------- #

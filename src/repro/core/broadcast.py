@@ -114,7 +114,6 @@ class BroadcastProtocol(Protocol):
         self._payload = payload
         self._provider = provider if provider is not None else _DEFAULT_PROVIDER
         self._engine = prepare(network.graph)
-        self._reduction = self._engine.reduction
         self._kernel = self._engine.kernel
         self._bound = self._engine.resolve_size_bound(source, size_bound)
         # A broadcast walks the whole sequence, so it takes every offset up
@@ -200,7 +199,9 @@ class BroadcastProtocol(Protocol):
     def on_message(self, ctx: NodeContext, in_port: int, message: Message) -> None:
         direction = Direction.FORWARD if message.header.get("direction") == 0 else Direction.BACK
         index = int(message.header.get("index"))
-        virtual = self._reduction.carrier(ctx.node_id, in_port)
+        # The cluster member carrying the arrival port (a cluster holds one
+        # member per port, or a single member for degree <= 1).
+        virtual = self._kernel.clusters[ctx.node_id][in_port]
         if direction is Direction.FORWARD:
             entry_port = EXTERNAL_PORT
         else:

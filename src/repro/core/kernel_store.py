@@ -428,11 +428,10 @@ class KernelStore:
     def kernel_for(self, graph: object) -> CompiledWalk:
         """Compiled walk kernel for ``graph``: disk tier first, then compile.
 
-        A disk hit returns a kernel whose ``reduction`` is ``None`` (the
-        reduction object is not persisted); the engine recomputes it lazily
-        for the rare callers that need it.  A compile increments
-        ``kernel_compiles`` and is written back to the disk tier when one is
-        configured.
+        No kernel keeps its reduction object, on either tier; the engine
+        recomputes it lazily for the rare callers that need it.  A compile
+        increments ``kernel_compiles`` and is written back to the disk tier
+        when one is configured.
         """
         path = None
         if self.disk_enabled:

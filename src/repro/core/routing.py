@@ -296,7 +296,6 @@ class RouteProtocol(Protocol):
                     "engine was prepared for a different graph than this network's"
                 )
         self._engine = engine if engine is not None else prepare(network.graph)
-        self._reduction = self._engine.reduction
         self._kernel = self._engine.kernel
         self._bound = self._engine.resolve_size_bound(source, size_bound)
         self._offsets = self._engine.offsets_for(self._bound, self._provider)
@@ -451,7 +450,9 @@ class RouteProtocol(Protocol):
 
     def on_message(self, ctx: NodeContext, in_port: int, message: Message) -> None:
         direction, status, index = self._decode(message)
-        virtual = self._reduction.carrier(ctx.node_id, in_port)
+        # The cluster member carrying the arrival port (a cluster holds one
+        # member per port, or a single member for degree <= 1).
+        virtual = self._kernel.clusters[ctx.node_id][in_port]
         if direction is Direction.FORWARD:
             entry_port = EXTERNAL_PORT
         else:

@@ -86,7 +86,6 @@ class CompiledWalk:
     """
 
     __slots__ = (
-        "reduction",
         "num_vertices",
         "next_vertex",
         "next_port",
@@ -107,7 +106,6 @@ class CompiledWalk:
             )
         reduced.require_regular(3)
 
-        self.reduction = reduction
         self.num_vertices = n
         next_vertex: List[int] = [0] * (3 * n)
         next_port: List[int] = [0] * (3 * n)
@@ -146,11 +144,11 @@ class CompiledWalk:
         (``next_vertex``/``next_port``), the cluster bookkeeping
         (``owner``/``physical_port`` — clusters and gateways are derivable),
         and the precomputed component partition
-        (``component_id``/``component_sizes``).  The original
-        :class:`DegreeReducedGraph` is *not* serialized; a kernel restored via
-        :meth:`from_arrays` has ``reduction is None`` and callers that need
-        the reduction object (e.g. the verbose route protocol) recompute it
-        from the source graph.
+        (``component_id``/``component_sizes``).  No kernel keeps the
+        :class:`DegreeReducedGraph` it was compiled from, and none is
+        serialized; the few callers that need the reduction object recompute
+        it from the source graph
+        (:attr:`repro.core.engine.PreparedNetwork.reduction`).
         """
         return {
             "next_vertex": list(self.next_vertex),
@@ -216,7 +214,6 @@ class CompiledWalk:
             frozen[original] = tuple(ordered)
 
         kernel = cls.__new__(cls)
-        kernel.reduction = None
         kernel.num_vertices = n
         kernel.next_vertex = next_vertex
         kernel.next_port = next_port
@@ -287,8 +284,7 @@ class CompiledWalk:
         longer correspond and the walk is stranded.  This is the O(1) switch-
         over primitive of the schedule-aware engine
         (:class:`repro.core.engine.PreparedSchedule`).  Uses the kernels' own
-        cluster snapshots, so it works on kernels restored from disk whose
-        ``reduction`` is ``None``.
+        cluster snapshots, never a reduction object.
         """
         original = self.owner[virtual_vertex]
         own_cluster = self.clusters[original]

@@ -87,6 +87,20 @@ def test_batch_inline_matches_engine_route_many(session):
     assert result.seed == 3
 
 
+def test_batch_with_a_target_that_is_no_vertex_is_a_failure_result(session):
+    # Enough pairs for the lockstep path, which used to raise OverflowError
+    # out of the session for a target beyond int32.
+    spec = ScenarioSpec(name="api-grid-144", family="grid", size=144, seed=0)
+    pairs = ((0, 2**40),) * 64
+    result = session.submit(RouteBatchRequest(scenario=spec, pairs=pairs, size_bound=8))
+    network = build_scenario(spec)
+    expected = prepare(network.graph).reference_route_many(
+        pairs, size_bound=8, namespace_size=network.namespace_size
+    )
+    assert result.payload["results"] == [route_result_payload(r) for r in expected]
+    assert result.payload["delivered"] == 0
+
+
 def test_batch_process_pool_matches_inline(session):
     request = RouteBatchRequest(scenario=GRID, num_pairs=8, pair_seed=1)
     inline = session.submit(request, backend="inline")

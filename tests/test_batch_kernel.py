@@ -81,6 +81,30 @@ def test_static_route_many_batched_equals_reference(
     assert batched == reference
 
 
+@needs_numpy
+@pytest.mark.parametrize("count", [4, 64])
+def test_target_that_is_no_vertex_fails_on_both_sides_of_the_dispatch(count):
+    # 64 pairs take the lockstep path, whose int32 target array overflowed
+    # on 2**40; 4 take the scalar loop.  Both must report FAILURE, as
+    # ``route`` promises for a target that does not exist at all.
+    engine = prepare(generators.grid_graph(12, 12))
+    pairs = [(0, 2**40)] * count
+    results = engine.route_many(pairs, provider=_PROVIDER, size_bound=8)
+    assert results == engine.reference_route_many(pairs, provider=_PROVIDER, size_bound=8)
+    assert not any(result.delivered for result in results)
+
+
+@needs_numpy
+def test_no_vertex_target_marker_differs_from_negative_vertices():
+    # The value a target that is no vertex enters the lockstep arrays as
+    # must differ from every owner, negative vertex ids included.
+    ring = LabeledGraph.from_edges([(-1, 0), (0, 1), (1, 2), (2, -1)])
+    engine = prepare(ring)
+    pairs = [(0, 2**40), (0, 7), (0, -2), (0, -1)]
+    [batched] = _route_lockstep([(engine, pairs, None)], provider=_PROVIDER)
+    assert batched == engine.reference_route_many(pairs, provider=_PROVIDER)
+
+
 @st.composite
 def _schedule_cases(draw):
     family = draw(st.sampled_from(["grid", "ring", "tree", "two-rings"]))

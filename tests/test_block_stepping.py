@@ -6,10 +6,11 @@ arrays.  Chunk windows are zero-padded to whole blocks, so a chunk end, a
 job's sequence horizon and a buffer-cap truncation can all fall inside a
 block.  The properties here drive exactly those cases — explicit offset
 sequences of every length modulo the block size, chunk sizes patched small,
-jobs of different lengths, truncating buffer caps — together with fronts
-that carry many pairs (repeated targets and self-pairs among them, since
-each front's accounting is computed once for all its pairs) and, for
-``BatchedWalk``, hit-detection slices patched small — and require that
+jobs of different lengths, jobs that share one stream object, truncating
+buffer caps, hit-detection slices patched small — together with fronts
+that carry many pairs (repeated targets, self-pairs and targets that are
+no vertex among them, since each front's accounting is computed once for
+all its pairs) — and require that
 
 * every resolved account equals the scalar ``reference_route_many`` run on
   the same sequence, and
@@ -90,9 +91,11 @@ def _jobs(draw, max_graphs: int):
         offsets = bytes(
             draw(st.lists(st.integers(min_value=0, max_value=2), max_size=40))
         )
+        # A target that is no vertex of the graph (here one past int32)
+        # must fail like any unreachable target.
         pairs = draw(
             st.lists(
-                st.tuples(st.sampled_from(vertices), st.sampled_from(vertices)),
+                st.tuples(st.sampled_from(vertices), st.sampled_from(vertices + [2**40])),
                 min_size=1,
                 max_size=8,
             )
@@ -217,14 +220,33 @@ def test_batched_block_stepping_equals_reference(case, chunks, cap, start_port, 
 
 @needs_numpy
 @_RELAXED
-@given(case=_jobs(max_graphs=3), chunks=_CHUNKS, cap=_CAPS, start_port=st.integers(0, 2))
-def test_multigraph_block_stepping_equals_reference(case, chunks, cap, start_port):
+@given(
+    case=_jobs(max_graphs=3),
+    chunks=_CHUNKS,
+    cap=_CAPS,
+    start_port=st.integers(0, 2),
+    detect_slice=st.integers(1, 48),
+    share_stream=st.booleans(),
+)
+def test_multigraph_block_stepping_equals_reference(
+    case, chunks, cap, start_port, detect_slice, share_stream
+):
+    # With ``share_stream`` every job reads one stream object, so the run
+    # takes the shared-code gather; otherwise each job has its own stream
+    # (equal bytes or not) and fronts gather their own codes.
     graphs, jobs = case
+    if share_stream:
+        jobs = [(slot, pairs, jobs[0][2]) for slot, pairs, _offsets in jobs]
+        shared = OffsetStream(jobs[0][2])
     multi = MultiGraphWalk([BatchedWalk(prepare(graph).kernel) for graph in graphs])
     with mock.patch.object(batch_kernel, "_CHUNK_ROWS_MIN", chunks[0]), \
-            mock.patch.object(batch_kernel, "_CHUNK_ROWS_MAX", chunks[1]):
+            mock.patch.object(batch_kernel, "_CHUNK_ROWS_MAX", chunks[1]), \
+            mock.patch.object(batch_kernel, "_DETECT_SLICE_ELEMENTS", detect_slice):
         accounts, unresolved = multi.run(
-            [(slot, pairs, OffsetStream(offsets)) for slot, pairs, offsets in jobs],
+            [
+                (slot, pairs, shared if share_stream else OffsetStream(offsets))
+                for slot, pairs, offsets in jobs
+            ],
             start_port=start_port,
             max_buffer_elements=cap,
         )

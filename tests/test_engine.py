@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.engine import PreparedNetwork, prepare
+from repro.core.engine import PreparedNetwork, prepare, route_many_multi
 from repro.core.exploration import WalkState, step_backward, step_forward
 from repro.core.routing import RouteOutcome, route
 from repro.errors import RoutingError
@@ -145,6 +145,27 @@ def test_engine_route_validates_inputs(provider, grid_4x4):
         engine.route(999, 0, provider=provider)
     with pytest.raises(RoutingError):
         engine.route(0, 1, provider=provider, size_bound=0)
+
+
+@pytest.mark.parametrize("start_port", [3, 7, -1, True, 1.5])
+def test_start_port_outside_0_to_2_is_rejected_by_every_entry_point(provider, start_port):
+    # The lockstep path seeds the walk state ``3 * gateway + start_port``, so
+    # 64 pairs with start port 3 walked from another vertex than the scalar
+    # loop does; every entry point that takes a start port now refuses it.
+    engine = prepare(generators.grid_graph(12, 12))
+    pairs = [(0, 143)] * 64
+    calls = [
+        lambda: engine.route(0, 143, provider=provider, start_port=start_port),
+        lambda: engine.route_with_trace(0, 143, provider=provider, start_port=start_port),
+        lambda: engine.route_many(pairs, provider=provider, start_port=start_port),
+        lambda: engine.reference_route_many(pairs, provider=provider, start_port=start_port),
+        lambda: route_many_multi([(engine, pairs, None)], start_port=start_port),
+        lambda: engine.broadcast_walk(0, provider=provider, start_port=start_port),
+        lambda: engine.connectivity_walk(0, 143, provider=provider, start_port=start_port),
+    ]
+    for call in calls:
+        with pytest.raises(RoutingError, match="start_port"):
+            call()
 
 
 def test_engine_resolve_size_bound_matches_component(grid_4x4, two_components):

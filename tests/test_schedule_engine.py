@@ -152,7 +152,7 @@ def test_translate_virtual_between_kernels():
     kernel_a = prepare(base).kernel
     kernel_b = prepare(relabeled).kernel
     for original in base.vertices:
-        for virtual in kernel_a.reduction.cluster(original):
+        for virtual in kernel_a.clusters[original]:
             translated = kernel_a.translate_virtual(kernel_b, virtual)
             # Degrees are preserved by relabeling, so translation must succeed
             # and land on the same (owner, carried port) position.

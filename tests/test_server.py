@@ -47,6 +47,7 @@ from repro.server.client import http_request
 from repro.server.queueing import LatencyHistogram, TaskQueue
 
 SPEC = ScenarioSpec(name="srv", family="grid", size=16, seed=0)
+GRID_144 = ScenarioSpec(name="srv-grid-144", family="grid", size=144, seed=0)
 RING = ScenarioSpec(name="srv-ring", family="ring", size=10, seed=1)
 DYN = ScenarioSpec(
     name="srv-dyn-ring",
@@ -187,6 +188,9 @@ PARITY_REQUESTS = [
     ConnectivityRequest(scenario=SPEC, source=0, target=9),
     CompareRequest(scenario=RING, num_pairs=2, pair_seed=3),
     RouteBatchRequest(scenario=SPEC, num_pairs=3, pair_seed=1),
+    # A lockstep batch whose target is no vertex: a failure result, not the
+    # 500 its int32 overflow used to produce.
+    RouteBatchRequest(scenario=GRID_144, pairs=((0, 2**40),) * 64, size_bound=8),
     BroadcastReliableRequest(scenario=SPEC, source=0, num_byzantine=2, fault_seed=5),
     BroadcastReliableRequest(
         scenario=RING,
@@ -418,6 +422,21 @@ def test_hostile_sizes_and_boolean_integers_are_structured_400():
     assert boolean.status == 400
     error = _error_of(boolean)
     assert error["code"] == "invalid-request" and "must be an integer" in error["message"]
+
+
+def test_start_port_outside_0_to_2_is_structured_400():
+    # Before the engine checked it, ``"start_port": 7`` was decoded and routed.
+    wire = to_wire(RouteRequest(scenario=SPEC, source=0, target=1))
+    wire["fields"]["start_port"] = 7
+
+    async def scenario():
+        async with running_server() as server:
+            return await raw(server, "POST", "/v1/task", body=json.dumps(wire).encode())
+
+    reply = asyncio.run(scenario())
+    assert reply.status == 400
+    error = _error_of(reply)
+    assert error["code"] == "task-error" and "start_port" in error["message"]
 
 
 def test_hostile_optional_numeric_fields_are_structured_400():
