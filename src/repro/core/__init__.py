@@ -43,7 +43,6 @@ from repro.core.routing import (
     Direction,
     RouteOutcome,
     RouteResult,
-    RoutingHeader,
     route,
     route_on_network,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "Direction",
     "RouteOutcome",
     "RouteResult",
-    "RoutingHeader",
     "route",
     "route_on_network",
     "PreparedNetwork",

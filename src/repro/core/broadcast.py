@@ -14,7 +14,7 @@ distributed protocol (:func:`broadcast_on_network`) are provided.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Set, Tuple
+from typing import Optional, Set
 
 from repro.core.engine import prepare
 from repro.core.routing import (
@@ -28,7 +28,7 @@ from repro.errors import RoutingError
 from repro.graphs.degree_reduction import EXTERNAL_PORT
 from repro.graphs.labeled_graph import LabeledGraph
 from repro.network.adhoc import AdHocNetwork
-from repro.network.message import Header, Message
+from repro.network.message import Header, HeaderSchema, Message
 from repro.network.node import NodeContext
 from repro.network.simulator import Protocol, SimulationResult
 
@@ -37,7 +37,23 @@ __all__ = ["BroadcastResult", "broadcast", "broadcast_on_network", "BroadcastPro
 
 @dataclass(frozen=True)
 class BroadcastResult:
-    """Outcome of one broadcast."""
+    """Outcome of one broadcast.
+
+    The two realisations fill two fields differently (both pinned by
+    ``tests/test_broadcast.py``):
+
+    * ``header_bits``: :func:`broadcast` reports the size of the *route*
+      header (source, target, direction, status, index, size bound);
+      :func:`broadcast_on_network` reports the header its messages carry,
+      the four-field broadcast header (no target, no status).
+    * ``physical_hops``: :func:`broadcast` counts the forward walk's
+      cluster-leaving steps only; :func:`broadcast_on_network` counts every
+      transmission, the backtrack to the source included.
+
+    On a 3x3 grid that is 41 bits and 5,783 hops against 35 bits and 5,804
+    hops.  :func:`broadcast`'s numbers are part of the served ``broadcast``
+    task result, so changing them would break the replay of recorded logs.
+    """
 
     source: int
     reached: frozenset
@@ -109,7 +125,6 @@ class BroadcastProtocol(Protocol):
         size_bound: Optional[int] = None,
         payload: object = None,
     ) -> None:
-        self._network = network
         self._source = source
         self._payload = payload
         self._provider = provider if provider is not None else _DEFAULT_PROVIDER
@@ -121,27 +136,29 @@ class BroadcastProtocol(Protocol):
         # keeps the historical attribute that callers size budgets from.
         self._offsets = self._engine.offsets_for(self._bound, self._provider).offsets()
         self._sequence = self._offsets
-        self._name_bits = network.name_bits
-        self._index_bits = max(1, len(self._sequence).bit_length())
+        index_bits = max(1, len(self._sequence).bit_length())
+        # The broadcast header: the route header without a target or a
+        # status, since the walk stops only when the sequence runs out.
+        self._schema = HeaderSchema(
+            {
+                "source": network.name_bits,
+                "direction": 1,
+                "index": index_bits,
+                "size_bound": index_bits,
+            }
+        )
+        self._source_name = network.name_of(source)
         self.reached: Set[int] = set()
 
-    def _widths(self) -> Dict[str, int]:
-        return {
-            "source": self._name_bits,
-            "direction": 1,
-            "index": self._index_bits,
-            "size_bound": self._index_bits,
-        }
-
     def _make_message(self, direction: Direction, index: int) -> Message:
-        header = Header.from_values(
-            self._widths(),
-            {
-                "source": self._network.name_of(self._source),
-                "direction": 0 if direction is Direction.FORWARD else 1,
-                "index": index,
-                "size_bound": self._bound,
-            },
+        header = Header(
+            self._schema,
+            (
+                self._source_name,
+                0 if direction is Direction.FORWARD else 1,
+                index,
+                self._bound,
+            ),
         )
         return Message(header=header, payload=self._payload)
 
@@ -159,10 +176,13 @@ class BroadcastProtocol(Protocol):
         physical_port_of = kernel.physical_port
         sequence = self._offsets
         length = len(sequence)
+        # The walk stays at this node until it sends, so one visit is one
+        # delivery check.
+        if direction is Direction.FORWARD:
+            self._deliver_once(ctx)
         while True:
             owner = owner_of[vertex]
             if direction is Direction.FORWARD:
-                self._deliver_once(ctx)
                 if index >= length:
                     direction = Direction.BACK
                     continue
@@ -187,9 +207,6 @@ class BroadcastProtocol(Protocol):
                     return
                 entry_port = (next_port[edge] - offset) % 3
                 vertex = previous_v
-
-    def _physical_port_of(self, owner: int, virtual_vertex: int) -> int:
-        return self._kernel.physical_port[virtual_vertex]
 
     def on_start(self, ctx: NodeContext) -> None:
         self._process(

@@ -133,6 +133,9 @@ __all__ = [
 _LOCKSTEP_AUTO_MIN_STATIC = 32
 _LOCKSTEP_AUTO_MIN_WORK = 32_768
 
+#: The lockstep kernels hold vertex ids as int32.
+_INT32_MIN, _INT32_MAX = -(2**31), 2**31 - 1
+
 
 class PreparedNetwork:
     """All per-graph routing state, computed once and shared by every call.
@@ -172,6 +175,13 @@ class PreparedNetwork:
         if kernel is None:
             kernel = kernel_store().kernel_for(graph)
         self._kernel = kernel
+        # The lockstep kernels hold every owner id, and one less than the
+        # smallest (their no-vertex marker), as int32; batches on a graph
+        # whose ids do not fit run the scalar specification instead.
+        owners = kernel.owner
+        self._lockstep_ids_fit = not owners or (
+            min(0, min(owners)) - 1 >= _INT32_MIN and max(owners) <= _INT32_MAX
+        )
         #: Built lazily by :attr:`reduction` for the few callers that need it;
         #: walks read only the kernel's flat arrays.
         self._reduction: Optional[DegreeReducedGraph] = None
@@ -975,7 +985,8 @@ def route_many_multi(
     many small per-scenario batches that would each fall below the lockstep
     thresholds clear them together.  Above the thresholds (and with NumPy
     installed) all tasks' pairs are grouped into per-(graph, size-bound) jobs
-    and advanced together by the lockstep kernels; below them each task runs
+    and advanced together by the lockstep kernels; below them, or when some
+    graph's vertex ids do not fit the kernels' int32 arrays, each task runs
     its engine's ``reference_route_many``.
     """
     from repro.core.batch_kernel import HAVE_NUMPY
@@ -999,6 +1010,7 @@ def route_many_multi(
         HAVE_NUMPY
         and total_pairs >= _LOCKSTEP_AUTO_MIN_STATIC
         and aggregate_work >= _LOCKSTEP_AUTO_MIN_WORK
+        and all(engine._lockstep_ids_fit for engine, _pairs, _ns in normalized)
     ):
         return _route_lockstep(normalized, provider, size_bound, start_port)
     return [

@@ -57,7 +57,7 @@ from repro.errors import SimulationError, SimulationLimitExceeded
 from repro.graphs.labeled_graph import LabeledGraph
 from repro.network.byzantine import ByzantinePlan, FaultModel
 from repro.network.failures import FailurePlan
-from repro.network.message import Header
+from repro.network.message import HeaderSchema
 
 __all__ = [
     "SEND",
@@ -294,11 +294,7 @@ def _header_bits(n: int, values: Set[str]) -> int:
     """
     name_bits = max(1, (max(1, n - 1)).bit_length())
     value_bits = max(1, (max(1, len(values) - 1)).bit_length())
-    header = Header.from_values(
-        {"kind": 2, "origin": name_bits, "value_index": value_bits},
-        {"kind": 0, "origin": 0, "value_index": 0},
-    )
-    return header.total_bits
+    return HeaderSchema({"kind": 2, "origin": name_bits, "value_index": value_bits}).total_bits
 
 
 class _BrachaRun:

@@ -42,14 +42,13 @@ from repro.errors import RoutingError
 from repro.graphs.degree_reduction import EXTERNAL_PORT
 from repro.graphs.labeled_graph import LabeledGraph
 from repro.network.adhoc import AdHocNetwork
-from repro.network.message import Header, Message
+from repro.network.message import Header, HeaderSchema, Message
 from repro.network.node import NodeContext
 from repro.network.simulator import Protocol, SimulationResult
 
 __all__ = [
     "Direction",
     "RouteOutcome",
-    "RoutingHeader",
     "RouteResult",
     "route",
     "route_on_network",
@@ -78,41 +77,6 @@ class RouteOutcome(enum.Enum):
 
     SUCCESS = "success"
     FAILURE = "failure"
-
-
-@dataclass(frozen=True)
-class RoutingHeader:
-    """The paper's message header ``(s, t, dir, status, i)`` plus the size bound.
-
-    ``status`` is a three-valued field (none / success / failure) and
-    therefore occupies **two** bits in :meth:`bit_widths`; the paper's prose
-    calls it the confirmation bit because only the success/failure distinction
-    travels back to the source.
-
-    ``size_bound`` is the bound ``n`` on the number of vertices of the reduced
-    connected component that selects which sequence ``T_n`` the nodes follow.
-    Section 3 first assumes it is known; Section 4 (Algorithm ``CountNodes``)
-    shows how the source discovers it, after which it simply rides along in
-    the header — still ``O(log n)`` bits.
-    """
-
-    source: int
-    target: int
-    direction: Direction
-    status: Optional[RouteOutcome]
-    index: int
-    size_bound: int
-
-    def bit_widths(self, name_bits: int, index_bits: int) -> Dict[str, int]:
-        """Declared header field widths for the given name/index bit budgets."""
-        return {
-            "source": name_bits,
-            "target": name_bits,
-            "direction": 1,
-            "status": 2,
-            "index": index_bits,
-            "size_bound": index_bits,
-        }
 
 
 @dataclass(frozen=True, init=False)
@@ -190,11 +154,44 @@ class RouteResult:
         return True
 
 
+def _route_header_widths(name_bits: int, index_bits: int) -> Dict[str, int]:
+    """The route header's fields and their widths in bits, in wire order.
+
+    The paper's message header ``(s, t, dir, status, i)`` plus the size
+    bound.  ``source`` and ``target`` are universal names of ``name_bits``
+    each.  ``status`` is a three-valued field (none / success / failure) and
+    therefore occupies **two** bits; the paper's prose calls it the
+    confirmation bit because only the success/failure distinction travels
+    back to the source.  ``index`` is the position in the exploration
+    sequence.
+
+    ``size_bound`` is the bound ``n`` on the number of vertices of the reduced
+    connected component that selects which sequence ``T_n`` the nodes follow.
+    Section 3 first assumes it is known; Section 4 (Algorithm ``CountNodes``)
+    shows how the source discovers it, after which it simply rides along in
+    the header — still ``O(log n)`` bits.  Both ``index`` and ``size_bound``
+    take ``index_bits``, the bit length of the sequence length.
+    """
+    return {
+        "source": name_bits,
+        "target": name_bits,
+        "direction": 1,
+        "status": 2,
+        "index": index_bits,
+        "size_bound": index_bits,
+    }
+
+
+#: The header's ``status`` codes (none / success / failure) and back.
+_STATUS_CODE = {None: 0, RouteOutcome.SUCCESS: 1, RouteOutcome.FAILURE: 2}
+_STATUS_OF = {code: status for status, code in _STATUS_CODE.items()}
+
+
 def _header_bits(namespace_size: int, sequence_length: int) -> int:
-    """Total header size in bits for a given namespace and sequence length."""
+    """Total route header size in bits for a given namespace and sequence length."""
     name_bits = bits_for_namespace(namespace_size)
     index_bits = max(1, sequence_length.bit_length())
-    return 2 * name_bits + 1 + 2 + 2 * index_bits
+    return sum(_route_header_widths(name_bits, index_bits).values())
 
 
 # --------------------------------------------------------------------------- #
@@ -278,7 +275,6 @@ class RouteProtocol(Protocol):
     ) -> None:
         from repro.core.engine import PreparedNetwork, prepare
 
-        self._network = network
         self._source = source
         self._target = target
         self._payload = payload
@@ -302,8 +298,11 @@ class RouteProtocol(Protocol):
         # The raw offsets ARE the sequence; the alias keeps the historical
         # attribute that callers size simulation budgets from.
         self._sequence = self._offsets
-        self._name_bits = network.name_bits
-        self._index_bits = max(1, len(self._sequence).bit_length())
+        name_bits = network.name_bits
+        self._schema = HeaderSchema(
+            _route_header_widths(name_bits, max(1, len(self._sequence).bit_length()))
+        )
+        self._source_name = network.name_of(source)
         # An unknown target has no universal name; the header carries the
         # all-ones in-namespace sentinel instead so the message stays
         # well-formed and the walk fails gracefully (the outcome comparison
@@ -311,7 +310,7 @@ class RouteProtocol(Protocol):
         self._target_name = (
             network.name_of(target)
             if target in network.names
-            else (1 << self._name_bits) - 1
+            else (1 << name_bits) - 1
         )
         self.delivered_at_target = False
         self.target_found_at_step: Optional[int] = None
@@ -322,37 +321,26 @@ class RouteProtocol(Protocol):
 
     # -- header helpers -------------------------------------------------- #
 
-    def _widths(self) -> Dict[str, int]:
-        return {
-            "source": self._name_bits,
-            "target": self._name_bits,
-            "direction": 1,
-            "status": 2,
-            "index": self._index_bits,
-            "size_bound": self._index_bits,
-        }
-
     def _make_message(
         self, direction: Direction, status: Optional[RouteOutcome], index: int
     ) -> Message:
-        header = Header.from_values(
-            self._widths(),
-            {
-                "source": self._network.name_of(self._source),
-                "target": self._target_name,
-                "direction": 0 if direction is Direction.FORWARD else 1,
-                "status": {None: 0, RouteOutcome.SUCCESS: 1, RouteOutcome.FAILURE: 2}[status],
-                "index": index,
-                "size_bound": self._bound,
-            },
+        header = Header(
+            self._schema,
+            (
+                self._source_name,
+                self._target_name,
+                0 if direction is Direction.FORWARD else 1,
+                _STATUS_CODE[status],
+                index,
+                self._bound,
+            ),
         )
         return Message(header=header, payload=self._payload)
 
     @staticmethod
     def _decode(message: Message) -> Tuple[Direction, Optional[RouteOutcome], int]:
         direction = Direction.FORWARD if message.header.get("direction") == 0 else Direction.BACK
-        status_code = message.header.get("status")
-        status = {0: None, 1: RouteOutcome.SUCCESS, 2: RouteOutcome.FAILURE}[status_code]
+        status = _STATUS_OF[message.header.get("status")]
         return direction, status, int(message.header.get("index"))
 
     # -- local walk processing ------------------------------------------- #
@@ -431,10 +419,6 @@ class RouteProtocol(Protocol):
                     return
                 entry_port = (next_port[edge] - offset) % 3
                 vertex = previous_v
-
-    def _physical_port_of(self, owner: int, virtual_vertex: int) -> int:
-        """Physical port of ``owner`` whose external edge this virtual vertex carries."""
-        return self._kernel.physical_port[virtual_vertex]
 
     # -- Protocol interface ----------------------------------------------- #
 

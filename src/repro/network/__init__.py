@@ -20,7 +20,7 @@ testable end to end:
   reliable-broadcast protocol (:mod:`repro.core.reliable_broadcast`).
 """
 
-from repro.network.message import Header, HeaderField, Message
+from repro.network.message import Header, HeaderSchema, Message
 from repro.network.node import Node, NodeContext
 from repro.network.simulator import Protocol, SimulationResult, Simulator
 from repro.network.trace import DeliveryRecord, SimulationStats, TraceEvent
@@ -37,7 +37,7 @@ from repro.network.dynamics import (
 
 __all__ = [
     "Header",
-    "HeaderField",
+    "HeaderSchema",
     "Message",
     "Node",
     "NodeContext",

@@ -183,7 +183,8 @@ class Simulator:
         receiver, receiver_port = self._graph.rotation(sender, port)
         if sender in self._failed_nodes or receiver in self._failed_nodes:
             return
-        if frozenset((sender, receiver)) in self._failed_links and sender != receiver:
+        links = self._failed_links
+        if links and sender != receiver and frozenset((sender, receiver)) in links:
             return
         deliver_at = now + self._link_delay
         event = TraceEvent(

@@ -105,6 +105,41 @@ def test_no_vertex_target_marker_differs_from_negative_vertices():
     assert batched == engine.reference_route_many(pairs, provider=_PROVIDER)
 
 
+def _ring_with_ids(ids):
+    return [(ids[i], ids[(i + 1) % len(ids)]) for i in range(len(ids))]
+
+
+@pytest.mark.parametrize(
+    "edges, pairs",
+    [
+        # 2**32 wrapped to vertex 0 in an int32 owner array, so walks from
+        # near it reported the target 0 found on meeting 2**32.
+        (
+            _ring_with_ids(list(range(1, 100)) + [2**32]) + [(0, 50)],
+            [(source, 0) for source in (1, 2, 3, 98, 99)] * 40,
+        ),
+        # Ids above 2**31 - 1 overflowed the int32 source rows.
+        (
+            _ring_with_ids([2**31 + i for i in range(100)]),
+            [(2**31, 2**31 + 3), (2**31 + 5, 2**31 + 1)] * 100,
+        ),
+    ],
+    ids=["wraps-to-a-vertex", "above-int32"],
+)
+def test_batch_on_vertex_ids_outside_int32_equals_reference(edges, pairs):
+    engine = prepare(LabeledGraph.from_edges(edges))
+    # Large enough for the lockstep path on a graph whose ids fit.
+    assert len(pairs) >= engine_module._LOCKSTEP_AUTO_MIN_STATIC
+    assert len(pairs) * engine.kernel.num_vertices >= engine_module._LOCKSTEP_AUTO_MIN_WORK
+    reference = engine.reference_route_many(pairs, provider=_PROVIDER, size_bound=8)
+    assert engine.route_many(pairs, provider=_PROVIDER, size_bound=8) == reference
+    grid = prepare(generators.grid_graph(6, 6))
+    grid_pairs = [(0, 35)] * 64
+    assert engine_module.route_many_multi(
+        [(grid, grid_pairs, None), (engine, pairs, None)], provider=_PROVIDER, size_bound=8
+    ) == [grid.reference_route_many(grid_pairs, provider=_PROVIDER, size_bound=8), reference]
+
+
 @st.composite
 def _schedule_cases(draw):
     family = draw(st.sampled_from(["grid", "ring", "tree", "two-rings"]))

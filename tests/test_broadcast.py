@@ -88,3 +88,23 @@ def test_distributed_broadcast_memory_is_one_bit(provider, grid_network):
     simulator.run(protocol, initiators=[0], max_events=4 * len(protocol._sequence) + 64)
     # The only per-node state is the single "already delivered" bit.
     assert simulator.memory_high_water_bits() == 1
+
+
+def test_the_two_broadcasts_count_header_bits_and_hops_differently(provider):
+    # Pinned, not a defect: ``broadcast`` results are served and replayed,
+    # so its accounting must not move (see the ``BroadcastResult`` docstring).
+    graph = generators.grid_graph(3, 3)
+    central = broadcast(graph, 0, provider=provider)
+    distributed = broadcast_on_network(build_graph_network(graph), 0, provider=provider)
+    assert central.reached == distributed.reached == frozenset(graph.vertices)
+    assert central.sequence_length == distributed.sequence_length == 17280
+    name_bits, index_bits = 4, (17280).bit_length()
+    # ``broadcast`` reports the route header: source, target, dir, status,
+    # index, size bound.  The protocol's messages carry the broadcast
+    # header: source, dir, index, size bound.
+    assert central.header_bits == 2 * name_bits + 1 + 2 + 2 * index_bits == 41
+    assert distributed.header_bits == name_bits + 1 + 2 * index_bits == 35
+    # ``broadcast`` counts the forward walk's hops; the protocol also counts
+    # the transmissions of the backtrack to the source.
+    assert central.physical_hops == 5783
+    assert distributed.physical_hops == 5804

@@ -6,85 +6,57 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.memory import bits_for_value
 from repro.errors import HeaderOverflowError
-from repro.network.message import Header, HeaderField, Message
+from repro.network.message import Header, HeaderSchema, Message
 
 
 def test_header_field_validates_width():
-    HeaderField("index", 100, 7)
+    schema = HeaderSchema({"index": 7})
+    Header(schema, (100,))
     with pytest.raises(HeaderOverflowError):
-        HeaderField("index", 200, 7)
+        Header(schema, (200,))
     with pytest.raises(HeaderOverflowError):
-        HeaderField("index", 1, -1)
+        HeaderSchema({"index": -1})
 
 
 def test_header_total_bits_and_lookup():
-    header = Header(
-        [HeaderField("source", 3, 8), HeaderField("target", 9, 8), HeaderField("dir", 1, 1)]
-    )
-    assert header.total_bits == 17
+    schema = HeaderSchema({"source": 8, "target": 8, "dir": 1})
+    header = Header(schema, (3, 9, 1))
+    assert header.total_bits == schema.total_bits == 17
     assert header.get("source") == 3
-    assert header.names() == ["source", "target", "dir"]
-    assert "dir" in header and "missing" not in header
+    assert schema.names == ("source", "target", "dir")
     with pytest.raises(KeyError):
         header.get("missing")
 
 
-def test_header_duplicate_names_rejected():
-    with pytest.raises(HeaderOverflowError):
-        Header([HeaderField("x", 1, 4), HeaderField("x", 2, 4)])
-
-
-def test_header_from_values_schema_checks():
-    widths = {"source": 8, "index": 16}
-    header = Header.from_values(widths, {"source": 5, "index": 1000})
+def test_header_needs_one_value_per_field():
+    schema = HeaderSchema({"source": 8, "index": 16})
+    header = Header(schema, (5, 1000))
     assert header.total_bits == 24
     with pytest.raises(HeaderOverflowError):
-        Header.from_values(widths, {"source": 5})
+        Header(schema, (5,))
     with pytest.raises(HeaderOverflowError):
-        Header.from_values(widths, {"source": 5, "index": 1, "extra": 2})
+        Header(schema, (5, 1, 2))
 
 
-def test_header_replace_preserves_widths():
-    widths = {"index": 8, "dir": 1}
-    header = Header.from_values(widths, {"index": 3, "dir": 0})
-    updated = header.replace(index=200)
-    assert updated.get("index") == 200
-    assert updated.total_bits == header.total_bits
-    assert header.get("index") == 3  # original untouched
-    with pytest.raises(HeaderOverflowError):
-        header.replace(index=1000)
-    with pytest.raises(HeaderOverflowError):
-        header.replace(unknown=1)
-
-
-def test_header_as_dict_and_repr():
-    header = Header.from_values({"a": 4, "b": 1}, {"a": 2, "b": True})
-    assert header.as_dict() == {"a": 2, "b": True}
+def test_header_repr():
+    header = Header(HeaderSchema({"a": 4, "b": 1}), (2, True))
+    assert header.values == (2, True)
     assert "bits" in repr(header)
 
 
 def test_message_overhead_excludes_payload():
-    header = Header.from_values({"index": 8}, {"index": 1})
-    message = Message(header=header, payload="x" * 1000, payload_bits=8000)
+    header = Header(HeaderSchema({"index": 8}), (1,))
+    message = Message(header=header, payload="x" * 1000)
     assert message.overhead_bits == 8
-    assert message.payload_bits == 8000
-
-
-def test_message_update_header_returns_new_message():
-    header = Header.from_values({"index": 8, "dir": 1}, {"index": 1, "dir": 0})
-    message = Message(header=header, payload="data")
-    updated = message.update_header(index=2, dir=1)
-    assert updated.header.get("index") == 2
-    assert message.header.get("index") == 1
-    assert updated.payload == "data"
 
 
 @settings(max_examples=50, deadline=None)
 @given(value=st.integers(min_value=0, max_value=2 ** 32 - 1))
 def test_property_field_width_of_32_bits_accepts_all_32_bit_values(value):
-    field = HeaderField("name", value, 32)
-    assert field.bits == 32
+    header = Header(HeaderSchema({"name": 32}), (value,))
+    assert header.total_bits == 32
 
 
 @settings(max_examples=50, deadline=None)
@@ -94,6 +66,43 @@ def test_property_field_width_of_32_bits_accepts_all_32_bit_values(value):
     )
 )
 def test_property_header_total_bits_is_sum_of_widths(widths):
-    values = {name: 0 for name in widths}
-    header = Header.from_values(widths, values)
+    schema = HeaderSchema(widths)
+    header = Header(schema, (0,) * len(widths))
     assert header.total_bits == sum(widths.values())
+
+
+def _old_rule_rejects(widths, values):
+    """The reference fit rule, one field at a time: a field rejects a negative
+    width, or a value needing more bits than its width by ``bits_for_value``."""
+    return any(bits < 0 or bits_for_value(value) > bits for bits, value in zip(widths, values))
+
+
+_VALUES = st.one_of(
+    st.integers(min_value=-(2 ** 40), max_value=2 ** 40),
+    # Both sides of every power of two, where the bit cost changes.
+    st.integers(min_value=0, max_value=41).flatmap(
+        lambda k: st.sampled_from([2 ** k - 1, 2 ** k, -(2 ** k), 1 - 2 ** k])
+    ),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=4),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    fields=st.lists(
+        st.tuples(st.integers(min_value=-3, max_value=42), _VALUES), min_size=1, max_size=6
+    )
+)
+def test_property_schema_rejects_exactly_what_the_old_rule_rejected(fields):
+    widths = [bits for bits, _value in fields]
+    values = tuple(value for _bits, value in fields)
+    names = [f"f{i}" for i in range(len(fields))]
+    try:
+        Header(HeaderSchema(dict(zip(names, widths))), values)
+    except HeaderOverflowError:
+        rejected = True
+    else:
+        rejected = False
+    assert rejected == _old_rule_rejects(widths, values)

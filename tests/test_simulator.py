@@ -7,13 +7,16 @@ import pytest
 from repro.errors import ProtocolViolation, SimulationLimitExceeded
 from repro.graphs import generators
 from repro.network.adhoc import build_graph_network
-from repro.network.message import Header, Message
+from repro.network.message import Header, HeaderSchema, Message
 from repro.network.node import NodeContext
 from repro.network.simulator import Protocol, Simulator
 
 
+HOP_SCHEMA = HeaderSchema({"hop": 16})
+
+
 def _simple_message(hop: int = 0) -> Message:
-    return Message(header=Header.from_values({"hop": 16}, {"hop": hop}))
+    return Message(header=Header(HOP_SCHEMA, (hop,)))
 
 
 class PingAlongPath(Protocol):
@@ -27,7 +30,7 @@ class PingAlongPath(Protocol):
         ctx.deliver(hop, note="ping")
         out_ports = [p for p in range(ctx.degree) if p != in_port]
         if out_ports:
-            ctx.send(out_ports[0], message.update_header(hop=hop + 1))
+            ctx.send(out_ports[0], _simple_message(hop + 1))
 
 
 class EchoOnce(Protocol):
