@@ -632,9 +632,7 @@ def _check_malicious_scenario(
     assert is_connected(graph), (
         f"malicious scenario {spec.name} needs a connected graph"
     )
-    transport = UESTransport(
-        graph, provider=provider, namespace_size=network.namespace_size
-    )
+    transport = UESTransport(graph, provider=provider)
     vertices = sorted(graph.vertices)
     rng = random.Random(seed)
     tally = _Tally()

@@ -322,7 +322,6 @@ def execute_broadcast_reliable(request, store: ScenarioStore) -> TaskComputation
         value=request.value,
         plan=plan,
         failures=failures,
-        namespace_size=network.namespace_size,
     )
     return TaskComputation(
         status="agreed" if (result.agreement and result.totality) else "diverged",

@@ -17,14 +17,20 @@ Two execution modes are provided:
   the source for every index probed (quadratic-and-worse in the walk length —
   run it only on small graphs, as the tests do);
 * the default **memoised** mode walks each sequence once and answers the same
-  queries from the recorded trajectory.  The decisions taken are identical;
-  only the accounting of elementary steps differs, and both are reported.
+  queries from the recorded trajectory: one closure pass over the *distinct*
+  visited vertices, in first-occurrence order, probing each one's three
+  neighbours once.  Its ``retrieve_calls`` and ``neighbor_retrieve_calls``
+  are still the counts of the pseudocode's per-step probe loop (one of each
+  per probe, stopping at the first neighbour outside the walk), worked out
+  from where that loop would stop rather than counted probe by probe.  The
+  decisions taken are identical to the faithful mode's; only the accounting
+  of elementary steps differs, and both are reported.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Set
+from typing import List, Optional, Sequence, Set
 
 from repro.core.engine import prepare
 from repro.core.routing import _DEFAULT_PROVIDER
@@ -55,6 +61,26 @@ class CountingResult:
     def count(self) -> int:
         """The value the algorithm returns: |C_s| in the reduced graph."""
         return self.virtual_count
+
+
+def _probes_to_first_new_neighbor(
+    next_vertex: Sequence[int], visited_list: List[int], visited_set: Set[int]
+) -> Optional[int]:
+    """Probes the pseudocode makes before it meets a neighbour outside the walk.
+
+    The pseudocode probes ports 0-2 of the vertex at every walk step, in walk
+    order, and stops at the first neighbour not in ``visited_set``.  A vertex
+    that recurs gives the same answers every time, so each *distinct* vertex
+    is probed once, in first-occurrence order, and the pseudocode's count is
+    worked out from where the first open vertex first occurs.  ``None`` means
+    the visited set is closed under taking neighbours.
+    """
+    for vertex in dict.fromkeys(visited_list):
+        base = 3 * vertex
+        for port in range(3):
+            if next_vertex[base + port] not in visited_set:
+                return 3 * visited_list.index(vertex) + port + 1
+    return None
 
 
 def count_nodes(
@@ -111,12 +137,12 @@ def count_nodes(
         walk_steps += len(sequence)
         visited_set: Set[int] = set(visited_list)
 
-        new_node_discovered = False
-        for i, vertex in enumerate(visited_list):
-            for port in range(3):
-                neighbor_retrieve_calls += 1
-                neighbor = kernel.neighbor(vertex, port)
-                if faithful:
+        if faithful:
+            new_node_discovered = False
+            for i, vertex in enumerate(visited_list):
+                for port in range(3):
+                    neighbor_retrieve_calls += 1
+                    neighbor = kernel.neighbor(vertex, port)
                     # The paper compares the neighbour against every visited
                     # vertex, re-deriving each by replaying the walk.
                     found = False
@@ -126,17 +152,24 @@ def count_nodes(
                         if visited_list[j] == neighbor:
                             found = True
                             break
-                    is_new = not found
-                else:
-                    retrieve_calls += 1
-                    is_new = neighbor not in visited_set
-                if is_new:
-                    new_node_discovered = True
+                    if not found:
+                        new_node_discovered = True
+                        break
+                if new_node_discovered:
                     break
-            if new_node_discovered:
+            if not new_node_discovered:
                 break
-        if not new_node_discovered:
-            break
+        else:
+            probes = _probes_to_first_new_neighbor(
+                kernel.next_vertex, visited_list, visited_set
+            )
+            closed = probes is None
+            if closed:
+                probes = 3 * len(visited_list)
+            retrieve_calls += probes
+            neighbor_retrieve_calls += probes
+            if closed:
+                break
 
     # Count the distinct vertices the final walk visited.
     if faithful:

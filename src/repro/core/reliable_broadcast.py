@@ -224,41 +224,83 @@ class UESTransport:
 
     For an ordered pair ``(u, v)`` the latency is the *physical hop count* of
     the prepared engine's route from ``u`` to ``v`` (at least 1), or ``None``
-    when the pair is disconnected — in which case the message is lost, which
-    is the honest-channel assumption failing, not the protocol.  Routes are
-    cached per pair, so one transport instance amortises the walk across the
-    whole broadcast (and across runs that share it, e.g. a conformance
-    scenario sweeping ``f``).
+    when the pair is disconnected (or ``v`` is no vertex) — in which case the
+    message is lost, which is the honest-channel assumption failing, not the
+    protocol.
+
+    Every route from ``u`` follows the same walk of ``T_bound(u)``, so the
+    first ``latency(u, ·)`` call walks it once and prices every target from
+    it: the route to ``v`` stops at the first visit to ``v``'s cluster, after
+    ``h(v)`` physical hops, and its backtrack retraces the walk to the last
+    visit to ``u``'s cluster before that, made at hop ``h_src(v)``, so its
+    hop count is ``2 * h(v) - h_src(v)``.  One transport instance therefore
+    walks once per source (and a conformance scenario sweeping ``f`` shares
+    one across runs).
 
     The engine route and the fully distributed ``route_on_network`` execution
     are interchangeable here: their parity on outcome and step accounting is
     a standing conformance invariant (``distributed-parity``), re-asserted at
-    this layer by ``tests/test_byzantine.py``.
+    this layer by ``tests/test_byzantine.py``, and ``latency`` equals
+    ``max(1, engine.route(u, v).physical_hops)`` on every delivered pair.
     """
 
     def __init__(
         self,
         graph: LabeledGraph,
         provider: Optional[SequenceProvider] = None,
-        namespace_size: Optional[int] = None,
         engine: Optional[PreparedNetwork] = None,
     ) -> None:
         self._engine = engine if engine is not None else prepare(graph)
         self._provider = provider
-        self._namespace_size = namespace_size
-        self._cache: Dict[Tuple[int, int], Optional[int]] = {}
+        self._latencies: Dict[int, Dict[int, int]] = {}
 
     def latency(self, u: int, v: int) -> Optional[int]:
         """Delivery latency from ``u`` to ``v`` (``None`` = unreachable)."""
         if u == v:
             return 0
-        key = (u, v)
-        if key not in self._cache:
-            result = self._engine.route(
-                u, v, provider=self._provider, namespace_size=self._namespace_size
-            )
-            self._cache[key] = max(1, result.physical_hops) if result.delivered else None
-        return self._cache[key]
+        latencies = self._latencies.get(u)
+        if latencies is None:
+            latencies = self._latencies[u] = self._walk_from(u)
+        return latencies.get(v)
+
+    def _walk_from(self, source: int) -> Dict[int, int]:
+        """Route latency from ``source`` to every vertex its walk meets."""
+        engine = self._engine
+        engine._require_source(source)
+        kernel = engine.kernel
+        next_vertex = kernel.next_vertex
+        next_port = kernel.next_port
+        owner = kernel.owner
+        stream = engine.offsets_for(engine.resolve_size_bound(source), self._provider)
+        length = len(stream)
+        # Every vertex of the source's component but the source itself.
+        remaining = len(engine.original_component(source)) - 1
+
+        latencies: Dict[int, int] = {}
+        vertex, entry = kernel.gateway(source), 0
+        current = source
+        hops = 0
+        source_hops = 0
+        index = 0
+        offsets = stream.prefix
+        while remaining and index < length:
+            if index >= len(offsets):
+                offsets = stream.extend_to(index + 1)
+            edge = 3 * vertex + (entry + offsets[index]) % 3
+            vertex = next_vertex[edge]
+            entry = next_port[edge]
+            index += 1
+            reached = owner[vertex]
+            if reached == current:
+                continue
+            hops += 1
+            current = reached
+            if reached == source:
+                source_hops = hops
+            elif reached not in latencies:
+                latencies[reached] = max(1, 2 * hops - source_hops)
+                remaining -= 1
+        return latencies
 
 
 class _NodeState:
@@ -586,7 +628,6 @@ def broadcast_reliably(
     failures: Optional[FailurePlan] = None,
     faults: Optional[FaultModel] = None,
     provider: Optional[SequenceProvider] = None,
-    namespace_size: Optional[int] = None,
     transport: Optional[UESTransport] = None,
     echo_amplification: bool = True,
     reduced_messages: bool = True,
@@ -609,9 +650,7 @@ def broadcast_reliably(
     if faults is None:
         faults = FaultModel.resolve(byzantine=plan, failures=failures)
     if transport is None:
-        transport = UESTransport(
-            graph, provider=provider, namespace_size=namespace_size
-        )
+        transport = UESTransport(graph, provider=provider)
     run = _BrachaRun(
         graph=graph,
         source=source,

@@ -34,6 +34,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.engine import prepare
 from repro.core.reliable_broadcast import (
     QuorumThresholds,
     UESTransport,
@@ -41,7 +42,7 @@ from repro.core.reliable_broadcast import (
     equivocation_variants,
 )
 from repro.core.universal import RandomSequenceProvider
-from repro.errors import SimulationError, SimulationLimitExceeded
+from repro.errors import RoutingError, SimulationError, SimulationLimitExceeded
 from repro.graphs import generators
 from repro.graphs.labeled_graph import LabeledGraph
 from repro.network.byzantine import BYZANTINE_BEHAVIORS, ByzantinePlan, FaultModel
@@ -289,6 +290,41 @@ def test_transport_reports_disconnected_pairs(two_components, provider):
     transport = UESTransport(two_components, provider=provider)
     assert transport.latency(0, 7) is None
     assert transport.latency(0, 2) is not None
+
+
+_TRANSPORT_PROVIDER = RandomSequenceProvider(seed=31337)
+
+
+@st.composite
+def _transport_cases(draw):
+    """A graph (often disconnected), a query order and an optional provider."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=2 * n)) if pairs else []
+    shuffle = random.Random(draw(st.integers(min_value=0, max_value=1_000)))
+    graph = LabeledGraph.from_edges(edges, vertices=range(n), shuffle_ports=shuffle)
+    # Targets that are no vertex sit on both sides of the vertex range.
+    queries = [(u, v) for u in range(n) for v in [-1, *range(n), n + 3]]
+    queries = draw(st.permutations(queries))
+    provider = draw(st.sampled_from([None, _TRANSPORT_PROVIDER]))
+    return graph, queries, provider
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=_transport_cases())
+def test_transport_latency_is_the_route_hop_count(case):
+    graph, queries, provider = case
+    engine = prepare(graph)
+    transport = UESTransport(graph, provider=provider)
+    for u, v in queries:
+        if u == v:
+            expected = 0
+        else:
+            route = engine.route(u, v, provider=provider)
+            expected = max(1, route.physical_hops) if route.delivered else None
+        assert transport.latency(u, v) == expected, (u, v)
+    with pytest.raises(RoutingError):
+        transport.latency(graph.num_vertices + 7, 0)
 
 
 def test_broadcast_rejects_bad_inputs(grid_4x4):

@@ -2,14 +2,23 @@
 
 from __future__ import annotations
 
-import pytest
+import dataclasses
+import random
 
-from repro.core.counting import count_nodes
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.core.counting import CountingResult, count_nodes
+from repro.core.engine import prepare
 from repro.core.universal import RandomSequenceProvider
 from repro.errors import RoutingError
 from repro.graphs import generators
 from repro.graphs.connectivity import connected_component
 from repro.graphs.degree_reduction import reduce_to_three_regular
+from repro.graphs.labeled_graph import LabeledGraph
+
+_PROVIDER = RandomSequenceProvider(seed=2024)
 
 
 def _true_counts(graph, source):
@@ -110,3 +119,87 @@ def test_count_feeds_routing_bound(provider):
     counted = count_nodes(graph, 0, provider=provider)
     result = route(graph, 0, 8, provider=provider, size_bound=counted.virtual_count)
     assert result.outcome is RouteOutcome.SUCCESS
+
+
+# --------------------------------------------------------------------------- #
+# The memoised mode against the per-step probe loop and the pseudocode
+# --------------------------------------------------------------------------- #
+
+
+@st.composite
+def small_graphs(draw, max_vertices=8):
+    """Graphs with isolated, degree-1 and degree-2 vertices and many components."""
+    n = draw(st.integers(min_value=1, max_value=max_vertices))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=2 * n)) if pairs else []
+    shuffle = random.Random(draw(st.integers(min_value=0, max_value=1_000)))
+    return LabeledGraph.from_edges(edges, vertices=range(n), shuffle_ports=shuffle)
+
+
+def _per_step_count(graph, source, provider, start_port):
+    """The memoised mode as the pseudocode's loop: probe every walk step."""
+    engine = prepare(graph)
+    kernel = engine.kernel
+    gateway = kernel.gateway(source)
+    walk_steps = retrieve_calls = neighbor_retrieve_calls = rounds = exponent = 0
+    while True:
+        exponent += 1
+        rounds += 1
+        sequence = engine.offsets_for(2 ** exponent, provider).offsets()
+        visited_list = kernel.walk_vertices(gateway, start_port, sequence)
+        walk_steps += len(sequence)
+        visited_set = set(visited_list)
+        new_node_discovered = False
+        for vertex in visited_list:
+            for port in range(3):
+                neighbor_retrieve_calls += 1
+                retrieve_calls += 1
+                if kernel.neighbor(vertex, port) not in visited_set:
+                    new_node_discovered = True
+                    break
+            if new_node_discovered:
+                break
+        if not new_node_discovered:
+            break
+    return CountingResult(
+        source=source,
+        virtual_count=len(visited_set),
+        original_count=len({kernel.owner[v] for v in visited_set}),
+        final_exponent=exponent,
+        final_bound=2 ** exponent,
+        sequence_length=len(sequence),
+        rounds=rounds,
+        walk_steps=walk_steps,
+        retrieve_calls=retrieve_calls,
+        neighbor_retrieve_calls=neighbor_retrieve_calls,
+        correct=len(visited_set) == kernel.component_size(gateway),
+    )
+
+
+_PROPERTY = settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+@_PROPERTY
+@given(graph=small_graphs())
+def test_memoised_count_equals_the_per_step_probe_loop(graph):
+    for source in graph.vertices:
+        for start_port in range(3):
+            expected = _per_step_count(graph, source, _PROVIDER, start_port)
+            result = count_nodes(graph, source, provider=_PROVIDER, start_port=start_port)
+            assert dataclasses.asdict(result) == dataclasses.asdict(expected)
+
+
+@_PROPERTY
+@given(graph=small_graphs())
+def test_memoised_count_decides_as_the_pseudocode(graph):
+    for source in graph.vertices:
+        for start_port in range(3):
+            fast = count_nodes(graph, source, provider=_PROVIDER, start_port=start_port)
+            slow = count_nodes(
+                graph, source, provider=_PROVIDER, start_port=start_port, faithful=True
+            )
+            assert (fast.virtual_count, fast.rounds, fast.final_exponent) == (
+                slow.virtual_count, slow.rounds, slow.final_exponent
+            )
