@@ -31,10 +31,12 @@ shards that grid across a process pool:
   through :func:`evaluate_shard` unchanged.
 * :func:`run_sweep` executes a plan.  ``workers <= 1`` runs the shards
   serially in-process — this is the executable reference the parallel path
-  must match row for row.  ``workers > 1`` splits the shards into contiguous
-  groups, submits the groups to a ``ProcessPoolExecutor`` (each worker runs
-  its group through :func:`evaluate_shards`) and streams each shard's rows
-  as its group completes (one flushed line per shard).  The stream is a
+  must match row for row.  ``workers > 1`` splits the shards into one
+  contiguous group per worker (at most one worker per usable CPU), submits
+  the groups to the module's one process pool (each worker runs its group
+  through :func:`evaluate_shards`; a group whose worker dies re-runs in the
+  parent) and streams each shard's rows as its group completes (one flushed
+  line per shard).  The stream is a
   :class:`repro.provenance.log.ResultLog`: a hash-chained JSONL log whose
   ``plan``/``shard`` records carry the legacy keys plus content addresses,
   so ``repro log verify``/``replay`` work on any sweep stream.  Rerunning
@@ -55,13 +57,24 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import importlib
 import json
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+)
 
 from repro.analysis.experiments import (
     POSITIONAL_FAMILIES,
@@ -537,14 +550,6 @@ def _shard_record_address(fingerprint: Optional[str], shard: SweepShard) -> str:
     )
 
 
-def _worker_init() -> None:
-    # A forked worker inherits the parent's warm scenario and prepared-engine
-    # caches; dropping them makes worker behaviour identical across start
-    # methods and keeps the parent's graphs from being pinned in every worker.
-    _SCENARIOS.clear()
-    clear_prepared_caches()
-
-
 def run_sweep(
     plan: SweepPlan,
     workers: int = 1,
@@ -556,14 +561,17 @@ def run_sweep(
     ``workers <= 1`` runs every pending shard in-process through one
     :func:`evaluate_shards` call, so all static engine shards share one
     multi-graph lockstep run — the executable reference.  ``workers > 1``
-    splits the pending shards into contiguous groups and fans the groups out
-    over a process pool; each worker batches its group the same way.  Either
-    way, when ``out_path`` is given each completed shard is appended to it
-    as one hash-chained :class:`repro.provenance.log.ResultLog` record, and
-    with ``resume=True`` shards whose records are already on disk (from a
-    previous, possibly killed, run of the *same* plan) *and* pass their
-    record-hash check are skipped — the chain seal, not just the plan
-    fingerprint, decides what counts as done.
+    splits the pending shards into one contiguous group per pool worker and
+    fans the groups out over a process pool (see :func:`_pool_results`: at
+    most one worker per pending shard and per usable CPU, serial when that
+    leaves one); each worker batches its group the same way.  A group whose
+    worker dies is re-run in the parent, so every shard is recorded once.
+    Either way, when ``out_path`` is given each completed shard is appended
+    to it as one hash-chained :class:`repro.provenance.log.ResultLog`
+    record, and with ``resume=True`` shards whose records are already on
+    disk (from a previous, possibly killed, run of the *same* plan) *and*
+    pass their record-hash check are skipped — the chain seal, not just the
+    plan fingerprint, decides what counts as done.
 
     Rows are bitwise identical for every worker count: aggregation replays
     the shards in plan order, so the returned table matches the serial
@@ -667,14 +675,14 @@ def run_sweep(
                     address=_shard_record_address(fingerprint, shard),
                 )
 
-        if workers <= 1 or len(pending) <= 1:
+        group_count = _pool_width(workers, len(pending))
+        if group_count <= 1:
             for shard, rows in zip(pending, evaluate_shards(pending)):
                 record_shard(shard, rows)
-        elif pending:
-            # Contiguous groups preserve plan locality (shards over the same
-            # spec land in the same worker) and let each worker batch its
-            # whole group through one multi-graph lockstep run.
-            group_count = min(workers, len(pending))
+        else:
+            # One contiguous group per worker preserves plan locality (shards
+            # over the same spec land in the same worker) and lets each worker
+            # batch its whole group through one multi-graph lockstep run.
             base, extra = divmod(len(pending), group_count)
             groups: List[Tuple[SweepShard, ...]] = []
             cursor = 0
@@ -683,13 +691,11 @@ def run_sweep(
                 groups.append(tuple(pending[cursor : cursor + size]))
                 cursor += size
             shard_of = {shard.index: shard for shard in pending}
-            with ProcessPoolExecutor(
-                max_workers=group_count, initializer=_worker_init
-            ) as pool:
-                futures = [pool.submit(_evaluate_shard_group, group) for group in groups]
-                for future in as_completed(futures):
-                    for index, rows in future.result():
-                        record_shard(shard_of[index], rows)
+            for _group, group_rows in _pool_results(
+                _evaluate_shard_group, groups, group_count
+            ):
+                for index, rows in group_rows:
+                    record_shard(shard_of[index], rows)
     finally:
         if log is not None:
             log.close()
@@ -708,8 +714,96 @@ def run_sweep(
 
 
 # --------------------------------------------------------------------------- #
-# Generic process-pool helpers (parameter sweeps, conformance)
+# Process pools (sweeps, parallel_map)
 # --------------------------------------------------------------------------- #
+
+
+#: Every ``repro`` module a pool worker would otherwise import itself: the
+#: lockstep kernels (``_worker_init`` clears their caches, sweeps and route
+#: batches run them) and what conformance checks and scenario families load
+#: lazily.  :func:`_pool_results` imports them in the parent just before it
+#: forks, so workers start with them loaded instead of each worker of each
+#: pool importing (and, without bytecode caching, compiling) them again.
+#: ``tests/test_sweep_runner.py`` fails, naming the module, when a worker
+#: imports one that is missing here.
+_WORKER_MODULES: Tuple[str, ...] = (
+    "repro.core.batch_kernel",
+    "repro.provenance.log",
+    "repro.provenance.records",
+    "repro.provenance.replay",
+    "repro.scenarios.capabilities",
+    "repro.scenarios.churn",
+    "repro.scenarios.streaming",
+)
+
+
+def _worker_init() -> None:
+    """Pool worker initialiser: start from cold caches.
+
+    A forked worker inherits the parent's warm scenario and prepared-engine
+    caches; dropping them makes worker behaviour identical across start
+    methods and keeps the parent's graphs from being pinned in every worker.
+    The modules this touches are already loaded (see :data:`_WORKER_MODULES`).
+    """
+    _SCENARIOS.clear()
+    clear_prepared_caches()
+
+
+def _pool_width(workers: int, items: int) -> int:
+    """Pool size for ``items`` tasks: at most one worker per item and per usable CPU.
+
+    ``workers`` may come off the wire; the CPU cap keeps a request from
+    forking more processes than can run at once.  Results do not depend on
+    the width.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        cpus = os.cpu_count() or 1
+    return max(1, min(workers, items, cpus))
+
+
+def _pool_results(
+    fn: Callable[[_T], _R], items: Sequence[_T], width: int
+) -> Iterator[Tuple[int, _R]]:
+    """Yield ``(index, fn(items[index]))`` for every item, as each completes.
+
+    The one process pool of the package: ``width`` workers (callers size it
+    with :func:`_pool_width`), forked after :data:`_WORKER_MODULES` are
+    imported into the parent.  ``fn`` and every item must be picklable
+    (module-level functions, plain data).
+
+    A worker killed mid-task (OOM killer, SIGKILL) breaks the whole pool:
+    every pending future raises :class:`BrokenProcessPool`.  The items whose
+    futures produced no result are then re-run serially in the parent —
+    ``fn`` is deterministic per item, so the recovered results are identical
+    to an undisturbed run — and each index is still yielded exactly once.
+    Exceptions raised by ``fn`` itself are not retried; they propagate.
+    """
+    for name in _WORKER_MODULES:
+        importlib.import_module(name)
+    done = set()
+    try:
+        with ProcessPoolExecutor(max_workers=width, initializer=_worker_init) as pool:
+            futures = {}
+            try:
+                for index, item in enumerate(items):
+                    futures[pool.submit(fn, item)] = index
+            except BrokenProcessPool:
+                pass  # pool died during submission; unsubmitted items retry below
+            for future in as_completed(futures):
+                try:
+                    result = future.result()
+                except BrokenProcessPool:
+                    continue  # lost with the crashed worker; retry below
+                index = futures[future]
+                done.add(index)
+                yield index, result
+    except BrokenProcessPool:
+        pass  # broke while shutting the pool down; survivors were yielded
+    for index, item in enumerate(items):
+        if index not in done:
+            yield index, fn(item)
 
 
 def parallel_map(
@@ -718,43 +812,19 @@ def parallel_map(
     """Order-preserving map over a process pool (serial when it cannot help).
 
     ``fn`` and every item must be picklable (module-level functions, plain
-    data).  With ``workers <= 1`` or fewer than two items this degenerates to
-    a plain in-process loop, which is also the executable reference for what
-    the pool must produce.
-
-    A worker killed mid-task (OOM killer, SIGKILL) breaks the whole pool:
-    every pending future raises :class:`BrokenProcessPool`, which used to lose
-    the entire batch.  The map recovers by re-running exactly the items whose
-    futures produced no result serially in the parent — ``fn`` is
-    deterministic per item, so the recovered results are order- and
-    bit-identical to an undisturbed run.  Exceptions raised by ``fn`` itself
-    are not retried; they propagate as before.
+    data).  The pool gets at most one worker per item and per usable CPU;
+    when that leaves one worker (``workers <= 1``, a single item or a single
+    CPU) the map is a plain in-process loop, which is also the executable
+    reference for what the pool must produce.  A dead worker's items are
+    re-run in the parent (see :func:`_pool_results`), so results are
+    identical to an undisturbed run; exceptions raised by ``fn`` propagate.
     """
     items = list(items)
-    if workers <= 1 or len(items) <= 1:
+    width = _pool_width(workers, len(items))
+    if width <= 1:
         return [fn(item) for item in items]
-    completed: Dict[int, _R] = {}
-    try:
-        with ProcessPoolExecutor(
-            max_workers=min(workers, len(items)), initializer=_worker_init
-        ) as pool:
-            futures = {}
-            try:
-                for index, item in enumerate(items):
-                    futures[index] = pool.submit(fn, item)
-            except BrokenProcessPool:
-                pass  # pool died during submission; unsubmitted items retry below
-            for index, future in futures.items():
-                try:
-                    completed[index] = future.result()
-                except BrokenProcessPool:
-                    continue  # lost with the crashed worker; retry below
-    except BrokenProcessPool:
-        pass  # broke while shutting the pool down; survivors are in `completed`
-    return [
-        completed[index] if index in completed else fn(item)
-        for index, item in enumerate(items)
-    ]
+    results: Dict[int, _R] = dict(_pool_results(fn, items, width))
+    return [results[index] for index in range(len(items))]
 
 
 def _scenario_rows_task(task: Tuple[Callable[..., Iterable[Sequence[object]]], ScenarioSpec]):

@@ -76,9 +76,10 @@ sweep aggregation.  The conformance harness
 process has its own copy of the module-level caches below, so workers never
 contend, and a graph object compiles once per process (the runner keeps a
 spec-keyed scenario cache so shards over the same spec really do share one
-graph object — these caches key by identity).  Workers call
-:func:`clear_prepared_caches` when they start so that fork-inherited parent
-state cannot leak into their measurements, and :func:`prepared_cache_info`
+graph object — these caches key by identity).  Workers fork with the
+lockstep kernels already imported and call :func:`clear_prepared_caches`
+when they start so that fork-inherited parent state cannot leak into their
+measurements, and :func:`prepared_cache_info`
 exposes the cache sizes and hit counters for diagnostics.
 """
 
@@ -1195,6 +1196,11 @@ def clear_prepared_caches() -> None:
     configuration (``REPRO_KERNEL_CACHE_DIR`` / ``REPRO_KERNEL_CACHE_SIZE``),
     which is how pool workers adopt a disk tier configured in the parent and
     warm-start from persisted kernels instead of recompiling.
+
+    The lockstep module imported here is loaded into a pool's parent before
+    it forks (``repro.analysis.runner._WORKER_MODULES``), so in a worker the
+    import costs a dictionary lookup; outside pools it stays lazy, and a cold
+    scalar route never loads it.
     """
     from repro.core.batch_kernel import clear_batch_caches
 

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional
 from urllib.parse import parse_qs
 
 from repro.api.envelope import WIRE_KINDS, from_wire, to_wire
-from repro.api.requests import REQUEST_TYPES
+from repro.api.requests import REQUEST_TYPES, SweepRequest
 from repro.errors import ReproError
 
 __all__ = [
@@ -254,11 +254,22 @@ def _decode_one(data: object) -> object:
     if not isinstance(fields_value, dict):
         raise HttpError(400, "invalid-envelope", "'fields' must be a JSON object")
     try:
-        return from_wire({"kind": kind, "fields": fields_value})
+        request = from_wire({"kind": kind, "fields": fields_value})
     except ReproError as error:
         raise HttpError(400, "invalid-request", f"invalid {kind}: {error}")
     except (KeyError, TypeError, ValueError, AttributeError) as error:
         raise HttpError(400, "invalid-request", f"invalid {kind} fields: {error!r}")
+    if isinstance(request, SweepRequest) and request.out_path is not None:
+        # A served sweep would open a client-chosen path for writing (and
+        # truncate it), the daemon's own result log included.  Resume needs
+        # out_path, so it is refused with it.
+        raise HttpError(
+            400,
+            "field-not-served",
+            "SweepRequest.out_path (and resume) are not served: the daemon "
+            "writes only its own result log; submit the sweep without them",
+        )
+    return request
 
 
 def _parse_json(body: bytes) -> object:

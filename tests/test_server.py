@@ -39,11 +39,13 @@ from repro.api.requests import (
     RouteBatchRequest,
     RouteRequest,
     ScheduleRouteRequest,
+    SweepRequest,
 )
 from repro.api.session import Session
 from repro.errors import TaskError
 from repro.server import RoutingServer, ServerConfig, ServerError, TaskClient
 from repro.server.client import http_request
+from repro.server.handlers import HttpError, decode_batch_body, decode_task_body
 from repro.server.queueing import LatencyHistogram, TaskQueue
 
 SPEC = ScenarioSpec(name="srv", family="grid", size=16, seed=0)
@@ -797,4 +799,55 @@ def test_served_tasks_append_to_the_shared_log(tmp_path):
 
     report = verify_log(log_path)
     assert report.ok and len(report.records) == 2
+    assert [record["task"] for record in report.records] == ["route", "count"]
+
+
+# --------------------------------------------------------------------------- #
+# Served sweeps write no client-chosen file
+# --------------------------------------------------------------------------- #
+
+
+def _sweep_body(**fields) -> bytes:
+    return to_json(SweepRequest(scenarios=(RING,), pairs=2, **fields)).encode()
+
+
+def test_sweep_out_path_and_resume_are_refused_at_decode(tmp_path):
+    target = str(tmp_path / "stream.jsonl")
+    for body in (_sweep_body(out_path=target), _sweep_body(out_path=target, resume=True)):
+        with pytest.raises(HttpError) as refused:
+            decode_task_body(body)
+        assert (refused.value.status, refused.value.code) == (400, "field-not-served")
+    with pytest.raises(HttpError) as refused:
+        decode_batch_body(b"[" + _sweep_body(out_path=target) + b"]", max_tasks=4)
+    assert refused.value.code == "field-not-served"
+    assert refused.value.message.startswith("batch item 0:")
+    assert decode_task_body(_sweep_body()) == SweepRequest(scenarios=(RING,), pairs=2)
+    assert not (tmp_path / "stream.jsonl").exists()
+
+
+def test_served_sweep_cannot_overwrite_the_result_log(tmp_path):
+    log_path = str(tmp_path / "served.log")
+    config = ServerConfig(
+        port=0, queue_capacity=64, concurrency=2, result_log_path=log_path
+    )
+
+    async def scenario():
+        async with running_server(config=config) as server:
+            client = client_for(server)
+            await client.submit(RouteRequest(scenario=SPEC, source=0, target=15))
+            replies = [
+                await raw(server, "POST", "/v1/task", body=_sweep_body(out_path=path))
+                for path in (log_path, str(tmp_path / "elsewhere.jsonl"))
+            ]
+            await client.submit(CountRequest(scenario=RING, source=2))
+            return replies
+
+    for reply in asyncio.run(scenario()):
+        assert reply.status == 400
+        assert _error_of(reply)["code"] == "field-not-served"
+    assert not (tmp_path / "elsewhere.jsonl").exists()
+    from repro.provenance import verify_log
+
+    report = verify_log(log_path)
+    assert report.ok, report.issues
     assert [record["task"] for record in report.records] == ["route", "count"]

@@ -9,8 +9,14 @@ seed.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
+
+import repro.analysis.runner as runner
 
 from repro.analysis.conformance import conformance_pass, default_conformance_matrix
 from repro.analysis.experiments import (
@@ -34,6 +40,7 @@ from repro.core.engine import clear_prepared_caches, prepare, prepared_cache_inf
 from repro.core.universal import RandomSequenceProvider
 from repro.errors import ExperimentError
 from repro.graphs import generators
+from repro.provenance import verify_log
 
 
 def _small_plan(master_seed: int = 7, pairs: int = 3):
@@ -412,6 +419,138 @@ def test_parallel_map_recovers_from_sigkilled_worker():
     # (BrokenProcessPool); the lost items must be re-run serially, in order,
     # with bit-identical results.
     assert parallel_map(_square_or_die, items, workers=2) == expected
+
+
+_EVALUATE_SHARD_GROUP = runner._evaluate_shard_group
+_TEST_PID = os.getpid()
+
+
+def _group_or_die(shards):
+    """Kill the *worker* that draws the plan's first shard; evaluate elsewhere.
+
+    Stands in for ``runner._evaluate_shard_group``; the parent's re-run of
+    the lost group takes the evaluate path.  Module-level for picklability.
+    """
+    import signal
+
+    if shards[0].index == 0 and os.getpid() != _TEST_PID:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _EVALUATE_SHARD_GROUP(shards)
+
+
+def _pretend_cpus(monkeypatch, count: int) -> None:
+    """Make the pool-width cap see ``count`` usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def test_run_sweep_recovers_from_sigkilled_worker(tmp_path, monkeypatch):
+    _pretend_cpus(monkeypatch, 2)
+    plan = _small_plan()
+    serial = run_sweep(plan).table.rows
+    monkeypatch.setattr(runner, "_evaluate_shard_group", _group_or_die)
+    out = str(tmp_path / "sweep.jsonl")
+    # The worker running the first group is SIGKILLed, which breaks the pool
+    # (BrokenProcessPool); the lost group re-runs in the parent.
+    outcome = run_sweep(plan, workers=2, out_path=out)
+    assert outcome.table.rows == serial
+    assert outcome.shards_executed == len(plan.shards)
+    report = verify_log(out)
+    assert report.ok, report.issues
+    shard_records = [record for record in report.records if record["kind"] == "shard"]
+    assert sorted(record["index"] for record in shard_records) == list(
+        range(len(plan.shards))
+    )
+
+
+def test_pool_width_is_capped_at_the_usable_cpus(monkeypatch):
+    widths = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            widths.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", RecordingPool)
+    plan = _small_plan()
+    serial = run_sweep(plan).table.rows
+    _pretend_cpus(monkeypatch, 2)
+    assert run_sweep(plan, workers=100_000).table.rows == serial
+    assert parallel_map(len, ["a", "bb", "ccc", "dddd"], workers=100_000) == [1, 2, 3, 4]
+    # Without CPU affinity the cap falls back to the CPU count.
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert run_sweep(plan, workers=100_000).table.rows == serial
+    # One usable CPU: the pool cannot help, so none is started.
+    _pretend_cpus(monkeypatch, 1)
+    assert run_sweep(plan, workers=4).table.rows == serial
+    assert parallel_map(len, ["a", "bb"], workers=4) == [1, 2]
+    assert widths == [2, 2, 3]
+
+
+#: Runs one pooled task in a fresh interpreter and reports, per worker, the
+#: ``repro`` modules the worker imported that its parent had not loaded when
+#: it forked.  A fresh interpreter, because earlier tests load modules into
+#: the test process that a real parent would not hold.
+_WORKER_IMPORTS_SCRIPT = """
+import json, multiprocessing.util, os, sys
+
+# Two usable CPUs, so the pools fork even on a one-CPU machine.
+os.sched_getaffinity = lambda pid: {0, 1}
+os.cpu_count = lambda: 2
+
+import repro.analysis.runner as runner
+from repro.analysis.experiments import ScenarioSpec
+from repro.api import ConformanceRequest, RouteBatchRequest, Session, SweepRequest
+
+case, out_dir = sys.argv[1:]
+worker_init = runner._worker_init
+
+
+def recording_init():
+    forked_with = set(sys.modules)
+
+    def report():
+        imported = sorted(
+            name for name in set(sys.modules) - forked_with
+            if name == "repro" or name.startswith("repro.")
+        )
+        with open(os.path.join(out_dir, f"{os.getpid()}.json"), "w") as handle:
+            json.dump(imported, handle)
+
+    # Runs as the worker process exits, after its last task.
+    multiprocessing.util.Finalize(None, report, exitpriority=0)
+    worker_init()
+
+
+runner._worker_init = recording_init
+grids = tuple(
+    ScenarioSpec(name=f"grid-{seed}", family="grid", size=16, seed=seed) for seed in range(4)
+)
+request = {
+    "sweep": SweepRequest(scenarios=grids, pairs=4, workers=2),
+    "conformance": ConformanceRequest(pairs_per_scenario=1, workers=2),
+    "route-batch": RouteBatchRequest(scenario=grids[0], num_pairs=8),
+}[case]
+backend = "process-pool" if case == "route-batch" else None
+assert Session().submit(request, backend=backend).ok
+"""
+
+
+@pytest.mark.parametrize("case", ["sweep", "conformance", "route-batch"])
+def test_pool_workers_fork_with_every_repro_module_they_use(case, tmp_path):
+    # The interpreter imports the same sources as this test process.
+    source_root = os.path.dirname(os.path.dirname(os.path.dirname(runner.__file__)))
+    environment = dict(os.environ, PYTHONPATH=source_root)
+    subprocess.run(
+        [sys.executable, "-c", _WORKER_IMPORTS_SCRIPT, case, str(tmp_path)],
+        check=True,
+        env=environment,
+    )
+    imported = {
+        name: json.loads((tmp_path / name).read_text()) for name in os.listdir(tmp_path)
+    }
+    assert imported, "no pool worker reported"
+    assert {name: modules for name, modules in imported.items() if modules} == {}
 
 
 def _always_raises(item):

@@ -1,16 +1,22 @@
 #!/usr/bin/env python3
-"""Record the committed replay corpus, ``tests/data/replay_corpus.jsonl``.
+"""Record the committed replay corpus under ``tests/data/``.
 
-The corpus is a hash-chained provenance log of small task submissions made
-through :class:`repro.api.Session`.  ``tests/test_replay_corpus.py`` verifies
-its chain and replays every record through the live code, so a change that
-alters any recorded result fails tier-1 and names the record.
+The corpus is two hash-chained provenance logs:
+
+* ``replay_corpus.jsonl``: small task submissions made through
+  :class:`repro.api.Session`;
+* ``replay_sweep_stream.jsonl``: the plan and shard records a 2-worker
+  :func:`repro.analysis.runner.run_sweep` streams to its ``out_path``.
+
+``tests/test_replay_corpus.py`` verifies both chains and replays every record
+through the live code, so a change that alters any recorded result fails
+tier-1 and names the record.
 
 A change that alters a recorded result *on purpose* re-records the corpus
 with this script and says why in ``CHANGES.md``; the corpus diff is then the
 visible record of the contract change.  Usage::
 
-    PYTHONPATH=src python tools/record_replay_corpus.py [--out PATH]
+    PYTHONPATH=src python tools/record_replay_corpus.py [--out PATH] [--sweep-out PATH]
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from repro.analysis.experiments import ScenarioSpec  # noqa: E402
+from repro.analysis.runner import plan_sweep, run_sweep  # noqa: E402
 from repro.api import (  # noqa: E402
     BroadcastReliableRequest,
     BroadcastRequest,
@@ -37,9 +44,10 @@ from repro.api import (  # noqa: E402
     Session,
     SweepRequest,
 )
-from repro.provenance import ResultLog  # noqa: E402
+from repro.provenance import ResultLog, read_log  # noqa: E402
 
 DEFAULT_OUT = os.path.join(ROOT, "tests", "data", "replay_corpus.jsonl")
+DEFAULT_SWEEP_OUT = os.path.join(ROOT, "tests", "data", "replay_sweep_stream.jsonl")
 
 GRID = ScenarioSpec(name="corpus-grid-16", family="grid", size=16)
 GRID_9 = ScenarioSpec(name="corpus-grid-9", family="grid", size=9)
@@ -103,6 +111,29 @@ def corpus_requests():
     ]
 
 
+def sweep_plan():
+    """The pooled sweep the stream records: engine, baseline and schedule shards.
+
+    Every scenario has at most 16 nodes.  The unit-disk deployment admits the
+    position-based ``greedy`` router; the dynamic ring is routed by the
+    schedule walker.
+    """
+    return plan_sweep(
+        (GRID, RING, PRISM, DISK, DYN),
+        routers=("ues-engine", "random-walk", "greedy"),
+        pairs=4,
+        master_seed=5,
+        experiment="corpus-sweep",
+    )
+
+
+def record_sweep(path: str) -> int:
+    """Stream a 2-worker run of :func:`sweep_plan` to ``path``; returns its records."""
+    run_sweep(sweep_plan(), workers=2, out_path=path)
+    records, _issues = read_log(path)
+    return len(records)
+
+
 def record(path: str) -> int:
     """Write the corpus to ``path``; returns the number of records."""
     with ResultLog(path, "w") as log:
@@ -118,9 +149,14 @@ def record(path: str) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default=DEFAULT_OUT, help="corpus path (overwritten)")
+    parser.add_argument(
+        "--sweep-out", default=DEFAULT_SWEEP_OUT, help="sweep stream path (overwritten)"
+    )
     args = parser.parse_args(argv)
     count = record(args.out)
     print(f"recorded {count} records to {args.out}")
+    count = record_sweep(args.sweep_out)
+    print(f"recorded {count} records to {args.sweep_out}")
     return 0
 
 
