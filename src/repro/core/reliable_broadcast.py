@@ -340,7 +340,14 @@ def _header_bits(n: int, values: Set[str]) -> int:
 
 
 class _BrachaRun:
-    """One deterministic discrete-event execution of the protocol."""
+    """One deterministic discrete-event execution of the protocol.
+
+    The fault model and the quorum sizes are resolved once per run, into
+    sets, a dict and ints, so a message costs set and dict lookups only.  The
+    loop keeps each popped heap entry ``(time, seq, sender, receiver, kind,
+    value)`` as it is; :meth:`result` turns them into
+    :class:`BroadcastEvent` records once, at the end.
+    """
 
     def __init__(
         self,
@@ -364,14 +371,23 @@ class _BrachaRun:
         self.reduced_messages = reduced_messages
         self.max_events = max_events
 
+        self.crashed = frozenset(faults.crashed)
+        self.behavior = dict(faults.byzantine)
+        self.broken = frozenset(
+            link for u, v in faults.broken_links for link in ((u, v), (v, u))
+        )
         self.thresholds = QuorumThresholds.for_size(len(self.nodes))
+        self.ready_support = self.thresholds.ready_support
+        self.echo_quorum = self.thresholds.echo_quorum
+        self.delivery_quorum = self.thresholds.delivery_quorum
+
         self.rank = {node: index for index, node in enumerate(self.nodes)}
         self.state = {node: _NodeState() for node in self.nodes}
         self.queue: List[Tuple[int, int, int, int, str, str]] = []
+        self.arrivals: List[Tuple[int, int, int, int, str, str]] = []
         self.seq = 0
         self.messages_sent = 0
         self.now = 0
-        self.events: List[BroadcastEvent] = []
         self.values_seen: Set[str] = {value}
         self.origin_sent: List[str] = []
         self.activated: Set[int] = set()  # scripted adversaries fire once
@@ -382,7 +398,7 @@ class _BrachaRun:
 
     def send(self, sender: int, receiver: int, kind: str, value: str) -> None:
         """One wire transmission (dropped sends still count as sent)."""
-        if self.faults.is_crashed(sender):
+        if sender in self.crashed:
             return
         self.values_seen.add(value)
         if sender == self.source and kind == SEND and value not in self.origin_sent:
@@ -397,11 +413,11 @@ class _BrachaRun:
         latency = self.transport.latency(sender, receiver)
         if (
             latency is None
-            or self.faults.is_crashed(receiver)
-            or self.faults.link_broken(sender, receiver)
+            or receiver in self.crashed
+            or (sender, receiver) in self.broken
         ):
             return  # transmitted into the void
-        if self.faults.behavior_of(sender) == "delay":
+        if self.behavior.get(sender) == "delay":
             latency += self.faults.delay
         self.seq += 1
         heapq.heappush(
@@ -410,16 +426,18 @@ class _BrachaRun:
 
     def emit_all(self, sender: int, kind: str, value: str) -> None:
         """Honest "send to everyone (including yourself, locally)"."""
-        skip: Set[int] = set()
-        if self.reduced_messages and kind == ECHO:
-            # Peers whose READY we already hold are past their echo phase and
-            # READY is sticky — our echo cannot change their state.
-            skip = set(self.state[sender].ready_peers)
-            skip.discard(sender)
+        # Peers whose READY we already hold are past their echo phase and
+        # READY is sticky — our echo cannot change their state.  Only the
+        # sender's own READY can join the set during the loop, and the
+        # sender is never skipped.
+        ready_peers = (
+            self.state[sender].ready_peers
+            if self.reduced_messages and kind == ECHO
+            else ()
+        )
         for receiver in self.nodes:
-            if receiver in skip:
-                continue
-            self.send(sender, receiver, kind, value)
+            if receiver == sender or receiver not in ready_peers:
+                self.send(sender, receiver, kind, value)
 
     # ---------------------------------------------------------------- #
     # Scripted adversaries
@@ -470,16 +488,15 @@ class _BrachaRun:
 
     def receive(self, node: int, sender: int, kind: str, value: str) -> None:
         """Apply one message to ``node``'s state machine."""
-        behavior = self.faults.behavior_of(node)
-        if self.faults.is_crashed(node):
+        if node in self.crashed:
             return
-        if behavior in ("equivocate", "forge"):
+        behavior = self.behavior.get(node)
+        if behavior is not None and behavior != "delay":
+            # Scripted adversaries act once; a dropper stays silent.  The
+            # "delay" adversary runs the honest logic below: its only
+            # deviation is latency, applied at the send site.
             self.run_adversary(node, behavior, value)
             return
-        if behavior == "drop":
-            return
-        # Honest logic (also the "delay" adversary, whose only deviation is
-        # latency, applied at the send site).
         state = self.state[node]
         if kind == SEND:
             if sender != self.source:
@@ -505,19 +522,18 @@ class _BrachaRun:
         if (
             self.echo_amplification
             and state.sent_echo is None
-            and echoes >= self.thresholds.ready_support
+            and echoes >= self.ready_support
         ):
             state.sent_echo = value
             self.emit_all(node, ECHO, value)
             echoes = len(state.echoes.get(value, ()))
         if state.sent_ready is None and (
-            echoes >= self.thresholds.echo_quorum
-            or readies >= self.thresholds.ready_support
+            echoes >= self.echo_quorum or readies >= self.ready_support
         ):
             state.sent_ready = value
             self.emit_all(node, READY, value)
             readies = len(state.readies.get(value, ()))
-        if state.delivered is None and readies >= self.thresholds.delivery_quorum:
+        if state.delivered is None and readies >= self.delivery_quorum:
             state.delivered = value
             state.delivered_at = self.now
 
@@ -527,8 +543,8 @@ class _BrachaRun:
 
     def start(self) -> None:
         """The source initiates its broadcast at time zero."""
-        behavior = self.faults.behavior_of(self.source)
-        if self.faults.is_crashed(self.source) or behavior == "drop":
+        behavior = self.behavior.get(self.source)
+        if self.source in self.crashed or behavior == "drop":
             return
         if behavior in ("equivocate", "forge"):
             self.run_adversary(self.source, behavior, self.value)
@@ -539,26 +555,24 @@ class _BrachaRun:
     def run(self) -> None:
         """Drain the event queue to quiescence (bounded by ``max_events``)."""
         self.start()
-        processed = 0
-        while self.queue:
-            processed += 1
-            if processed > self.max_events:
+        queue = self.queue
+        arrivals = self.arrivals
+        receive = self.receive
+        pop = heapq.heappop
+        while queue:
+            if len(arrivals) >= self.max_events:
                 raise SimulationLimitExceeded(
                     f"reliable broadcast exceeded {self.max_events} events"
                 )
-            time, seq, sender, receiver, kind, value = heapq.heappop(self.queue)
-            self.now = time
-            self.events.append(
-                BroadcastEvent(
-                    time=time, seq=seq, sender=sender, receiver=receiver,
-                    kind=kind, value=value,
-                )
-            )
-            self.receive(receiver, sender, kind, value)
+            entry = pop(queue)
+            self.now = entry[0]
+            arrivals.append(entry)
+            receive(entry[3], entry[2], entry[4], entry[5])
 
     def result(self) -> ReliableBroadcastResult:
         """Assemble the immutable run record."""
-        excluded = set(self.faults.crashed) | {node for node, _b in self.faults.byzantine}
+        events = tuple(BroadcastEvent(*entry) for entry in self.arrivals)
+        excluded = self.crashed | set(self.behavior)
         honest = tuple(node for node in self.nodes if node not in excluded)
         delivered = tuple(
             (node, self.state[node].delivered)
@@ -583,8 +597,8 @@ class _BrachaRun:
             messages_sent=self.messages_sent,
             final_time=self.now,
             header_bits=_header_bits(len(self.nodes), self.values_seen),
-            events=tuple(self.events),
-            evidence=tuple(_detect_equivocation(self.events)),
+            events=events,
+            evidence=tuple(_detect_equivocation(events)),
         )
 
 

@@ -40,7 +40,7 @@ from repro.provenance.records import (
     PROVENANCE_SCHEMA_VERSION,
     canonical_json,
     record_digest,
-    seal_record,
+    sealed_line,
     task_address,
 )
 
@@ -257,8 +257,8 @@ class ResultLog:
     def _append_locked(
         self, kind: str, body: Dict[str, object], address: Optional[str]
     ) -> Dict[str, object]:
-        record = seal_record(kind, body, parent=self._head, address=address)
-        self._handle.write(canonical_json(record) + "\n")
+        record, line = sealed_line(kind, body, parent=self._head, address=address)
+        self._handle.write(line + "\n")
         self._handle.flush()
         self._head = str(record["record_hash"])
         self._count += 1
@@ -274,6 +274,7 @@ class ResultLog:
         """
         from repro.api.envelope import to_wire
 
+        wire_request = to_wire(request)
         with self._lock:
             provenance = result.provenance
             if provenance is not None:
@@ -285,11 +286,7 @@ class ResultLog:
                 address = task_address(request)
             self._append_locked(
                 "task",
-                {
-                    "task": request.task,
-                    "request": to_wire(request),
-                    "result": to_wire(result),
-                },
+                {"task": request.task, "request": wire_request, "result": to_wire(result)},
                 address,
             )
         return result

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.errors import TaskError
 
@@ -40,6 +40,7 @@ __all__ = [
     "code_version",
     "task_address",
     "seal_record",
+    "sealed_line",
     "record_digest",
 ]
 
@@ -53,10 +54,15 @@ GENESIS_PARENT = "0" * 64
 _ENVELOPE_FIELDS = ("kind", "schema_version", "parent", "address", "record_hash")
 
 
+#: What ``json.dumps(obj, sort_keys=True, separators=(",", ":"),
+#: allow_nan=False)`` builds on every call; it keeps no state between calls.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
 def canonical_json(obj: object) -> str:
     """The one canonical JSON encoding: sorted keys, compact, no NaN."""
     try:
-        return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+        return _CANONICAL.encode(obj)
     except (TypeError, ValueError) as error:
         raise TaskError(
             f"cannot canonically encode this object ({error}); provenance "
@@ -105,6 +111,15 @@ def seal_record(
     ``body`` must not shadow the envelope fields — the seal would otherwise
     be ambiguous about which value was hashed.
     """
+    record = _unsealed(kind, body, parent, address)
+    record["record_hash"] = record_digest(record)
+    return record
+
+
+def _unsealed(
+    kind: str, body: Dict[str, object], parent: str, address: Optional[str]
+) -> Dict[str, object]:
+    """A record's envelope fields and body, before ``record_hash``."""
     clash = sorted(set(body) & set(_ENVELOPE_FIELDS))
     if clash:
         raise TaskError(f"record body may not use the envelope fields {clash}")
@@ -116,8 +131,38 @@ def seal_record(
     if address is not None:
         record["address"] = address
     record.update(body)
-    record["record_hash"] = record_digest(record)
     return record
+
+
+def sealed_line(
+    kind: str,
+    body: Dict[str, object],
+    parent: str,
+    address: Optional[str] = None,
+) -> Tuple[Dict[str, object], str]:
+    """:func:`seal_record` and the record's :func:`canonical_json`, encoded once.
+
+    Each top-level value is encoded once, and the ``"key":value`` members are
+    joined in sorted-key order twice: without ``record_hash`` (the bytes
+    hashed) and with it (the bytes written).  A compact sorted-key object is
+    exactly that join, so the line equals ``canonical_json(seal_record(...))``
+    byte for byte; ``tests/test_provenance.py`` checks it over drawn bodies.
+    """
+    record = _unsealed(kind, body, parent, address)
+    if not all(type(key) is str for key in record):
+        # json.dumps turns other key types into strings of its own; leave
+        # that to the spec.
+        record = seal_record(kind, body, parent, address)
+        return record, canonical_json(record)
+    members = {
+        key: f"{canonical_json(key)}:{canonical_json(value)}"
+        for key, value in record.items()
+    }
+    hashed = "{" + ",".join(members[key] for key in sorted(members)) + "}"
+    digest = hashlib.sha256(hashed.encode("utf-8")).hexdigest()
+    record["record_hash"] = digest
+    members["record_hash"] = f'"record_hash":"{digest}"'
+    return record, "{" + ",".join(members[key] for key in sorted(members)) + "}"
 
 
 def record_digest(record: Dict[str, object]) -> str:

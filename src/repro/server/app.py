@@ -23,14 +23,17 @@ kernel caches — and exposes it over four endpoints:
 ``GET /v1/log``
     Paged view over the shared provenance log (``?offset=&limit=``): with
     ``--result-log PATH`` every served task is appended to one hash-chained
-    :class:`repro.provenance.log.ResultLog` shared by all dispatcher
+    :class:`repro.provenance.log.ResultLog` shared by all dispatch
     threads, so any client-visible result can later be audited with
-    ``repro log verify`` / ``replay``.  404 when no log is configured.
+    ``repro log verify`` / ``replay``.  The page is read off the event
+    loop.  404 when no log is configured.
 
 Execution model: the event loop only parses, validates and streams; admitted
-jobs go through one bounded :class:`~repro.server.queueing.TaskQueue` and a
-fixed set of dispatcher coroutines runs ``Session.submit`` on a thread pool
-(``config.concurrency`` wide).  When the queue bound is hit the daemon
+jobs go into one bounded :class:`~repro.server.queueing.TaskQueue`, and
+``config.concurrency`` dispatch threads take them straight from it and run
+``Session.submit``.  A finished job comes back to the loop in one
+``call_soon_threadsafe``, which releases its queue slot and resolves the
+waiting request's future.  When the queue bound is hit the daemon
 answers ``429`` with ``Retry-After`` immediately — overload is pushed back to
 clients, never buffered silently.  ``SIGTERM``/``SIGINT`` trigger a graceful
 drain: stop accepting, reject new work with ``503 draining``, let in-flight
@@ -44,8 +47,8 @@ import contextlib
 import json
 import signal
 import sys
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Set
 
 from repro.api.envelope import to_wire
@@ -71,9 +74,9 @@ _DRAIN_POLL_SECONDS = 0.02
 
 
 class RoutingServer:
-    """The daemon: bounded queue + dispatcher pool + HTTP front end.
+    """The daemon: bounded queue + dispatch threads + HTTP front end.
 
-    Lifecycle: :meth:`start` binds the socket and launches the dispatchers
+    Lifecycle: :meth:`start` binds the socket and starts the dispatch threads
     (tests drive the server in-process this way), :meth:`drain_and_stop`
     performs the graceful shutdown, and :meth:`run_until_signal` is the
     production path — serve until SIGTERM/SIGINT, then drain.
@@ -98,9 +101,8 @@ class RoutingServer:
             self.session = Session(result_log=self.result_log)
         self.queue = TaskQueue(self.config.queue_capacity)
         self.draining = False
-        self._executor: Optional[ThreadPoolExecutor] = None
         self._server: Optional["asyncio.base_events.Server"] = None
-        self._dispatchers: List["asyncio.Task"] = []
+        self._threads: List[threading.Thread] = []
         self._writers: Set["asyncio.StreamWriter"] = set()
         self._active_requests = 0
         self._requests_handled = 0
@@ -119,20 +121,25 @@ class RoutingServer:
         return (name[0], name[1])
 
     async def start(self) -> None:
-        """Bind, spin up the dispatcher pool, start accepting connections."""
+        """Bind, start the dispatch threads, start accepting connections."""
         if self.config.kernel_cache_dir:
             # Same contract as the CLI flag: persisted kernels make a
             # restarted daemon warm-start with kernel_compiles == 0.
             from repro.core.kernel_store import configure_kernel_store
 
             configure_kernel_store(cache_dir=self.config.kernel_cache_dir)
-        self._executor = ThreadPoolExecutor(
-            max_workers=self.config.concurrency, thread_name_prefix="repro-dispatch"
-        )
-        self._dispatchers = [
-            asyncio.get_running_loop().create_task(self._dispatch_loop())
-            for _ in range(self.config.concurrency)
+        loop = asyncio.get_running_loop()
+        self._threads = [
+            threading.Thread(
+                target=self._dispatch,
+                args=(loop,),
+                name=f"repro-dispatch-{index}",
+                daemon=True,
+            )
+            for index in range(self.config.concurrency)
         ]
+        for thread in self._threads:
+            thread.start()
         self._server = await asyncio.start_server(
             self._handle_connection, host=self.config.host, port=self.config.port
         )
@@ -152,9 +159,9 @@ class RoutingServer:
 
         Waits up to ``drain_timeout_seconds`` for the queue to empty and every
         in-progress HTTP exchange to finish writing its response; whatever is
-        still running after the deadline is abandoned (the thread pool is shut
-        down without waiting), so a wedged task cannot hold the process
-        hostage.
+        still queued or running after the deadline is abandoned (the dispatch
+        threads are daemon threads and are not waited for), so a wedged task
+        cannot hold the process hostage.
         """
         self.begin_drain()
         deadline = time.monotonic() + self.config.drain_timeout_seconds
@@ -164,19 +171,17 @@ class RoutingServer:
             await asyncio.sleep(_DRAIN_POLL_SECONDS)
         if self._server is not None:
             self._server.close()
-        for _ in self._dispatchers:
-            self.queue.push_shutdown()
-        if self._dispatchers:
-            await asyncio.wait(self._dispatchers, timeout=1.0)
-            for task in self._dispatchers:
-                task.cancel()
+        quiet = self.queue.outstanding == 0
+        self.queue.close(len(self._threads))
+        if quiet:
+            # Every thread is idle or about to take its stop sentinel.
+            for thread in self._threads:
+                thread.join()
         for writer in list(self._writers):
             writer.close()
         if self._server is not None:
             with contextlib.suppress(asyncio.TimeoutError):
                 await asyncio.wait_for(self._server.wait_closed(), timeout=1.0)
-        if self._executor is not None:
-            self._executor.shutdown(wait=False)
         if self.result_log is not None:
             self.result_log.close()
 
@@ -209,30 +214,40 @@ class RoutingServer:
         return 0
 
     # ------------------------------------------------------------------ #
-    # Dispatch (queue -> Session.submit on the thread pool)
+    # Dispatch (queue -> Session.submit on the dispatch threads)
     # ------------------------------------------------------------------ #
 
     def _run_job(self, job: Job):
         return self.session.submit(job.request, backend=job.backend)
 
-    async def _dispatch_loop(self) -> None:
-        loop = asyncio.get_running_loop()
+    def _dispatch(self, loop: "asyncio.AbstractEventLoop") -> None:
+        """One dispatch thread: run jobs from the queue until told to stop.
+
+        ``self._run_job`` is looked up for every job, so a wrapper installed
+        on the class reaches a running daemon too.
+        """
         while True:
-            job = await self.queue.next_job()
+            job = self.queue.take()
             if job is None:
                 return
             try:
-                result = await loop.run_in_executor(self._executor, self._run_job, job)
-            except Exception as error:
-                self.queue.job_done(job, ok=False)
-                if not job.future.done():
-                    job.future.set_exception(error)
-                else:  # pragma: no cover - client vanished mid-task
-                    pass
-            else:
-                self.queue.job_done(job, ok=True)
-                if not job.future.done():
-                    job.future.set_result(result)
+                result, error = self._run_job(job), None
+            except Exception as exc:
+                result, error = None, exc
+            try:
+                loop.call_soon_threadsafe(self._finish, job, result, error)
+            except RuntimeError:  # the loop has closed: a drain gave up on us
+                return
+
+    def _finish(self, job: Job, result, error: Optional[Exception]) -> None:
+        """On the loop: release the job's slot and resolve its future."""
+        self.queue.job_done(job, ok=error is None)
+        if job.future.done():  # the client went away mid-task
+            return
+        if error is None:
+            job.future.set_result(result)
+        else:
+            job.future.set_exception(error)
 
     def _admit(self, request_obj, backend: Optional[str]) -> Job:
         job = Job(
@@ -327,7 +342,7 @@ class RoutingServer:
         if request.path == "/v1/log":
             if request.method != "GET":
                 raise HttpError(405, "method-not-allowed", "the log view is GET-only")
-            return self._handle_log(request)
+            return await self._handle_log(request)
         if request.path == "/v1/task":
             if request.method != "POST":
                 raise HttpError(405, "method-not-allowed", "submit tasks with POST")
@@ -347,8 +362,12 @@ class RoutingServer:
                 retry_after=self.config.retry_after_seconds,
             )
 
-    def _handle_log(self, request: HttpRequest) -> HttpResponse:
-        """Paged read over the shared provenance log (tolerant view)."""
+    async def _handle_log(self, request: HttpRequest) -> HttpResponse:
+        """Paged read over the shared provenance log (tolerant view).
+
+        The read runs in a worker thread: it parses and hashes the whole
+        file, and the loop keeps serving (``/healthz`` included) meanwhile.
+        """
         if self.result_log is None:
             raise HttpError(
                 404,
@@ -371,7 +390,7 @@ class RoutingServer:
         limit = int_param("limit", 50, 1, 500)
         # Re-read from disk rather than caching: appends are flushed whole
         # lines, so the tolerant reader always sees a consistent prefix.
-        records, _issues = read_log(self.result_log.path)
+        records, _issues = await asyncio.to_thread(read_log, self.result_log.path)
         return json_response(
             200,
             {

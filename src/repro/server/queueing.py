@@ -2,12 +2,12 @@
 
 The daemon's concurrency story is deliberately simple: every accepted task
 becomes a :class:`Job` in one bounded :class:`TaskQueue`; a fixed set of
-dispatcher coroutines drains it, running :meth:`repro.api.Session.submit` on
-a thread pool.  Admission is all-or-nothing at the queue — when the bound is
-reached the HTTP layer answers ``429 Retry-After`` immediately, so overload
-is *visible to clients* instead of accumulating as unbounded buffering or
-silent latency (real backpressure, in the spirit of serving heterogeneous
-client populations).
+dispatch threads takes jobs straight from it (:meth:`TaskQueue.take`) and
+runs :meth:`repro.api.Session.submit`.  Admission is all-or-nothing at the
+queue — when the bound is reached the HTTP layer answers ``429
+Retry-After`` immediately, so overload is *visible to clients* instead of
+accumulating as unbounded buffering or silent latency (real backpressure,
+in the spirit of serving heterogeneous client populations).
 
 :class:`LatencyHistogram` records per-task-type end-to-end latency (enqueue
 to completion) in fixed logarithmic buckets — constant memory however much
@@ -19,6 +19,8 @@ free of bookkeeping.
 from __future__ import annotations
 
 import asyncio
+import queue
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Dict, Optional
@@ -113,16 +115,20 @@ class TaskQueue:
     """The bounded admission queue plus every counter ``/metrics`` reports.
 
     ``capacity`` bounds accepted-but-unfinished jobs — queued *and*
-    executing — so a task popped by a dispatcher still holds its admission
-    slot until it completes; that is what makes the 429 threshold meaningful
-    to a client measuring outstanding requests.  Built for single-event-loop
-    use: admission is synchronous (``try_admit``) and never awaits, so a
-    batch admission of N jobs is atomic with respect to other connections.
+    executing — so a task taken by a dispatch thread still holds its
+    admission slot until it completes; that is what makes the 429 threshold
+    meaningful to a client measuring outstanding requests.  Admission
+    (``try_admit``) and completion (``job_done``) run on the event loop and
+    never await, so a batch admission of N jobs is atomic with respect to
+    other connections; only :meth:`take` runs on the dispatch threads.
     """
 
     def __init__(self, capacity: int) -> None:
         self.capacity = capacity
-        self._queue: "asyncio.Queue[Optional[Job]]" = asyncio.Queue()
+        self._pending: "queue.SimpleQueue[Optional[Job]]" = queue.SimpleQueue()
+        self._closed = False
+        # ``executing`` is the one counter both sides change.
+        self._lock = threading.Lock()
         self.outstanding = 0  # admitted, not yet completed (queued + executing)
         self.executing = 0
         self.peak_outstanding = 0
@@ -151,7 +157,7 @@ class TaskQueue:
         self.accepted += 1
         if self.outstanding > self.peak_outstanding:
             self.peak_outstanding = self.outstanding
-        self._queue.put_nowait(job)
+        self._pending.put(job)
 
     def note_rejected(self, jobs: int) -> None:
         """Record ``jobs`` rejections that bypassed :meth:`try_admit`.
@@ -162,20 +168,30 @@ class TaskQueue:
         """
         self.rejected += jobs
 
-    async def next_job(self) -> Optional[Job]:
-        """Dispatcher side: the next admitted job (``None`` = shut down)."""
-        job = await self._queue.get()
-        if job is not None:
+    def take(self) -> Optional[Job]:
+        """Dispatch-thread side: block for the next job (``None`` = stop)."""
+        job = self._pending.get()
+        if job is None or self._closed:
+            return None
+        with self._lock:
             self.executing += 1
         return job
 
-    def push_shutdown(self) -> None:
-        """Wake one dispatcher with a shutdown sentinel."""
-        self._queue.put_nowait(None)
+    async def next_job(self) -> Optional[Job]:
+        """:meth:`take` for a caller on an event loop (blocks a worker thread)."""
+        return await asyncio.to_thread(self.take)
+
+    def close(self, consumers: int) -> None:
+        """Hand out no more jobs: the next :meth:`take` of each of
+        ``consumers`` threads returns ``None``, whatever is still queued."""
+        self._closed = True
+        for _ in range(consumers):
+            self._pending.put(None)
 
     def job_done(self, job: Job, ok: bool) -> None:
         """Release the admission slot and record the job's latency."""
-        self.executing -= 1
+        with self._lock:
+            self.executing -= 1
         self.outstanding -= 1
         if ok:
             self.completed += 1
@@ -193,7 +209,7 @@ class TaskQueue:
 
     @property
     def depth(self) -> int:
-        """Jobs admitted but not yet picked up by a dispatcher."""
+        """Jobs admitted but not yet taken by a dispatch thread."""
         return self.outstanding - self.executing
 
     def snapshot(self) -> Dict[str, object]:

@@ -14,8 +14,9 @@ Four layers of coverage for :mod:`repro.core.reliable_broadcast` and
 * **Pinned adversary-reality regression** — a concrete ``f >= N/3``
   equivocation attack that demonstrably breaks agreement, so the suite cannot
   pass with a toothless adversary.
-* **Golden message-schedule traces** — three seeds times two behaviours of
-  the full wire-event schedule are serialized into
+* **Golden message-schedule traces** — three seeds times two behaviours,
+  plus one case per further branch of the protocol loop, of the full
+  wire-event schedule are serialized into
   ``tests/data/golden_broadcast_traces.json`` and replayed bit for bit,
   mirroring the walk-trace pattern of ``tests/test_golden_traces.py``.
 
@@ -419,20 +420,54 @@ def test_bracha_guarantees_hold_below_the_threshold(provider, case):
 
 
 # --------------------------------------------------------------------------- #
-# Golden message-schedule traces (3 seeds x 2 behaviours)
+# Golden message-schedule traces
 # --------------------------------------------------------------------------- #
 
-GOLDEN_BEHAVIORS = ("equivocate", "forge")
-GOLDEN_SEEDS = (0, 1, 2)
+#: Every golden case: ``(behaviour, fault seed, options)``.  The first six are
+#: the original 3 seeds x 2 behaviours with default options; the rest pin one
+#: more branch of the protocol loop each (a silent adversary, a delayed one,
+#: crashes plus broken links, each optimisation switched off, and a named
+#: equivocating source).  Option keys are stored in the case as given.
+GOLDEN_CASES = (
+    *((behavior, seed, {}) for behavior in ("equivocate", "forge") for seed in (0, 1, 2)),
+    ("drop", 0, {}),
+    ("delay", 1, {"delay": 5}),
+    ("delay", 0, {"delay": 2, "crashed": [4], "broken_links": [[0, 3], [2, 5]]}),
+    ("equivocate", 0, {"echo_amplification": False}),
+    ("forge", 1, {"reduced_messages": False}),
+    ("equivocate", 3, {"plan": [[0, "equivocate"], [5, "equivocate"]]}),
+)
 
 
-def _golden_case(behavior: str, seed: int) -> dict:
+def _golden_case(behavior: str, seed: int, options: dict) -> dict:
     provider = RandomSequenceProvider(seed=GOLDEN_PROVIDER_SEED)
     graph = generators.grid_graph(3, 3)
-    plan = ByzantinePlan.random_plan(graph, 2, seed=seed, behaviors=(behavior,))
-    result = broadcast_reliably(graph, 0, value="m", plan=plan, provider=provider)
-    return {
-        "name": f"golden-rb-{behavior}-s{seed}",
+    delay = options.get("delay", 3)
+    if "plan" in options:
+        plan = ByzantinePlan(behaviors=dict(options["plan"]), delay=delay, seed=seed)
+    else:
+        plan = ByzantinePlan.random_plan(
+            graph, 2, seed=seed, behaviors=(behavior,), delay=delay
+        )
+    failures = None
+    if "crashed" in options or "broken_links" in options:
+        failures = FailurePlan(
+            failed_nodes=set(options.get("crashed", ())),
+            failed_links={frozenset(link) for link in options.get("broken_links", ())},
+        )
+    result = broadcast_reliably(
+        graph,
+        0,
+        value="m",
+        plan=plan,
+        failures=failures,
+        provider=provider,
+        echo_amplification=options.get("echo_amplification", True),
+        reduced_messages=options.get("reduced_messages", True),
+    )
+    name = f"golden-rb-{behavior}-s{seed}" + "".join(f"-{key}" for key in options)
+    case = {
+        "name": name,
         "behavior": behavior,
         "fault_seed": seed,
         "byzantine": [[node, b] for node, b in result.byzantine],
@@ -444,6 +479,11 @@ def _golden_case(behavior: str, seed: int) -> dict:
         "header_bits": result.header_bits,
         "events": [event.as_list() for event in result.events],
     }
+    if options:
+        case["options"] = options
+        case["crashed"] = list(result.crashed)
+        case["evidence"] = [[e.accused, e.witness, e.kind, e.detail] for e in result.evidence]
+    return case
 
 
 def _regen_requested() -> bool:
@@ -451,11 +491,7 @@ def _regen_requested() -> bool:
 
 
 def test_broadcast_reproduces_golden_message_schedules():
-    computed = [
-        _golden_case(behavior, seed)
-        for behavior in GOLDEN_BEHAVIORS
-        for seed in GOLDEN_SEEDS
-    ]
+    computed = [_golden_case(*case) for case in GOLDEN_CASES]
     if _regen_requested():
         os.makedirs(DATA_DIR, exist_ok=True)
         with open(GOLDEN_PATH, "w", encoding="utf-8") as handle:
@@ -468,7 +504,7 @@ def test_broadcast_reproduces_golden_message_schedules():
     with open(GOLDEN_PATH, "r", encoding="utf-8") as handle:
         golden = json.load(handle)
     assert golden["provider_seed"] == GOLDEN_PROVIDER_SEED
-    assert len(golden["cases"]) == len(GOLDEN_BEHAVIORS) * len(GOLDEN_SEEDS)
+    assert len(golden["cases"]) == len(GOLDEN_CASES)
     for stored, fresh in zip(golden["cases"], computed):
         for key in (
             "name",
@@ -486,6 +522,7 @@ def test_broadcast_reproduces_golden_message_schedules():
         assert stored["events"] == fresh["events"], (
             f"{stored['name']}: wire-event schedule diverged"
         )
+        assert stored == fresh, f"{stored['name']}: options, crashes or evidence diverged"
 
 
 def test_golden_broadcasts_exercise_real_adversaries():

@@ -3,10 +3,11 @@
 Covers the record rules of :mod:`repro.provenance.records` (canonical
 encoding, content addresses, chain sealing), the three access modes of
 :mod:`repro.provenance.log` (locked append, tolerant read, strict verify),
-and — with hypothesis — the two properties the accountability story rests
-on: an appended log always reloads to the identical verified chain, and a
-single flipped byte *anywhere* in the file is detected and named by record
-index.
+and — with hypothesis — the properties the accountability story rests on:
+an appended log always reloads to the identical verified chain, every
+written line is the canonical encoding of the sealed record it stands for,
+and a single flipped byte *anywhere* in the file is detected and named by
+record index.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from repro.provenance import (
     task_address,
     verify_log,
 )
+from repro.provenance.records import sealed_line
 
 _RELAXED = settings(
     max_examples=25,
@@ -241,6 +243,95 @@ def test_append_reload_verify_is_the_identity(tmp_path_factory, bodies):
     # Reopening for append adopts exactly the verified chain state.
     with ResultLog(path, "a") as reopened:
         assert reopened.head == head and reopened.count == len(appended)
+
+
+#: Strings that stress the encoder: escapes, control characters, non-BMP.
+_AWKWARD_TEXT = st.one_of(
+    st.text(max_size=12),
+    st.sampled_from(['"', "\\", "\n\t\r", "\x00\x1f", "\u2028", "\U0001f600", "é/ü", ""]),
+)
+_AWKWARD_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([2 ** 64, -(2 ** 100), 10 ** 30]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 1e308, -1e308, 5e-324, 1e-7, 1e16]),
+    _AWKWARD_TEXT,
+)
+_AWKWARD_VALUES = st.recursive(
+    _AWKWARD_SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(_AWKWARD_TEXT, children, max_size=4),
+    ),
+    max_leaves=12,
+)
+_AWKWARD_BODIES = st.dictionaries(
+    keys=_AWKWARD_TEXT.filter(
+        lambda k: k not in ("kind", "schema_version", "parent", "address", "record_hash")
+    ),
+    values=_AWKWARD_VALUES,
+    max_size=6,
+)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    bodies=st.lists(_AWKWARD_BODIES, min_size=1, max_size=4),
+    kind=_AWKWARD_TEXT,
+    addressed=st.booleans(),
+)
+def test_appended_lines_are_the_canonical_encoding_of_the_sealed_record(
+    tmp_path_factory, bodies, kind, addressed
+):
+    """The log seals each record from one encoding per top-level field; the
+    line it writes must be byte for byte ``canonical_json(seal_record(...))``
+    plus a newline, the bytes ``verify_log`` holds it to."""
+    path = str(tmp_path_factory.mktemp("prov") / "seal.log")
+    expected = []
+    with ResultLog(path, "w") as log:
+        for position, body in enumerate(bodies):
+            address = content_address(position) if addressed else None
+            spec = seal_record(kind, body, parent=log.head, address=address)
+            assert sealed_line(kind, body, log.head, address) == (spec, canonical_json(spec))
+            assert log.append(kind, body, address=address) == spec
+            expected.append(canonical_json(spec) + "\n")
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        assert handle.read() == "".join(expected)
+    report = verify_log(path)
+    assert report.ok, report.issues
+    assert len(report.records) == len(bodies)
+
+
+#: Values no canonical encoding exists for.
+_POISON = st.sampled_from([float("nan"), float("inf"), -float("inf"), {1, 2}, object(), b"x"])
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    body=_AWKWARD_BODIES,
+    poison=_POISON,
+    nested=st.booleans(),
+    key=_AWKWARD_TEXT.filter(
+        lambda k: k not in ("kind", "schema_version", "parent", "address", "record_hash")
+    ),
+)
+def test_a_body_that_is_not_json_safe_writes_nothing(tmp_path_factory, body, poison, nested, key):
+    path = str(tmp_path_factory.mktemp("prov") / "poison.log")
+    with ResultLog(path, "w") as log:
+        log.append("test", {"ok": 1})
+        head, count = log.head, log.count
+        with open(path, "rb") as handle:
+            before = handle.read()
+        poisoned = dict(body)
+        poisoned[key] = [0, {"deep": poison}] if nested else poison
+        with pytest.raises(TaskError):
+            log.append("test", poisoned)
+        assert (log.head, log.count) == (head, count)
+    with open(path, "rb") as handle:
+        assert handle.read() == before
+    assert verify_log(path).ok
 
 
 @_RELAXED

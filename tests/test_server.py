@@ -23,6 +23,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
+import sys
 import threading
 
 import pytest
@@ -723,6 +724,174 @@ def test_task_queue_accounting_without_a_server():
 
 
 # --------------------------------------------------------------------------- #
+# Dispatch threads
+# --------------------------------------------------------------------------- #
+
+
+class CountingGateBackend(GateBackend):
+    """A gate that also records how many tasks run at once."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._lock = threading.Lock()
+        self.running = 0
+        self.most_running = 0
+
+    def run(self, request, store) -> TaskResult:  # noqa: D102 - test stub
+        with self._lock:
+            self.running += 1
+            self.most_running = max(self.most_running, self.running)
+        try:
+            return super().run(request, store)
+        finally:
+            with self._lock:
+                self.running -= 1
+
+
+def _dispatch_threads():
+    return {
+        thread
+        for thread in threading.enumerate()
+        if thread.name.startswith("repro-dispatch")
+    }
+
+
+def test_dispatch_threads_bound_execution_and_keep_the_queue_counters_exact():
+    gate = CountingGateBackend()
+    session = Session(backends={"gate": gate})
+    config = ServerConfig(port=0, queue_capacity=8, concurrency=2)
+
+    async def scenario():
+        async with running_server(config, session=session) as server:
+            client = client_for(server)
+            submitted = [
+                asyncio.ensure_future(
+                    client.submit(
+                        RouteRequest(scenario=SPEC, source=0, target=target), backend="gate"
+                    )
+                )
+                for target in range(1, 6)
+            ]
+            while True:
+                queue = (await client.metrics())["queue"]
+                if queue["outstanding"] == 5 and queue["executing"] == 2:
+                    break
+                await asyncio.sleep(0.01)
+            await asyncio.sleep(0.05)  # give a third thread the chance to misbehave
+            during = (await client.metrics())["queue"]
+            gate.release.set()
+            results = await asyncio.gather(*submitted)
+            after = (await client.metrics())["queue"]
+            return during, results, after
+
+    during, results, after = asyncio.run(scenario())
+    assert gate.most_running == 2
+    assert (during["executing"], during["depth"], during["outstanding"]) == (2, 3, 5)
+    assert [result.status for result in results] == ["success"] * 5
+    assert (after["executing"], after["depth"], after["outstanding"]) == (0, 0, 0)
+    assert after["completed"] == 5 and after["failed"] == 0
+
+
+def test_queue_counters_survive_many_dispatch_threads_under_fast_switching():
+    """``executing`` is changed by the dispatch threads and the loop; a lost
+    update under contention would leave it (or ``depth``) off zero."""
+    session = Session(backends={"gate": SelectiveGateBackend()})
+    config = ServerConfig(port=0, queue_capacity=800, concurrency=8)
+    body = json.dumps(
+        [to_wire(RouteRequest(scenario=SPEC, source=0, target=2))] * 200
+    ).encode()
+
+    async def scenario():
+        async with running_server(config, session=session) as server:
+            replies = await asyncio.wait_for(
+                asyncio.gather(
+                    *(raw(server, "POST", "/v1/tasks?backend=gate", body=body) for _ in range(4))
+                ),
+                timeout=60,
+            )
+            return replies, server.queue.snapshot()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        replies, queue = asyncio.run(scenario())
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(reply.status == 200 for reply in replies)
+    lines = [json.loads(line) for reply in replies for line in reply.body.splitlines()]
+    assert len(lines) == 800 and all("result" in line for line in lines)
+    assert (queue["executing"], queue["depth"], queue["outstanding"]) == (0, 0, 0)
+    assert queue["completed"] == 800 and queue["failed"] == 0
+
+
+def test_drain_with_a_wedged_task_returns_within_the_drain_timeout():
+    gate = GateBackend()
+    session = Session(backends={"gate": gate})
+    config = ServerConfig(port=0, queue_capacity=8, concurrency=1, drain_timeout_seconds=0.3)
+    before = _dispatch_threads()
+
+    async def scenario():
+        server = RoutingServer(config, session=session)
+        await server.start()
+        body = to_json(RouteRequest(scenario=SPEC, source=0, target=1)).encode()
+        wedged = asyncio.ensure_future(raw(server, "POST", "/v1/task?backend=gate", body=body))
+        queued = asyncio.ensure_future(raw(server, "POST", "/v1/task?backend=gate", body=body))
+        while server.queue.outstanding < 2:
+            await asyncio.sleep(0.01)
+        started = asyncio.get_running_loop().time()
+        await server.drain_and_stop()
+        elapsed = asyncio.get_running_loop().time() - started
+        for request in (wedged, queued):
+            request.cancel()
+        await asyncio.gather(wedged, queued, return_exceptions=True)
+        return elapsed
+
+    elapsed = asyncio.run(scenario())
+    # The wedged thread is abandoned, not waited for.
+    assert elapsed < config.drain_timeout_seconds + 0.25
+    stranded = _dispatch_threads() - before
+    gate.release.set()
+    for thread in stranded:
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+    assert gate.started.is_set()
+
+
+def test_repeated_start_and_drain_leaves_no_dispatch_thread():
+    before = _dispatch_threads()
+
+    async def scenario():
+        for _ in range(3):
+            config = ServerConfig(port=0, queue_capacity=8, concurrency=3)
+            async with running_server(config) as server:
+                result = await client_for(server).submit(
+                    RouteRequest(scenario=SPEC, source=0, target=15)
+                )
+                assert result.status == "success"
+                assert len(_dispatch_threads() - before) == 3
+
+    asyncio.run(scenario())
+    assert _dispatch_threads() - before == set()
+
+
+def test_a_closed_queue_hands_out_no_more_jobs():
+    async def scenario():
+        queue = TaskQueue(capacity=4)
+        loop = asyncio.get_running_loop()
+        from repro.server.queueing import Job
+
+        queue.try_admit(
+            Job(request=RouteRequest(scenario=SPEC, source=0, target=1), backend=None,
+                future=loop.create_future())
+        )
+        queue.close(consumers=2)
+        assert queue.take() is None and queue.take() is None
+        assert queue.executing == 0 and queue.depth == 1
+
+    asyncio.run(scenario())
+
+
+# --------------------------------------------------------------------------- #
 # Client-side error surface
 # --------------------------------------------------------------------------- #
 
@@ -800,6 +969,40 @@ def test_served_tasks_append_to_the_shared_log(tmp_path):
     report = verify_log(log_path)
     assert report.ok and len(report.records) == 2
     assert [record["task"] for record in report.records] == ["route", "count"]
+
+
+def test_a_log_page_read_does_not_stall_the_event_loop(tmp_path, monkeypatch):
+    import repro.provenance.log as provenance_log
+
+    log_path = str(tmp_path / "served.log")
+    config = ServerConfig(port=0, queue_capacity=8, concurrency=1, result_log_path=log_path)
+    entered, release = threading.Event(), threading.Event()
+    real_read_log = provenance_log.read_log
+
+    def blocking_read_log(path):
+        entered.set()
+        if not release.wait(timeout=30):
+            raise RuntimeError("the read was never released")
+        return real_read_log(path)
+
+    monkeypatch.setattr(provenance_log, "read_log", blocking_read_log)
+
+    async def scenario():
+        async with running_server(config=config) as server:
+            client = client_for(server)
+            await client.submit(RouteRequest(scenario=SPEC, source=0, target=15))
+            page = asyncio.ensure_future(raw(server, "GET", "/v1/log"))
+            while not entered.is_set():
+                await asyncio.sleep(0.01)
+            health = await asyncio.wait_for(client.healthz(), timeout=5)
+            assert not page.done()
+            release.set()
+            return health, (await page).json(), server.result_log.head
+
+    health, page, head = asyncio.run(scenario())
+    assert health == {"status": "ok", "draining": False}
+    assert page["total"] == 1 and page["head"] == head
+    assert [record["task"] for record in page["records"]] == ["route"]
 
 
 # --------------------------------------------------------------------------- #
