@@ -17,8 +17,7 @@ from repro.analysis.metrics import (
     observation_from_route,
     stretch,
 )
-from repro.analysis.statistics import SummaryStats, summarize
-from repro.analysis.reporting import format_table, format_markdown_table
+from repro.analysis.reporting import format_table
 from repro.analysis.experiments import (
     ExperimentResult,
     ExperimentTable,
@@ -56,10 +55,7 @@ __all__ = [
     "observation_from_attempt",
     "observation_from_route",
     "stretch",
-    "SummaryStats",
-    "summarize",
     "format_table",
-    "format_markdown_table",
     "ExperimentResult",
     "ExperimentTable",
     "ScenarioSpec",

@@ -18,11 +18,9 @@ exercise.
 **Serial reference vs. parallel split.**
 :func:`reference_run_parameter_sweep` is the executable specification of a
 sweep: one process, scenarios in order, rows in order — it is never edited
-for speed.  :func:`repro.analysis.runner.map_scenario_rows` fans the same
-``evaluate`` body out over a process pool, row-for-row identical to the
-reference.  The same runner module provides the full scenario × router sweep
-orchestrator (`plan_sweep` / `run_sweep`) with JSONL streaming and crash-safe
-resume.
+for speed.  :mod:`repro.analysis.runner` provides the parallel scenario ×
+router sweep orchestrator (`plan_sweep` / `run_sweep`) with JSONL streaming
+and crash-safe resume.
 """
 
 from __future__ import annotations
@@ -456,7 +454,6 @@ def dynamic_schedule_scenarios(
     snapshot_count: int = 3,
     switch_every: int = 6,
     mutations: Sequence[str] = ("relabel",),
-    snapshots: Optional[int] = None,
 ) -> List[ScenarioSpec]:
     """A grid of dynamic-schedule scenarios over families × sizes × seeds × mutations.
 
@@ -466,12 +463,8 @@ def dynamic_schedule_scenarios(
     dynamic walk against static routing on snapshot 0.
 
     ``snapshot_count`` sets how many snapshots each schedule carries (the
-    ``repro sweep`` CLI threads ``--snapshots`` through here); the legacy
-    ``snapshots`` keyword is accepted as an alias and takes precedence when
-    given.
+    ``repro sweep`` CLI threads ``--snapshots`` through here).
     """
-    if snapshots is not None:
-        snapshot_count = snapshots
     if snapshot_count < 1:
         raise ExperimentError("a schedule needs at least one snapshot")
     specs: List[ScenarioSpec] = []
@@ -539,9 +532,7 @@ def reference_run_parameter_sweep(
     """Build every scenario and collect the rows ``evaluate`` produces for it.
 
     This is the executable specification of a parameter sweep — one process,
-    scenarios in order, rows in order.  The parallel fan-out
-    :func:`repro.analysis.runner.map_scenario_rows` must reproduce its rows
-    in order.
+    scenarios in order, rows in order.
     """
     result = ExperimentResult(experiment=experiment, headers=list(headers))
     for spec in scenarios:

@@ -1,4 +1,4 @@
-"""Plain-text and Markdown table rendering for experiment output.
+"""Plain-text table rendering for experiment output.
 
 Every consumer of an :class:`~repro.analysis.experiments.ExperimentResult`
 renders through these helpers: the benchmark modules (which persist their
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence
 
-__all__ = ["format_cell", "format_table", "format_markdown_table"]
+__all__ = ["format_cell", "format_table"]
 
 
 def format_cell(value: object, precision: int = 3) -> str:
@@ -60,18 +60,4 @@ def format_table(
     lines.append("  ".join("-" * w for w in widths))
     for row in rendered:
         lines.append("  ".join(row[i].ljust(widths[i]) for i in range(len(headers))))
-    return "\n".join(lines)
-
-
-def format_markdown_table(
-    headers: Sequence[str],
-    rows: Iterable[Sequence[object]],
-    precision: int = 3,
-) -> str:
-    """Render a GitHub-flavoured Markdown table (used to update EXPERIMENTS.md)."""
-    rendered = _render_rows(headers, rows, precision)
-    lines = ["| " + " | ".join(str(h) for h in headers) + " |"]
-    lines.append("|" + "|".join("---" for _ in headers) + "|")
-    for row in rendered:
-        lines.append("| " + " | ".join(row) + " |")
     return "\n".join(lines)

@@ -81,7 +81,6 @@ from repro.analysis.experiments import (
     ExperimentResult,
     ScenarioSpec,
     ScenarioStore,
-    build_scenario,
     is_dynamic_scenario,
     is_streamed_scenario,
     pick_source_target_pairs,
@@ -111,7 +110,6 @@ __all__ = [
     "evaluate_shards",
     "run_sweep",
     "parallel_map",
-    "map_scenario_rows",
 ]
 
 #: Router name of the prepared engine (the guaranteed router's fast path).
@@ -825,26 +823,3 @@ def parallel_map(
         return [fn(item) for item in items]
     results: Dict[int, _R] = dict(_pool_results(fn, items, width))
     return [results[index] for index in range(len(items))]
-
-
-def _scenario_rows_task(task: Tuple[Callable[..., Iterable[Sequence[object]]], ScenarioSpec]):
-    evaluate, spec = task
-    network = build_scenario(spec)
-    return [list(row) for row in evaluate(spec, network)]
-
-
-def map_scenario_rows(
-    evaluate: Callable[..., Iterable[Sequence[object]]],
-    scenarios: Sequence[ScenarioSpec],
-    workers: int,
-) -> List[List[List[object]]]:
-    """Evaluate every scenario in parallel; rows grouped per scenario, in order.
-
-    The worker body is exactly the reference sweep's loop body: build the
-    scenario, materialise ``evaluate``'s rows.  ``evaluate`` must be
-    picklable (a module-level function) and deterministic per ``(spec,
-    network)`` — cross-call state does not survive the process boundary.
-    """
-    return parallel_map(
-        _scenario_rows_task, [(evaluate, spec) for spec in scenarios], workers
-    )

@@ -1,84 +1,11 @@
-"""Small summary-statistics helpers for experiment reporting.
-
-Nothing here is novel: means, medians, standard deviations and normal-
-approximation confidence intervals over repeated trials, packaged so every
-benchmark prints its numbers the same way.
-"""
+"""Summary statistics for experiment reporting: the geometric mean."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
-__all__ = ["SummaryStats", "summarize", "ratio_of_means", "geometric_mean"]
-
-
-@dataclass(frozen=True)
-class SummaryStats:
-    """Summary of a sample of real numbers."""
-
-    count: int
-    mean: float
-    median: float
-    std: float
-    minimum: float
-    maximum: float
-
-    def confidence_interval(self, z: float = 1.96) -> Tuple[float, float]:
-        """Normal-approximation confidence interval for the mean."""
-        if self.count <= 1:
-            return (self.mean, self.mean)
-        half_width = z * self.std / math.sqrt(self.count)
-        return (self.mean - half_width, self.mean + half_width)
-
-    def format(self, precision: int = 2) -> str:
-        """Compact ``mean ± std`` rendering for tables."""
-        return f"{self.mean:.{precision}f} ± {self.std:.{precision}f}"
-
-
-def summarize(values: Iterable[float]) -> SummaryStats:
-    """Summarise a non-empty sample.
-
-    Raises
-    ------
-    ValueError
-        If the sample is empty (callers should report "no data" explicitly
-        rather than rely on sentinel statistics).
-    """
-    data: List[float] = sorted(float(v) for v in values)
-    if not data:
-        raise ValueError("cannot summarise an empty sample")
-    count = len(data)
-    mean = sum(data) / count
-    if count % 2:
-        median = data[count // 2]
-    else:
-        median = (data[count // 2 - 1] + data[count // 2]) / 2
-    variance = sum((v - mean) ** 2 for v in data) / (count - 1) if count > 1 else 0.0
-    return SummaryStats(
-        count=count,
-        mean=mean,
-        median=median,
-        std=math.sqrt(variance),
-        minimum=data[0],
-        maximum=data[-1],
-    )
-
-
-def ratio_of_means(numerators: Sequence[float], denominators: Sequence[float]) -> Optional[float]:
-    """Ratio of the two sample means (``None`` when undefined).
-
-    Used for "algorithm A costs X times algorithm B" rows in the benchmark
-    output; the ratio of means is preferred over the mean of ratios because it
-    weights longer routes proportionally.
-    """
-    if not numerators or not denominators:
-        return None
-    denominator_mean = sum(denominators) / len(denominators)
-    if denominator_mean == 0:
-        return None
-    return (sum(numerators) / len(numerators)) / denominator_mean
+__all__ = ["geometric_mean"]
 
 
 def geometric_mean(values: Sequence[float]) -> Optional[float]:

@@ -164,11 +164,6 @@ class Session:
         """The live backend mapping (read-only by convention)."""
         return dict(self._backends)
 
-    @property
-    def tasks_submitted(self) -> int:
-        """Number of tasks this session has executed."""
-        return self._submitted
-
     def cache_info(self) -> Dict[str, int]:
         """Session-scoped *and* process-wide cache statistics, one flat dict.
 

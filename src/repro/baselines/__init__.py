@@ -24,7 +24,7 @@ from repro.baselines.flooding import flood_broadcast, flood_route, FloodResult
 from repro.baselines import greedy_geo
 from repro.baselines.greedy_geo import greedy_geographic_route
 from repro.baselines import face_routing
-from repro.baselines.face_routing import gfg_route, face_route
+from repro.baselines.face_routing import gfg_route
 from repro.baselines import dfs_routing
 from repro.baselines.dfs_routing import dfs_token_route
 
@@ -88,6 +88,5 @@ __all__ = [
     "FloodResult",
     "greedy_geographic_route",
     "gfg_route",
-    "face_route",
     "dfs_token_route",
 ]

@@ -24,7 +24,7 @@ router still delivers).
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.baselines.base import RouterSpec, RoutingAttempt
 from repro.errors import GeometryError, RoutingError
@@ -33,7 +33,7 @@ from repro.geometry.planar import gabriel_subgraph, segments_properly_intersect
 from repro.geometry.points import Point, distance
 from repro.graphs.labeled_graph import LabeledGraph
 
-__all__ = ["face_route", "gfg_route", "SPEC"]
+__all__ = ["gfg_route", "SPEC"]
 
 
 def _require_2d(deployment: Deployment) -> None:
@@ -62,86 +62,6 @@ def _next_ccw(
         return delta if delta > 1e-12 else 2 * math.pi
 
     return min(neighbors, key=turn)
-
-
-def face_route(
-    graph: LabeledGraph,
-    deployment: Deployment,
-    source: int,
-    target: int,
-    max_hops: Optional[int] = None,
-) -> RoutingAttempt:
-    """Pure perimeter/face routing on an (assumed planar) graph.
-
-    Used on its own it is slow but delivery-guaranteed on connected planar
-    graphs; GFG uses it only as the fallback for greedy's local minima.
-    """
-    _require_2d(deployment)
-    if not graph.has_vertex(source):
-        raise RoutingError(f"source {source!r} is not a vertex of the graph")
-    if source == target:
-        return RoutingAttempt(algorithm="face", delivered=True, hops=0, path=(source,))
-    target_position = deployment.position(target)
-    budget = max_hops if max_hops is not None else 8 * max(1, graph.num_edges)
-
-    path = [source]
-    current = source
-    face_anchor = deployment.position(source)          # point progress is measured from
-    first_edge: Optional[Tuple[int, int]] = None       # first edge of the current face walk
-    previous: Optional[int] = None
-
-    for _ in range(budget):
-        if current == target:
-            break
-        origin = deployment.position(current)
-        if previous is None:
-            reference_angle = _angle(origin, target_position)
-        else:
-            reference_angle = _angle(origin, deployment.position(previous))
-        next_hop = _next_ccw(graph, deployment, current, reference_angle)
-        if next_hop is None:
-            return RoutingAttempt(
-                algorithm="face",
-                delivered=False,
-                hops=len(path) - 1,
-                path=tuple(path),
-                detected_failure=True,
-                notes=f"dead end at isolated node {current}",
-            )
-        edge = (current, next_hop)
-        if first_edge is None:
-            first_edge = edge
-        elif edge == first_edge:
-            return RoutingAttempt(
-                algorithm="face",
-                delivered=False,
-                hops=len(path) - 1,
-                path=tuple(path),
-                detected_failure=True,
-                notes="face traversal wrapped around without progress",
-            )
-        # Face change: the traversed edge crosses the anchor->target segment.
-        if segments_properly_intersect(
-            deployment.position(current),
-            deployment.position(next_hop),
-            face_anchor,
-            target_position,
-        ):
-            first_edge = edge
-            face_anchor = deployment.position(next_hop)
-        previous = current
-        current = next_hop
-        path.append(current)
-
-    delivered = current == target
-    return RoutingAttempt(
-        algorithm="face",
-        delivered=delivered,
-        hops=len(path) - 1,
-        path=tuple(path),
-        detected_failure=False,
-        notes="" if delivered else "hop budget exhausted",
-    )
 
 
 def gfg_route(

@@ -21,7 +21,7 @@ distributed realisation lives in :mod:`repro.core.routing`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Protocol, Sequence, Set, Tuple
+from typing import Iterator, List, Optional, Protocol, Sequence, Set, Tuple
 
 from repro.errors import SequenceExhaustedError
 from repro.graphs.connectivity import connected_component
@@ -37,7 +37,6 @@ __all__ = [
     "walk_vertices",
     "covers_component",
     "coverage_steps",
-    "first_visit_step",
 ]
 
 
@@ -216,23 +215,4 @@ def coverage_steps(
         remaining.discard(state.vertex)
         if not remaining:
             return steps_taken
-    return None
-
-
-def first_visit_step(
-    graph: LabeledGraph,
-    sequence: ExplorationSequence,
-    start_vertex: int,
-    target_vertex: int,
-    start_port: int = 0,
-) -> Optional[int]:
-    """Step index at which the walk first visits ``target_vertex`` (or ``None``).
-
-    Step 0 is the starting position, so routing from a vertex to itself
-    trivially returns 0.  This is the idealised (centralised) view of what
-    Algorithm ``Route`` achieves hop by hop.
-    """
-    for step, state in enumerate(walk_states(graph, sequence, start_vertex, start_port)):
-        if state.vertex == target_vertex:
-            return step
     return None

@@ -179,11 +179,6 @@ class ReliableBroadcastResult:
         return self.thresholds.n
 
     @property
-    def delivered_by(self) -> Dict[int, str]:
-        """Node -> delivered value, as a mapping."""
-        return dict(self.delivered)
-
-    @property
     def honest_delivered(self) -> Tuple[Tuple[int, str], ...]:
         """The deliveries of honest nodes only."""
         honest = set(self.honest)

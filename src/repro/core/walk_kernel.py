@@ -44,7 +44,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.errors import GraphStructureError
 from repro.graphs.degree_reduction import DegreeReducedGraph
 
-__all__ = ["CompiledWalk", "compile_reduction", "rotation_hash"]
+__all__ = ["CompiledWalk", "rotation_hash"]
 
 
 def rotation_hash(graph) -> str:
@@ -328,8 +328,3 @@ class CompiledWalk:
             p = next_port[e]
             append(v)
         return visited
-
-
-def compile_reduction(reduction: DegreeReducedGraph) -> CompiledWalk:
-    """Compile a degree reduction into its flat-array walk kernel."""
-    return CompiledWalk(reduction)

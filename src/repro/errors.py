@@ -12,7 +12,6 @@ __all__ = [
     "GraphStructureError",
     "PortLabelingError",
     "NotRegularError",
-    "DisconnectedGraphError",
     "SequenceError",
     "SequenceExhaustedError",
     "UniversalityCertificationError",
@@ -46,10 +45,6 @@ class NotRegularError(GraphStructureError):
     def __init__(self, message: str, expected_degree: int | None = None) -> None:
         super().__init__(message)
         self.expected_degree = expected_degree
-
-
-class DisconnectedGraphError(GraphStructureError):
-    """An operation required a connected graph but the graph is disconnected."""
 
 
 class SequenceError(ReproError):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.graphs.labeled_graph import LabeledGraph
-from repro.graphs.properties import second_eigenvalue, spectral_gap
+from repro.graphs.properties import second_eigenvalue
 
 __all__ = ["SpectralCertificate", "certify_expander", "spectral_report"]
 

@@ -8,25 +8,21 @@ discuss:
 
 * random node deployments in the unit square / unit cube,
 * unit-disk connectivity graphs in 2D and 3D,
-* the Gabriel-graph and relative-neighbourhood-graph planar subgraphs that
-  greedy-face-greedy (GFG/GPSR) routing requires, and
-* face-traversal helpers for the face-routing baseline.
+* the Gabriel-graph planar subgraph that greedy-face-greedy (GFG/GPSR)
+  routing requires.
 """
 
-from repro.geometry.points import Point, distance, midpoint
+from repro.geometry.points import Point, distance
 from repro.geometry.deployment import Deployment, random_deployment, grid_deployment
-from repro.geometry.unit_disk import unit_disk_graph, critical_radius
-from repro.geometry.planar import gabriel_subgraph, relative_neighborhood_subgraph
+from repro.geometry.unit_disk import unit_disk_graph
+from repro.geometry.planar import gabriel_subgraph
 
 __all__ = [
     "Point",
     "distance",
-    "midpoint",
     "Deployment",
     "random_deployment",
     "grid_deployment",
     "unit_disk_graph",
-    "critical_radius",
     "gabriel_subgraph",
-    "relative_neighborhood_subgraph",
 ]

@@ -1,25 +1,21 @@
-"""Planar subgraph extraction and face-traversal support for GFG routing.
+"""Planar subgraph extraction and segment crossing for GFG routing.
 
 Greedy-face-greedy (GFG, also known as GPSR) — the guaranteed-delivery
 algorithm for *planar* 2D networks that the paper's references [2, 5, 9]
 discuss — requires a planar, connected spanning subgraph of the unit-disk
-graph.  Two classic localized constructions are implemented:
+graph.  The classic localized construction implemented here is the
+**Gabriel graph**: keep edge (u, v) iff no other node lies inside the disk
+with diameter uv.
 
-* the **Gabriel graph**: keep edge (u, v) iff no other node lies inside the
-  disk with diameter uv;
-* the **relative neighbourhood graph (RNG)**: keep edge (u, v) iff no other
-  node w satisfies max(d(u, w), d(v, w)) < d(u, v).
-
-Both are planar when applied to 2D unit-disk graphs and keep them connected.
-In 3D neither construction yields a planar graph — which is exactly the gap
-the paper's exploration-sequence approach closes — so the 3D experiments use
-these projections only as a "best effort" baseline.
+It is planar when applied to 2D unit-disk graphs and keeps them connected.
+In 3D it does not yield a planar graph — which is exactly the gap the
+paper's exploration-sequence approach closes — so the 3D experiments use
+this projection only as a "best effort" baseline.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Dict, List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.errors import GeometryError
 from repro.geometry.deployment import Deployment
@@ -28,10 +24,6 @@ from repro.graphs.labeled_graph import LabeledGraph
 
 __all__ = [
     "gabriel_subgraph",
-    "relative_neighborhood_subgraph",
-    "angle_of_edge",
-    "next_edge_counterclockwise",
-    "next_edge_clockwise",
     "segments_properly_intersect",
 ]
 
@@ -73,84 +65,6 @@ def gabriel_subgraph(graph: LabeledGraph, deployment: Deployment) -> LabeledGrap
         if not blocked:
             survivors.append((u, v))
     return LabeledGraph.from_edges(survivors, vertices=graph.vertices)
-
-
-def relative_neighborhood_subgraph(graph: LabeledGraph, deployment: Deployment) -> LabeledGraph:
-    """Relative neighbourhood subgraph (RNG) of ``graph``.
-
-    Edge (u, v) survives iff there is no witness node w that is closer to both
-    u and v than they are to each other.  The RNG is a subgraph of the Gabriel
-    graph and is also planar and connectivity-preserving on 2D unit-disk graphs.
-    """
-    survivors: List[Tuple[int, int]] = []
-    for u, v in _edge_list(graph):
-        d_uv = squared_distance(deployment.position(u), deployment.position(v))
-        blocked = False
-        for w in deployment.node_ids:
-            if w in (u, v):
-                continue
-            pw = deployment.position(w)
-            d_uw = squared_distance(deployment.position(u), pw)
-            d_vw = squared_distance(deployment.position(v), pw)
-            if max(d_uw, d_vw) < d_uv - 1e-12:
-                blocked = True
-                break
-        if not blocked:
-            survivors.append((u, v))
-    return LabeledGraph.from_edges(survivors, vertices=graph.vertices)
-
-
-def angle_of_edge(deployment: Deployment, u: int, v: int) -> float:
-    """Planar angle (radians in ``[0, 2*pi)``) of the direction from u to v."""
-    pu, pv = deployment.position(u), deployment.position(v)
-    if pu.dimension != 2 or pv.dimension != 2:
-        raise GeometryError("edge angles are only defined for 2D deployments")
-    angle = math.atan2(pv.y - pu.y, pv.x - pu.x)
-    return angle % (2 * math.pi)
-
-
-def _sorted_neighbors_by_angle(
-    graph: LabeledGraph, deployment: Deployment, v: int
-) -> List[int]:
-    """Distinct neighbours of v sorted counterclockwise by direction from v."""
-    neighbors = sorted(set(w for w in graph.neighbors(v) if w != v))
-    return sorted(neighbors, key=lambda w: angle_of_edge(deployment, v, w))
-
-
-def next_edge_counterclockwise(
-    graph: LabeledGraph, deployment: Deployment, v: int, reference: int
-) -> int:
-    """First neighbour of ``v`` strictly after the direction of ``reference``, CCW.
-
-    This is the primitive of face traversal in the right-hand rule: having
-    arrived at ``v`` over the edge from ``reference``, the next edge of the
-    face is the one immediately counterclockwise from the reverse direction.
-    """
-    neighbors = _sorted_neighbors_by_angle(graph, deployment, v)
-    if not neighbors:
-        raise GeometryError(f"vertex {v} has no distinct neighbours")
-    reference_angle = angle_of_edge(deployment, v, reference)
-    # Neighbours strictly greater than the reference angle, wrapping around.
-    ordered = sorted(
-        neighbors,
-        key=lambda w: ((angle_of_edge(deployment, v, w) - reference_angle) % (2 * math.pi)) or (2 * math.pi),
-    )
-    return ordered[0]
-
-
-def next_edge_clockwise(
-    graph: LabeledGraph, deployment: Deployment, v: int, reference: int
-) -> int:
-    """First neighbour of ``v`` strictly before the direction of ``reference``, CW."""
-    neighbors = _sorted_neighbors_by_angle(graph, deployment, v)
-    if not neighbors:
-        raise GeometryError(f"vertex {v} has no distinct neighbours")
-    reference_angle = angle_of_edge(deployment, v, reference)
-    ordered = sorted(
-        neighbors,
-        key=lambda w: ((reference_angle - angle_of_edge(deployment, v, w)) % (2 * math.pi)) or (2 * math.pi),
-    )
-    return ordered[0]
 
 
 def segments_properly_intersect(a: Point, b: Point, c: Point, d: Point) -> bool:

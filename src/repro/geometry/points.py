@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Tuple
+from typing import Tuple
 
 from repro.errors import GeometryError
 
-__all__ = ["Point", "distance", "squared_distance", "midpoint", "centroid"]
+__all__ = ["Point", "distance", "squared_distance"]
 
 
 @dataclass(frozen=True, order=True)
@@ -72,24 +72,3 @@ def squared_distance(a: Point, b: Point) -> float:
 def distance(a: Point, b: Point) -> float:
     """Euclidean distance between two points (dimensions may differ)."""
     return math.sqrt(squared_distance(a, b))
-
-
-def midpoint(a: Point, b: Point) -> Point:
-    """Midpoint of the segment ``ab`` (3D when either endpoint is 3D)."""
-    if a.dimension == 3 or b.dimension == 3:
-        return Point.spatial((a.x + b.x) / 2, (a.y + b.y) / 2, (a.z + b.z) / 2)
-    return Point.planar((a.x + b.x) / 2, (a.y + b.y) / 2)
-
-
-def centroid(points: Iterable[Point]) -> Point:
-    """Centroid of a non-empty collection of points."""
-    collected = list(points)
-    if not collected:
-        raise GeometryError("centroid of an empty point set is undefined")
-    n = len(collected)
-    x = sum(p.x for p in collected) / n
-    y = sum(p.y for p in collected) / n
-    z = sum(p.z for p in collected) / n
-    if any(p.dimension == 3 for p in collected):
-        return Point.spatial(x, y, z)
-    return Point.planar(x, y)

@@ -8,14 +8,13 @@ on which the routing experiments run.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.errors import GeometryError
 from repro.geometry.deployment import Deployment
-from repro.graphs.connectivity import is_connected
 from repro.graphs.labeled_graph import LabeledGraph
 
-__all__ = ["unit_disk_graph", "critical_radius", "unit_disk_edges"]
+__all__ = ["unit_disk_graph", "unit_disk_edges"]
 
 
 def unit_disk_edges(deployment: Deployment, radius: float) -> List[Tuple[int, int]]:
@@ -39,36 +38,3 @@ def unit_disk_graph(deployment: Deployment, radius: float) -> LabeledGraph:
     """
     edges = unit_disk_edges(deployment, radius)
     return LabeledGraph.from_edges(edges, vertices=deployment.node_ids)
-
-
-def critical_radius(
-    deployment: Deployment,
-    tolerance: float = 1e-6,
-) -> float:
-    """Smallest radius (up to ``tolerance``) making the unit-disk graph connected.
-
-    Computed by bisection between 0 and the deployment's diameter.  Useful for
-    sweeping experiments "just above" and "just below" the connectivity
-    threshold, where topologies are sparse and greedy routing fails most often.
-    """
-    ids = deployment.node_ids
-    if len(ids) == 1:
-        return 0.0
-    distances = deployment.pairwise_distances()
-    high = max(distances.values())
-    low = 0.0
-    # The critical radius is always one of the pairwise distances; bisection
-    # converges onto it and we snap to the smallest distance >= the bisection
-    # result for an exact answer.
-    while high - low > tolerance:
-        mid = (low + high) / 2
-        if is_connected(unit_disk_graph(deployment, mid)):
-            high = mid
-        else:
-            low = mid
-    candidates = sorted(d for d in distances.values() if d >= low - tolerance)
-    for candidate in candidates:
-        if candidate + tolerance >= high or is_connected(unit_disk_graph(deployment, candidate)):
-            if is_connected(unit_disk_graph(deployment, candidate)):
-                return candidate
-    return high

@@ -25,9 +25,7 @@ from repro.graphs import generators
 from repro.graphs.properties import (
     degree_histogram,
     diameter,
-    graph_summary,
     is_simple,
-    spectral_gap,
 )
 
 __all__ = [
@@ -42,7 +40,5 @@ __all__ = [
     "generators",
     "degree_histogram",
     "diameter",
-    "graph_summary",
     "is_simple",
-    "spectral_gap",
 ]

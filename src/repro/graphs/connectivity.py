@@ -10,7 +10,7 @@ against.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from repro.errors import GraphStructureError
 from repro.graphs.labeled_graph import LabeledGraph
@@ -22,7 +22,6 @@ __all__ = [
     "are_connected",
     "shortest_path_lengths",
     "shortest_path",
-    "bfs_tree",
     "component_sizes",
 ]
 
@@ -117,18 +116,3 @@ def shortest_path(graph: LabeledGraph, source: int, target: int) -> Optional[Lis
                 return path
             frontier.append(w)
     return None
-
-
-def bfs_tree(graph: LabeledGraph, source: int) -> Dict[int, Optional[int]]:
-    """Return a BFS parent map rooted at ``source`` (root maps to ``None``)."""
-    if not graph.has_vertex(source):
-        raise GraphStructureError(f"unknown vertex {source!r}")
-    parents: Dict[int, Optional[int]] = {source: None}
-    frontier = deque([source])
-    while frontier:
-        v = frontier.popleft()
-        for w in graph.neighbors(v):
-            if w not in parents:
-                parents[w] = v
-                frontier.append(w)
-    return parents

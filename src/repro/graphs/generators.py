@@ -3,9 +3,9 @@
 The paper makes claims over *all* static topologies, so the experiment harness
 exercises a broad family of graphs:
 
-* classic structured topologies (paths, rings, grids, tori, trees, hypercubes,
-  complete graphs, prisms/Möbius–Kantor ladders which are natively 3-regular),
-* adversarial random-walk topologies (lollipops, barbells),
+* classic structured topologies (paths, rings, grids, tori, trees, complete
+  graphs, prisms/Möbius–Kantor ladders which are natively 3-regular),
+* adversarial random-walk topologies (lollipops),
 * random models (Erdős–Rényi, random regular), and
 * geometric ad hoc deployments (unit-disk graphs in 2D and 3D) which live in
   :mod:`repro.geometry` and are re-exported here for convenience.
@@ -17,7 +17,6 @@ fixed seed.
 
 from __future__ import annotations
 
-import itertools
 import random
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -32,13 +31,10 @@ __all__ = [
     "grid_graph",
     "torus_graph",
     "binary_tree",
-    "hypercube_graph",
     "prism_graph",
     "moebius_kantor_graph",
     "petersen_graph",
     "lollipop_graph",
-    "barbell_graph",
-    "cycle_with_chords",
     "circulant_graph",
     "random_regular_graph",
     "erdos_renyi_graph",
@@ -133,15 +129,6 @@ def binary_tree(depth: int) -> LabeledGraph:
     return _edges_to_graph(edges, vertices=range(n))
 
 
-def hypercube_graph(dimension: int) -> LabeledGraph:
-    """Boolean hypercube of the given dimension (``2**dimension`` vertices)."""
-    if dimension < 1:
-        raise GraphStructureError("hypercube_graph requires dimension >= 1")
-    n = 2 ** dimension
-    edges = [(v, v ^ (1 << bit)) for v in range(n) for bit in range(dimension) if v < v ^ (1 << bit)]
-    return _edges_to_graph(edges)
-
-
 def prism_graph(n: int) -> LabeledGraph:
     """Circular ladder (prism) ``Y_n``: two n-cycles joined by rungs, 3-regular.
 
@@ -190,37 +177,6 @@ def lollipop_graph(clique_size: int, path_length: int) -> LabeledGraph:
         edges.append((previous, vertex))
         previous = vertex
     return _edges_to_graph(edges)
-
-
-def barbell_graph(clique_size: int, path_length: int) -> LabeledGraph:
-    """Two cliques of ``clique_size`` joined by a path of ``path_length`` vertices."""
-    if clique_size < 3 or path_length < 0:
-        raise GraphStructureError("barbell_graph requires clique >= 3 and path >= 0")
-    edges = [(i, j) for i in range(clique_size) for j in range(i + 1, clique_size)]
-    offset = clique_size + path_length
-    edges += [(offset + i, offset + j) for i in range(clique_size) for j in range(i + 1, clique_size)]
-    chain = [clique_size - 1] + [clique_size + k for k in range(path_length)] + [offset]
-    edges += [(chain[k], chain[k + 1]) for k in range(len(chain) - 1)]
-    return _edges_to_graph(edges)
-
-
-def cycle_with_chords(n: int, chord_step: int, seed: Optional[int] = None) -> LabeledGraph:
-    """Cycle on ``n`` vertices plus chords ``(i, i + chord_step)`` for even ``i``.
-
-    For ``chord_step`` around ``n // 2`` this produces 3-regular-ish graphs
-    with small diameter; used as an alternative 3-regular family in tests.
-    """
-    if n < 4 or chord_step < 2 or chord_step >= n:
-        raise GraphStructureError("cycle_with_chords requires n >= 4 and 2 <= chord_step < n")
-    edges = [(i, (i + 1) % n) for i in range(n)]
-    seen = set()
-    for i in range(0, n, 2):
-        j = (i + chord_step) % n
-        key = frozenset((i, j))
-        if i != j and key not in seen:
-            seen.add(key)
-            edges.append((i, j))
-    return _edges_to_graph(edges, seed=seed)
 
 
 def circulant_graph(n: int, offsets: Tuple[int, ...] = (1, 2)) -> LabeledGraph:

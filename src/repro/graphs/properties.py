@@ -2,22 +2,22 @@
 
 These are analysis helpers used by the experiment harness: degree statistics
 (to report the blow-up of the Fig. 1 degree reduction), diameters (to relate
-routing cost to the graph), and the normalised spectral gap (the quantity the
-zig-zag machinery of :mod:`repro.expander` improves round after round).
+routing cost to the graph), and the second eigenvalue of the random-walk
+matrix (the quantity the zig-zag machinery of :mod:`repro.expander` improves
+round after round).
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 try:  # pragma: no cover - exercised by the no-NumPy CI job
     import numpy as np
 except ImportError:  # pragma: no cover - exercised by the no-NumPy CI job
     np = None
 
-from repro.graphs.connectivity import connected_components, shortest_path_lengths
+from repro.graphs.connectivity import shortest_path_lengths
 from repro.graphs.labeled_graph import LabeledGraph
 
 #: True when NumPy imported; the matrix/spectral helpers below need it, the
@@ -36,12 +36,8 @@ __all__ = [
     "degree_histogram",
     "is_simple",
     "adjacency_matrix",
-    "transition_matrix",
-    "spectral_gap",
     "second_eigenvalue",
     "diameter",
-    "GraphSummary",
-    "graph_summary",
 ]
 
 
@@ -72,16 +68,6 @@ def adjacency_matrix(graph: LabeledGraph) -> "np.ndarray":
     # Each non-loop edge was counted once from each side; loops were counted
     # once per port, which is exactly the degree contribution we want.
     return matrix
-
-
-def transition_matrix(graph: LabeledGraph) -> "np.ndarray":
-    """Row-stochastic random-walk transition matrix ``P[v, w]``."""
-    _require_numpy("transition_matrix")
-    matrix = adjacency_matrix(graph)
-    degrees = matrix.sum(axis=1)
-    if np.any(degrees == 0):
-        raise ValueError("transition matrix undefined for degree-0 vertices")
-    return matrix / degrees[:, None]
 
 
 #: Above this vertex count the spectral routines switch to sparse linear algebra.
@@ -133,11 +119,6 @@ def second_eigenvalue(graph: LabeledGraph) -> float:
     return float(magnitudes[1]) if len(magnitudes) > 1 else 0.0
 
 
-def spectral_gap(graph: LabeledGraph) -> float:
-    """Normalised spectral gap ``1 - lambda_2`` of the random-walk matrix."""
-    return 1.0 - second_eigenvalue(graph)
-
-
 def diameter(graph: LabeledGraph) -> Optional[int]:
     """Diameter of the graph, or ``None`` when it is disconnected or empty."""
     if graph.num_vertices == 0:
@@ -149,48 +130,3 @@ def diameter(graph: LabeledGraph) -> Optional[int]:
             return None
         best = max(best, max(distances.values()))
     return best
-
-
-@dataclass(frozen=True)
-class GraphSummary:
-    """A compact structural summary used in experiment reports."""
-
-    num_vertices: int
-    num_edges: int
-    min_degree: int
-    max_degree: int
-    is_regular: bool
-    num_components: int
-    largest_component: int
-    self_loops: int
-    parallel_edges: int
-
-    def as_row(self) -> List[object]:
-        """Return the summary as a list suitable for table rendering."""
-        return [
-            self.num_vertices,
-            self.num_edges,
-            self.min_degree,
-            self.max_degree,
-            self.is_regular,
-            self.num_components,
-            self.largest_component,
-            self.self_loops,
-            self.parallel_edges,
-        ]
-
-
-def graph_summary(graph: LabeledGraph) -> GraphSummary:
-    """Compute a :class:`GraphSummary` for ``graph``."""
-    components = connected_components(graph)
-    return GraphSummary(
-        num_vertices=graph.num_vertices,
-        num_edges=graph.num_edges,
-        min_degree=graph.min_degree(),
-        max_degree=graph.max_degree(),
-        is_regular=graph.is_regular(),
-        num_components=len(components),
-        largest_component=len(components[0]) if components else 0,
-        self_loops=graph.self_loop_count(),
-        parallel_edges=graph.parallel_edge_count(),
-    )

@@ -8,7 +8,7 @@ The analysis layer turns traces into the metrics the experiments report
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict
 
 __all__ = ["TraceEvent", "DeliveryRecord", "SimulationStats"]
 
@@ -55,11 +55,3 @@ class SimulationStats:
         self.per_node_received[event.receiver] = (
             self.per_node_received.get(event.receiver, 0) + 1
         )
-
-    @property
-    def busiest_node(self) -> Optional[Tuple[int, int]]:
-        """``(node, sent_count)`` of the node that transmitted most, if any."""
-        if not self.per_node_sent:
-            return None
-        node = max(self.per_node_sent, key=lambda v: self.per_node_sent[v])
-        return node, self.per_node_sent[node]

@@ -19,35 +19,9 @@ one schema:
 
 The record schema, chain rules and replay semantics are documented in
 ``docs/provenance.md``.
+
+The package itself imports nothing: callers import the submodules.  Eager
+re-exports here would make ``import repro.provenance.log`` in one thread and
+``import repro.provenance.records`` in another deadlock on importlib's module
+locks (each thread holding the lock the other waits for).
 """
-
-from repro.provenance.log import ResultLog, VerifyReport, read_log, verify_log
-from repro.provenance.records import (
-    GENESIS_PARENT,
-    PROVENANCE_SCHEMA_VERSION,
-    canonical_json,
-    code_version,
-    content_address,
-    record_digest,
-    seal_record,
-    task_address,
-)
-from repro.provenance.replay import ReplayOutcome, diff_logs, replay_record
-
-__all__ = [
-    "GENESIS_PARENT",
-    "PROVENANCE_SCHEMA_VERSION",
-    "ResultLog",
-    "VerifyReport",
-    "ReplayOutcome",
-    "canonical_json",
-    "code_version",
-    "content_address",
-    "diff_logs",
-    "read_log",
-    "record_digest",
-    "replay_record",
-    "seal_record",
-    "task_address",
-    "verify_log",
-]

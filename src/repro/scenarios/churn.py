@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from repro.errors import ExperimentError, GraphStructureError
 from repro.geometry.deployment import Deployment
@@ -69,10 +69,6 @@ class ChurnTrace:
             raise ExperimentError("churn trace length must match its snapshot count")
         if self.down_sets and self.down_sets[0]:
             raise ExperimentError("snapshot 0 of a churn trace must be all-up")
-
-    def is_down(self, node: int, snapshot: int) -> bool:
-        """True when ``node`` is down during ``snapshot``."""
-        return node in self.down_sets[snapshot]
 
 
 def churn_trace(

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 from urllib.parse import parse_qs
 
-from repro.api.envelope import WIRE_KINDS, from_wire, to_wire
+from repro.api.envelope import WIRE_KINDS, from_wire
 from repro.api.requests import REQUEST_TYPES, SweepRequest
 from repro.errors import ReproError
 
@@ -311,8 +311,3 @@ def decode_batch_body(body: bytes, max_tasks: int) -> List[object]:
                 error.status, error.code, f"batch item {index}: {error.message}"
             )
     return requests
-
-
-def result_wire(result) -> Dict[str, object]:
-    """A :class:`~repro.api.envelope.TaskResult` as its tagged wire object."""
-    return to_wire(result)

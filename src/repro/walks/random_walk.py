@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Set
+from typing import List, Optional, Set
 
 from repro.errors import GraphStructureError
 from repro.graphs.connectivity import connected_component
@@ -19,8 +19,6 @@ from repro.graphs.labeled_graph import LabeledGraph
 
 __all__ = [
     "RandomWalk",
-    "random_walk_trajectory",
-    "random_walk_hitting_steps",
     "random_walk_cover_steps",
 ]
 
@@ -68,44 +66,6 @@ class RandomWalk:
     def run(self, num_steps: int) -> List[int]:
         """Advance ``num_steps`` steps and return the visited vertices in order."""
         return [self.step() for _ in range(num_steps)]
-
-
-def random_walk_trajectory(
-    graph: LabeledGraph, start: int, num_steps: int, seed: int = 0
-) -> List[int]:
-    """Vertices visited by a ``num_steps``-step random walk (start included)."""
-    walk = RandomWalk(graph, start, seed)
-    return [start] + walk.run(num_steps)
-
-
-def random_walk_hitting_steps(
-    graph: LabeledGraph,
-    start: int,
-    target: int,
-    seed: int = 0,
-    max_steps: Optional[int] = None,
-) -> Optional[int]:
-    """Steps a random walk needs to first reach ``target`` from ``start``.
-
-    Returns ``None`` when ``max_steps`` elapse first (or when the target is
-    unreachable and a bound was given).  Without a bound and with an
-    unreachable target this would not terminate — exactly the failure mode of
-    naive random routing the paper points out — so a bound is required unless
-    the target is known reachable.
-    """
-    if start == target:
-        return 0
-    if max_steps is None:
-        if target not in connected_component(graph, start):
-            raise GraphStructureError(
-                "target is unreachable; supply max_steps to bound the walk"
-            )
-    walk = RandomWalk(graph, start, seed)
-    limit = max_steps if max_steps is not None else 10**12
-    for step in range(1, limit + 1):
-        if walk.step() == target:
-            return step
-    return None
 
 
 def random_walk_cover_steps(

@@ -21,8 +21,8 @@ from repro.analysis.metrics import (
     observation_from_route,
     stretch,
 )
-from repro.analysis.reporting import format_cell, format_markdown_table, format_table
-from repro.analysis.statistics import SummaryStats, geometric_mean, ratio_of_means, summarize
+from repro.analysis.reporting import format_cell, format_table
+from repro.analysis.statistics import geometric_mean
 from repro.baselines.random_walk_routing import random_walk_route
 from repro.core.routing import route
 from repro.errors import ExperimentError
@@ -89,31 +89,7 @@ def test_mean_hops_and_stretch():
 # --------------------------------------------------------------------------- #
 
 
-def test_summarize_basic():
-    stats = summarize([1, 2, 3, 4, 5])
-    assert stats.count == 5
-    assert stats.mean == 3.0
-    assert stats.median == 3.0
-    assert stats.minimum == 1 and stats.maximum == 5
-    assert stats.std == pytest.approx(1.5811, abs=1e-3)
-    low, high = stats.confidence_interval()
-    assert low < 3.0 < high
-    assert "±" in stats.format()
-
-
-def test_summarize_even_count_median_and_single_value():
-    assert summarize([1, 2, 3, 4]).median == 2.5
-    single = summarize([7])
-    assert single.std == 0.0
-    assert single.confidence_interval() == (7.0, 7.0)
-    with pytest.raises(ValueError):
-        summarize([])
-
-
-def test_ratio_of_means_and_geometric_mean():
-    assert ratio_of_means([10, 20], [5, 5]) == 3.0
-    assert ratio_of_means([], [1]) is None
-    assert ratio_of_means([1], [0]) is None
+def test_geometric_mean():
     assert geometric_mean([1, 4]) == pytest.approx(2.0)
     assert geometric_mean([2, 0]) is None
     assert geometric_mean([]) is None
@@ -139,14 +115,6 @@ def test_format_table_alignment_and_validation():
     assert len(lines) == 5
     with pytest.raises(ValueError):
         format_table(["a"], [[1, 2]])
-
-
-def test_format_markdown_table():
-    table = format_markdown_table(["x", "y"], [[1, 2.5]])
-    lines = table.splitlines()
-    assert lines[0] == "| x | y |"
-    assert lines[1] == "|---|---|"
-    assert lines[2].startswith("| 1 | 2.5")
 
 
 # --------------------------------------------------------------------------- #

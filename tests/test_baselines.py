@@ -8,7 +8,7 @@ from repro.baselines.base import RoutingAttempt
 from repro.baselines.dfs_routing import dfs_token_route
 from repro.baselines.flooding import flood_broadcast, flood_route
 from repro.baselines.greedy_geo import greedy_geographic_route
-from repro.baselines.face_routing import face_route, gfg_route
+from repro.baselines.face_routing import gfg_route
 from repro.baselines.random_walk_routing import random_walk_route
 from repro.errors import GeometryError, RoutingError
 from repro.geometry.deployment import Deployment, grid_deployment
@@ -186,25 +186,9 @@ def test_gfg_source_equals_target():
     assert gfg_route(graph, deployment, 1, 1).delivered
 
 
-def test_face_route_on_planar_ring():
-    deployment = Deployment(
-        {
-            0: Point.planar(0, 0),
-            1: Point.planar(1, 0),
-            2: Point.planar(1, 1),
-            3: Point.planar(0, 1),
-        }
-    )
-    graph = unit_disk_graph(deployment, radius=1.05)
-    attempt = face_route(graph, deployment, 0, 2)
-    assert attempt.delivered
-
-
 def test_face_routing_rejects_3d(provider, udg_network_3d):
     with pytest.raises(GeometryError):
         gfg_route(udg_network_3d.graph, udg_network_3d.deployment, 0, 1)
-    with pytest.raises(GeometryError):
-        face_route(udg_network_3d.graph, udg_network_3d.deployment, 0, 1)
 
 
 # --------------------------------------------------------------------------- #

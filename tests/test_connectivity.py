@@ -10,7 +10,6 @@ from repro.errors import GraphStructureError
 from repro.graphs import generators
 from repro.graphs.connectivity import (
     are_connected,
-    bfs_tree,
     component_sizes,
     connected_component,
     connected_components,
@@ -87,20 +86,6 @@ def test_shortest_path_unknown_vertex_raises(grid_4x4):
         connected_component(grid_4x4, 999)
     with pytest.raises(GraphStructureError):
         shortest_path_lengths(grid_4x4, 999)
-
-
-def test_bfs_tree_parents():
-    tree = generators.binary_tree(2)
-    parents = bfs_tree(tree, 0)
-    assert parents[0] is None
-    assert parents[1] == 0 and parents[2] == 0
-    assert parents[3] == 1
-    assert len(parents) == 7
-
-
-def test_bfs_tree_only_covers_component(two_components):
-    parents = bfs_tree(two_components, 5)
-    assert set(parents) == {5, 6, 7, 8}
 
 
 def test_isolated_vertex_component():

@@ -13,7 +13,6 @@ from repro.core.exploration import (
     WalkState,
     coverage_steps,
     covers_component,
-    first_visit_step,
     step_backward,
     step_forward,
     walk_states,
@@ -122,25 +121,6 @@ def test_coverage_limited_to_start_component(two_components):
     # Coverage is judged against the start's component only, so a sequence can
     # cover even though the graph is disconnected.
     assert covers_component(reduced, seq, reduced.vertices[0])
-
-
-def test_first_visit_step_routing_view():
-    graph = generators.cycle_graph(6)
-    reduced = reduce_to_three_regular(graph).graph
-    rng = random.Random(2)
-    seq = ExplicitSequence([rng.randrange(3) for _ in range(500)])
-    assert first_visit_step(reduced, seq, reduced.vertices[0], reduced.vertices[0]) == 0
-    step = first_visit_step(reduced, seq, reduced.vertices[0], reduced.vertices[-1])
-    assert step is not None and step > 0
-
-
-def test_first_visit_step_unreachable_returns_none(two_components):
-    reduced = reduce_to_three_regular(two_components).graph
-    seq = ExplicitSequence([0, 1, 2] * 50)
-    # Pick a virtual vertex from the other component as the target.
-    reduction = reduce_to_three_regular(two_components)
-    target = reduction.gateway(8)
-    assert first_visit_step(reduced, seq, reduction.gateway(0), target) is None
 
 
 @settings(max_examples=40, deadline=None)

@@ -66,13 +66,6 @@ def test_binary_tree_sizes():
     assert is_connected(graph)
 
 
-def test_hypercube_graph():
-    graph = generators.hypercube_graph(4)
-    assert graph.num_vertices == 16
-    assert graph.is_regular(4)
-    assert is_connected(graph)
-
-
 def test_prism_graph_is_cubic():
     graph = generators.prism_graph(5)
     assert graph.num_vertices == 10
@@ -95,21 +88,6 @@ def test_lollipop_graph_shape():
     assert is_connected(graph)
     # The path tail ends in a degree-1 vertex.
     assert degree_histogram(graph)[1] == 1
-
-
-def test_barbell_graph_shape():
-    graph = generators.barbell_graph(4, 2)
-    assert graph.num_vertices == 10
-    assert is_connected(graph)
-    # Two cliques worth of high-degree vertices.
-    histogram = degree_histogram(graph)
-    assert histogram.get(3, 0) >= 6
-
-
-def test_cycle_with_chords():
-    graph = generators.cycle_with_chords(12, 6)
-    assert is_connected(graph)
-    assert graph.num_edges > 12
 
 
 def test_circulant_graph_structure():
@@ -181,8 +159,6 @@ def test_generator_argument_validation():
         generators.lollipop_graph(2, 1)
     with pytest.raises(GraphStructureError):
         generators.star_graph(0)
-    with pytest.raises(GraphStructureError):
-        generators.hypercube_graph(0)
 
 
 @settings(max_examples=25, deadline=None)

@@ -14,7 +14,7 @@ from repro.geometry.deployment import (
     random_deployment,
 )
 from repro.geometry.points import Point
-from repro.geometry.unit_disk import critical_radius, unit_disk_edges, unit_disk_graph
+from repro.geometry.unit_disk import unit_disk_edges, unit_disk_graph
 from repro.graphs.connectivity import is_connected
 
 
@@ -103,25 +103,6 @@ def test_unit_disk_edges_requires_positive_radius():
     d = grid_deployment(2, 2)
     with pytest.raises(GeometryError):
         unit_disk_edges(d, 0.0)
-
-
-def test_critical_radius_on_grid():
-    d = grid_deployment(2, 3)
-    radius = critical_radius(d)
-    assert radius == pytest.approx(1.0, abs=1e-3)
-    assert is_connected(unit_disk_graph(d, radius))
-
-
-def test_critical_radius_single_node():
-    d = Deployment({0: Point.planar(0.3, 0.3)})
-    assert critical_radius(d) == 0.0
-
-
-def test_critical_radius_random_deployment_is_tight():
-    d = random_deployment(15, seed=9)
-    radius = critical_radius(d)
-    assert is_connected(unit_disk_graph(d, radius))
-    assert not is_connected(unit_disk_graph(d, radius * 0.95))
 
 
 @settings(max_examples=20, deadline=None)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import GeometryError
-from repro.geometry.points import Point, centroid, distance, midpoint, squared_distance
+from repro.geometry.points import Point, distance, squared_distance
 
 coords = st.floats(min_value=-100, max_value=100, allow_nan=False, allow_infinity=False)
 
@@ -48,13 +48,6 @@ def test_squared_distance_consistent():
     assert squared_distance(a, b) == pytest.approx(25.0)
 
 
-def test_midpoint_2d_and_mixed_dimension():
-    m = midpoint(Point.planar(0, 0), Point.planar(2, 4))
-    assert (m.x, m.y) == (1.0, 2.0) and m.dimension == 2
-    m3 = midpoint(Point.planar(0, 0), Point.spatial(2, 2, 2))
-    assert m3.dimension == 3 and m3.z == 1.0
-
-
 def test_translation():
     p = Point.planar(1, 1).translated(2, 3)
     assert (p.x, p.y) == (3.0, 4.0)
@@ -62,14 +55,6 @@ def test_translation():
     assert q.z == 1.0
     with pytest.raises(GeometryError):
         Point.planar(0, 0).translated(1, 1, 1)
-
-
-def test_centroid():
-    c = centroid([Point.planar(0, 0), Point.planar(2, 0), Point.planar(1, 3)])
-    assert c.x == pytest.approx(1.0)
-    assert c.y == pytest.approx(1.0)
-    with pytest.raises(GeometryError):
-        centroid([])
 
 
 def test_points_are_hashable_and_ordered():

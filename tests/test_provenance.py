@@ -19,19 +19,17 @@ from hypothesis import strategies as st
 from repro.api import RouteRequest, Session
 from repro.analysis.experiments import ScenarioSpec
 from repro.errors import TaskError
-from repro.provenance import (
+from repro.provenance.log import ResultLog, read_log, verify_log
+from repro.provenance.records import (
     GENESIS_PARENT,
     PROVENANCE_SCHEMA_VERSION,
-    ResultLog,
     canonical_json,
     content_address,
-    read_log,
     record_digest,
     seal_record,
+    sealed_line,
     task_address,
-    verify_log,
 )
-from repro.provenance.records import sealed_line
 
 _RELAXED = settings(
     max_examples=25,
@@ -391,3 +389,58 @@ def test_every_single_byte_flip_of_a_two_record_log_is_detected(tmp_path):
             handle.write(tampered)
         report = verify_log(path)
         assert not report.ok and report.issues[0].startswith("record ")
+
+
+_CONCURRENT_FIRST_IMPORTS = """
+import sys, threading
+import repro.api
+sys.setswitchinterval(1e-6)
+start = threading.Barrier(2)
+errors = []
+def load(name):
+    start.wait()
+    try:
+        __import__(name)
+    except Exception as error:
+        errors.append(f"{name}: {type(error).__name__}: {error}")
+threads = [
+    threading.Thread(target=load, args=(name,))
+    for name in ("repro.provenance.log", "repro.provenance.records")
+]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join()
+print("; ".join(errors) or "ok")
+"""
+
+
+def test_first_imports_of_log_and_records_from_two_threads_do_not_race():
+    """A served sweep imports ``log`` while another task imports ``records``.
+
+    Each run is a fresh interpreter, so both modules are imported for the
+    first time, by two threads released together.  When the package
+    re-exported its submodules, one thread held the child's import lock and
+    waited for the package's while the other did the reverse, and importlib
+    raised ``_DeadlockError`` in 39 of 40 runs of this script.
+    """
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    source = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
+    outcomes = []
+    for _ in range(4):
+        completed = subprocess.run(
+            [sys.executable, "-c", _CONCURRENT_FIRST_IMPORTS],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+            check=True,
+        )
+        outcomes.append(completed.stdout.strip())
+    assert outcomes == ["ok"] * 4

@@ -26,14 +26,8 @@ from repro.api import (
     Session,
 )
 from repro.cli import main
-from repro.provenance import (
-    ResultLog,
-    diff_logs,
-    read_log,
-    replay_record,
-    verify_log,
-)
-from repro.provenance.replay import select_records
+from repro.provenance.log import ResultLog, read_log, verify_log
+from repro.provenance.replay import diff_logs, replay_record, select_records
 
 GRID = ScenarioSpec(name="replay-grid-16", family="grid", size=16, seed=0)
 RING = ScenarioSpec(name="replay-ring-8", family="ring", size=8, seed=1)

@@ -17,7 +17,8 @@ import os
 from repro.analysis.runner import SweepPlan, SweepShard, run_sweep
 from repro.api import Session
 from repro.api.envelope import _spec_from_wire
-from repro.provenance import read_log, replay_record, verify_log
+from repro.provenance.log import read_log, verify_log
+from repro.provenance.replay import replay_record
 
 CORPUS = os.path.join(os.path.dirname(__file__), "data", "replay_corpus.jsonl")
 SWEEP_STREAM = os.path.join(os.path.dirname(__file__), "data", "replay_sweep_stream.jsonl")

@@ -348,13 +348,6 @@ def test_mutated_schedule_namespace_guard_names_the_snapshot(monkeypatch):
 def test_dynamic_schedule_scenarios_snapshot_count_and_legacy_alias():
     modern = dynamic_schedule_scenarios(families=("grid",), sizes=(9,), snapshot_count=5)
     assert dict(modern[0].extra)["snapshots"] == 5
-    legacy = dynamic_schedule_scenarios(families=("grid",), sizes=(9,), snapshots=2)
-    assert dict(legacy[0].extra)["snapshots"] == 2
-    # The alias wins when both are given (it is what old call sites passed).
-    both = dynamic_schedule_scenarios(
-        families=("grid",), sizes=(9,), snapshot_count=5, snapshots=2
-    )
-    assert dict(both[0].extra)["snapshots"] == 2
     with pytest.raises(ExperimentError):
         dynamic_schedule_scenarios(families=("grid",), sizes=(9,), snapshot_count=0)
 

@@ -964,7 +964,7 @@ def test_served_tasks_append_to_the_shared_log(tmp_path):
 
     asyncio.run(scenario())
     # After drain the on-disk chain verifies end to end.
-    from repro.provenance import verify_log
+    from repro.provenance.log import verify_log
 
     report = verify_log(log_path)
     assert report.ok and len(report.records) == 2
@@ -1049,7 +1049,7 @@ def test_served_sweep_cannot_overwrite_the_result_log(tmp_path):
         assert reply.status == 400
         assert _error_of(reply)["code"] == "field-not-served"
     assert not (tmp_path / "elsewhere.jsonl").exists()
-    from repro.provenance import verify_log
+    from repro.provenance.log import verify_log
 
     report = verify_log(log_path)
     assert report.ok, report.issues

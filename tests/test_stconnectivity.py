@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.stconnectivity import connectivity_matrix, exploration_connectivity
+from repro.core.stconnectivity import exploration_connectivity
 from repro.errors import RoutingError
 from repro.graphs import generators
 from repro.graphs.connectivity import are_connected
@@ -45,19 +45,17 @@ def test_size_bound_is_respected(provider, grid_4x4):
     assert answer.sequence_length == provider.length_for(100)
 
 
-def test_connectivity_matrix_matches_bfs_ground_truth(provider, two_components):
-    matrix = connectivity_matrix(two_components, provider=provider)
-    for source in two_components.vertices:
-        for target in two_components.vertices:
-            assert matrix[(source, target)] == are_connected(two_components, source, target)
-
-
-def test_connectivity_matrix_is_symmetric(provider):
-    graph = generators.disjoint_union([generators.path_graph(3), generators.cycle_graph(3)])
-    matrix = connectivity_matrix(graph, provider=provider)
-    for source in graph.vertices:
-        for target in graph.vertices:
-            assert matrix[(source, target)] == matrix[(target, source)]
+def test_exploration_connectivity_matches_bfs_ground_truth_on_all_pairs(
+    provider, two_components
+):
+    path_and_triangle = generators.disjoint_union(
+        [generators.path_graph(3), generators.cycle_graph(3)]
+    )
+    for graph in (two_components, path_and_triangle):
+        for source in graph.vertices:
+            for target in graph.vertices:
+                answer = exploration_connectivity(graph, source, target, provider=provider)
+                assert answer.connected == are_connected(graph, source, target)
 
 
 def test_answer_agrees_with_routing_outcome(provider, two_components):

@@ -22,7 +22,6 @@ from repro.analysis.conformance import conformance_pass, default_conformance_mat
 from repro.analysis.experiments import (
     ScenarioSpec,
     dynamic_schedule_scenarios,
-    reference_run_parameter_sweep,
     structured_scenarios,
     unit_disk_scenarios,
 )
@@ -30,7 +29,6 @@ from repro.analysis.runner import (
     SCHEDULE_ROUTER,
     SWEEP_HEADERS,
     evaluate_shard,
-    map_scenario_rows,
     parallel_map,
     plan_sweep,
     run_sweep,
@@ -40,7 +38,7 @@ from repro.core.engine import clear_prepared_caches, prepare, prepared_cache_inf
 from repro.core.universal import RandomSequenceProvider
 from repro.errors import ExperimentError
 from repro.graphs import generators
-from repro.provenance import verify_log
+from repro.provenance.log import verify_log
 
 
 def _small_plan(master_seed: int = 7, pairs: int = 3):
@@ -121,7 +119,7 @@ def test_plan_sweep_skips_inapplicable_routers():
 
 
 def test_plan_sweep_routes_dynamic_scenarios_with_the_schedule_walker():
-    specs = dynamic_schedule_scenarios(families=("grid",), sizes=(9,), snapshots=2)
+    specs = dynamic_schedule_scenarios(families=("grid",), sizes=(9,), snapshot_count=2)
     plan = plan_sweep(specs, routers=("ues-engine", "flooding"))
     assert [shard.router for shard in plan.shards] == [SCHEDULE_ROUTER]
     # The exported SCHEDULE_ROUTER constant is a valid router name: it
@@ -153,7 +151,7 @@ def test_parallel_sweep_matches_serial_reference(workers):
 
 def test_parallel_sweep_matches_serial_on_dynamic_scenarios():
     specs = dynamic_schedule_scenarios(
-        families=("grid", "ring"), sizes=(9,), snapshots=2, switch_every=4
+        families=("grid", "ring"), sizes=(9,), snapshot_count=2, switch_every=4
     )
     plan = plan_sweep(specs, pairs=3, master_seed=5)
     serial = run_sweep(plan, workers=1)
@@ -301,29 +299,6 @@ def test_without_resume_an_existing_file_is_overwritten(tmp_path):
     assert outcome.shards_skipped == 0
     lines = [json.loads(line) for line in out.read_text().splitlines()]
     assert sum(1 for record in lines if record["kind"] == "plan") == 1
-
-
-# --------------------------------------------------------------------------- #
-# Parallel parameter sweeps (map_scenario_rows)
-# --------------------------------------------------------------------------- #
-
-
-def _count_edges_evaluate(spec: ScenarioSpec, network):
-    # Module-level so the parallel path can pickle it into the workers.
-    yield [spec.name, network.num_nodes, len(list(network.graph.edges()))]
-
-
-def test_run_parameter_sweep_parallel_matches_reference():
-    scenarios = structured_scenarios("ring", [5, 7]) + structured_scenarios("grid", [9])
-    headers = ["name", "nodes", "edges"]
-    reference = reference_run_parameter_sweep(
-        "demo", headers, scenarios, _count_edges_evaluate
-    )
-    serial = map_scenario_rows(_count_edges_evaluate, scenarios, workers=1)
-    parallel = map_scenario_rows(_count_edges_evaluate, scenarios, workers=2)
-    assert len(parallel) == len(scenarios)
-    assert [row for rows in serial for row in rows] == reference.rows
-    assert [row for rows in parallel for row in rows] == reference.rows
 
 
 # --------------------------------------------------------------------------- #

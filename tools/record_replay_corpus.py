@@ -44,7 +44,7 @@ from repro.api import (  # noqa: E402
     Session,
     SweepRequest,
 )
-from repro.provenance import ResultLog, read_log  # noqa: E402
+from repro.provenance.log import ResultLog, read_log  # noqa: E402
 
 DEFAULT_OUT = os.path.join(ROOT, "tests", "data", "replay_corpus.jsonl")
 DEFAULT_SWEEP_OUT = os.path.join(ROOT, "tests", "data", "replay_sweep_stream.jsonl")
