@@ -36,16 +36,16 @@ import tracemalloc
 from bench_utils import PROVIDER, emit_bench_json, emit_table
 from repro.analysis.experiments import build_schedule
 from repro.core.engine import clear_prepared_caches, prepare
-from repro.scenarios import (
+from repro.scenarios import churn_scenarios
+from repro.scenarios.capabilities import assignment_for_spec, degree_budget_violations
+from repro.scenarios.streaming import (
     StreamingGraphFamily,
-    assignment_for_spec,
-    churn_scenarios,
-    degree_budget_violations,
+    _structured_prototype,
+    _unit_disk_shard,
     materialise_union,
     pick_streamed_pairs,
     route_streamed_pairs,
 )
-from repro.scenarios.streaming import _structured_prototype, _unit_disk_shard
 
 SMOKE = os.environ.get("SCALE_BENCH_SMOKE", "") not in ("", "0") or os.environ.get(
     "ENGINE_BENCH_SMOKE", ""

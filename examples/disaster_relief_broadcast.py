@@ -23,16 +23,13 @@ Run it with::
 
 from __future__ import annotations
 
-from repro import (
-    RouteOutcome,
-    broadcast_on_network,
-    build_graph_network,
-    connected_component,
-    flood_broadcast,
-    route_on_network,
-    unit_disk_graph,
-)
+from repro.baselines.flooding import flood_broadcast
+from repro.core.broadcast import broadcast_on_network
+from repro.core.routing import RouteOutcome, route_on_network
 from repro.geometry.deployment import clustered_deployment
+from repro.geometry.unit_disk import unit_disk_graph
+from repro.graphs.connectivity import connected_component
+from repro.network.adhoc import build_graph_network
 
 
 def main() -> None:

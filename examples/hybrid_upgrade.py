@@ -21,9 +21,13 @@ from __future__ import annotations
 
 import math
 
-from repro import Deployment, Point, build_graph_network, hybrid_route, unit_disk_graph
 from repro.analysis.reporting import format_table
 from repro.baselines.greedy_geo import greedy_geographic_route
+from repro.core.hybrid import hybrid_route
+from repro.geometry.deployment import Deployment
+from repro.geometry.points import Point
+from repro.geometry.unit_disk import unit_disk_graph
+from repro.network.adhoc import build_graph_network
 
 
 def horseshoe_with_void() -> Deployment:

@@ -28,20 +28,14 @@ Run it with::
 
 from __future__ import annotations
 
-from repro import (
-    RouteOutcome,
-    RouteRequest,
-    Session,
-    SweepRequest,
-    build_unit_disk_network,
-    connected_component,
-    count_nodes,
-    route,
-    route_on_network,
-)
-from repro.analysis import ScenarioSpec, structured_scenarios
-from repro.scenarios import churn_scenarios
+from repro.analysis.experiments import ScenarioSpec, structured_scenarios
+from repro.api import RouteRequest, Session, SweepRequest
 from repro.api.envelope import from_json
+from repro.core.counting import count_nodes
+from repro.core.routing import RouteOutcome, route, route_on_network
+from repro.graphs.connectivity import connected_component
+from repro.network.adhoc import build_unit_disk_network
+from repro.scenarios import churn_scenarios
 
 
 def main() -> None:

@@ -20,15 +20,13 @@ Run it with::
 
 from __future__ import annotations
 
-from repro import (
-    GeometryError,
-    build_unit_disk_network,
-    connected_component,
-    gfg_route,
-    greedy_geographic_route,
-    route,
-)
 from repro.analysis.reporting import format_table
+from repro.baselines.face_routing import gfg_route
+from repro.baselines.greedy_geo import greedy_geographic_route
+from repro.core.routing import route
+from repro.errors import GeometryError
+from repro.graphs.connectivity import connected_component
+from repro.network.adhoc import build_unit_disk_network
 
 
 def main() -> None:

@@ -16,13 +16,17 @@ one request/result discipline:
   pluggable **backends** — inline and process-pool
   (:mod:`repro.api.backends`);
 * a **registry** of :class:`~repro.api.registry.TaskSpec` entries generates
-  the CLI subcommands and binds each task to its argument set and backend
-  routing (:mod:`repro.api.registry`).
+  the CLI subcommands and binds each task to its argument set
+  (:mod:`repro.api.registry`).
 
 The per-pair free functions (``route``, ``route_over_schedule``, ...) stay,
 and the differential-parity suite asserts that every backend reproduces them
 exactly.  See ``docs/api.md`` for the task catalogue, envelope schema,
 backend matrix and migration table.
+
+This package module is the task API's front door: it re-exports the names
+above from their defining modules, and it is the only package in ``repro``
+that re-exports anything.
 """
 
 from repro.analysis.experiments import ScenarioStore

@@ -1,10 +1,10 @@
 """The task registry: one :class:`TaskSpec` per task the API exposes.
 
-Each spec binds a task name to its request type, its argparse argument set
-and its backend routing — which is everything the CLI needs to *generate*
-its subcommands instead of hand-writing them: ``repro.cli`` iterates
-:data:`TASKS`, builds one subparser per spec, turns the parsed namespace into
-a request with :attr:`TaskSpec.build` and submits it through one
+Each spec binds a task name to its request type and its argparse argument
+set — which is everything the CLI needs to *generate* its subcommands
+instead of hand-writing them: ``repro.cli`` iterates :data:`TASKS`, builds
+one subparser per spec, turns the parsed namespace into a request with
+:attr:`TaskSpec.build` and submits it through one
 :class:`~repro.api.session.Session`.  Adding a task therefore means adding a
 request type, an executor and one entry here; the CLI, the envelope codec
 and the documentation checker (``tools/check_docs.py`` asserts every
@@ -18,7 +18,7 @@ import argparse
 import dataclasses
 import os
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Tuple
 
 from repro.analysis.experiments import (
     POSITIONAL_FAMILIES,
@@ -65,12 +65,11 @@ _RADIUS_FAMILIES = POSITIONAL_FAMILIES + ("streamed-unit-disk",)
 
 @dataclass(frozen=True)
 class TaskSpec:
-    """One registered task: request type, CLI argument set, backend routing.
+    """One registered task: request type and CLI argument set.
 
     ``configure`` adds the task's arguments to its generated subparser;
-    ``build`` turns the parsed namespace into the request object; ``backend``
-    picks a backend id for the namespace (``None`` defers to the session's
-    default routing).
+    ``build`` turns the parsed namespace into the request object, which the
+    session routes to its default backend.
     """
 
     name: str
@@ -78,7 +77,6 @@ class TaskSpec:
     help: str
     configure: Callable[[argparse.ArgumentParser], None]
     build: Callable[[argparse.Namespace], TaskRequest]
-    backend: Callable[[argparse.Namespace], Optional[str]] = lambda args: None
 
 
 @dataclass(frozen=True)

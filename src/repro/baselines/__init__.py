@@ -9,24 +9,24 @@ the introduction dismisses because it requires per-node state.  All of them
 are implemented here so every experiment can report the guaranteed router and
 its competitors on the identical network instance.
 
-All baselines return a :class:`RoutingAttempt`, which also satisfies the
-``FastAttempt`` protocol expected by the Corollary 2 combiner
-(:func:`repro.core.hybrid.hybrid_route`).
+Each algorithm lives in its own module and is imported from there.  All of
+them return a :class:`~repro.baselines.base.RoutingAttempt`, which also
+satisfies the ``FastAttempt`` protocol expected by the Corollary 2 combiner
+(:func:`repro.core.hybrid.hybrid_route`).  This package module defines only
+the router registry shared by the sweep planner and the conformance harness:
+:data:`ALL_ROUTER_SPECS` and its applicability policy.
 """
 
 from typing import Optional, Tuple
 
-from repro.baselines.base import RouterSpec, RoutingAttempt
-from repro.baselines import random_walk_routing
-from repro.baselines.random_walk_routing import random_walk_route
-from repro.baselines import flooding
-from repro.baselines.flooding import flood_broadcast, flood_route, FloodResult
-from repro.baselines import greedy_geo
-from repro.baselines.greedy_geo import greedy_geographic_route
-from repro.baselines import face_routing
-from repro.baselines.face_routing import gfg_route
-from repro.baselines import dfs_routing
-from repro.baselines.dfs_routing import dfs_token_route
+from repro.baselines import (
+    dfs_routing,
+    face_routing,
+    flooding,
+    greedy_geo,
+    random_walk_routing,
+)
+from repro.baselines.base import RouterSpec
 
 #: Every baseline router, as a uniform descriptor.  The conformance harness
 #: (and any sweep that wants "all competitors on this instance") iterates
@@ -76,17 +76,4 @@ def applicable_routers(
     )
 
 
-__all__ = [
-    "RouterSpec",
-    "RoutingAttempt",
-    "ALL_ROUTER_SPECS",
-    "applicable_routers",
-    "router_applies",
-    "random_walk_route",
-    "flood_broadcast",
-    "flood_route",
-    "FloodResult",
-    "greedy_geographic_route",
-    "gfg_route",
-    "dfs_token_route",
-]
+__all__ = ["ALL_ROUTER_SPECS", "applicable_routers", "router_applies"]

@@ -394,7 +394,7 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
 
             configure_kernel_store(cache_dir=kernel_cache_dir)
         request = spec.build(args)
-        result = session.submit(request, backend=spec.backend(args))
+        result = session.submit(request)
         return _RENDERERS[spec.name](result, args, session, out)
     except ReproError as error:
         print(f"error: {error}", file=out)

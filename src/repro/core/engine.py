@@ -63,12 +63,17 @@ per-call implementation kept as the executable specification.
 
 **Serial reference vs. prepared/parallel split.**  Everything in this module
 is the *optimised* realisation; the executable specifications live elsewhere
-and are never edited for speed: :func:`repro.core.routing.route` and
-:func:`repro.core.routing.route_on_network` specify static routing,
+and are never edited for speed.  :func:`repro.core.routing.route` is a thin
+wrapper over ``prepare(graph).route``, so it does not specify static
+routing: the distributed :func:`repro.core.routing.route_on_network` (a
+message-passing simulation of the same walk) and the golden walk traces
+(``tests/data/golden_traces_*.json``) pin it until static routing gets an
+engine-free reference walker.
 :func:`repro.network.dynamics.reference_route_over_schedule` specifies the
 schedule walk, and
 :func:`repro.analysis.experiments.reference_run_parameter_sweep` specifies
-sweep aggregation.  The conformance harness
+sweep aggregation (``tests/test_sweep_runner.py`` pins
+:func:`repro.analysis.runner.run_sweep` to it).  The conformance harness
 (:mod:`repro.analysis.conformance`) asserts the two sides agree.
 
 **Worker safety.**  The sharded sweep orchestrator
@@ -105,10 +110,12 @@ from repro.core.walk_kernel import CompiledWalk
 from repro.errors import RoutingError
 from repro.graphs.degree_reduction import DegreeReducedGraph, reduce_to_three_regular
 from repro.graphs.labeled_graph import LabeledGraph
-
-# NOTE: repro.network.dynamics is imported lazily inside PreparedSchedule.
-# A module-level import would close the cycle repro.core/__init__ -> engine ->
-# routing -> repro.network/__init__ -> dynamics -> repro.core/__init__.
+from repro.network.dynamics import (
+    DynamicOutcome,
+    DynamicRouteResult,
+    TopologySchedule,
+    validate_schedule,
+)
 
 __all__ = [
     "PreparedNetwork",
@@ -704,13 +711,9 @@ class PreparedSchedule:
 
     def __init__(
         self,
-        schedule: "TopologySchedule",
+        schedule: TopologySchedule,
         default_provider_: Optional[SequenceProvider] = None,
     ) -> None:
-        # Imported lazily to keep the module import graph acyclic (see the
-        # note next to the module imports).
-        from repro.network.dynamics import validate_schedule
-
         validate_schedule(schedule)
         self._schedule = schedule
         self._default_provider = (
@@ -743,7 +746,7 @@ class PreparedSchedule:
     # ------------------------------------------------------------------ #
 
     @property
-    def schedule(self) -> "TopologySchedule":
+    def schedule(self) -> TopologySchedule:
         """The topology schedule this engine was prepared for."""
         return self._schedule
 
@@ -778,8 +781,6 @@ class PreparedSchedule:
         :func:`repro.network.dynamics.route_over_schedule` (which delegates
         here); only the constant factor differs.
         """
-        from repro.network.dynamics import DynamicOutcome, DynamicRouteResult
-
         schedule = self._schedule
         snapshots = schedule.snapshots
         if not snapshots[0].has_vertex(source):
@@ -940,7 +941,7 @@ class PreparedSchedule:
 # recycled while its entry is alive.
 
 
-def prepare_schedule(schedule: "TopologySchedule") -> PreparedSchedule:
+def prepare_schedule(schedule: TopologySchedule) -> PreparedSchedule:
     """Return the shared :class:`PreparedSchedule` for a schedule (built on demand).
 
     Schedules are immutable, so the cache key is object identity; repeated

@@ -84,8 +84,9 @@ def hybrid_route(
     ----------
     fast_router:
         Any callable with the :data:`FastRouter` signature — e.g.
-        :func:`repro.baselines.greedy_geographic_route` (via a wrapper binding
-        its deployment), :func:`repro.baselines.random_walk_route`, or a
+        :func:`repro.baselines.greedy_geo.greedy_geographic_route` (via a
+        wrapper binding its deployment),
+        :func:`repro.baselines.random_walk_routing.random_walk_route`, or a
         user-supplied heuristic.
     provider, size_bound:
         Passed through to the guaranteed router (see

@@ -27,37 +27,3 @@ provider is certified for universality by
 :class:`repro.core.universal.CertifiedSequenceProvider` instead of being
 proved universal analytically.
 """
-
-from repro.expander.rotation_ops import (
-    add_self_loops,
-    graph_power,
-    graph_square,
-    zigzag_product,
-)
-from repro.expander.base import (
-    complete_with_self_loops,
-    margulis_expander,
-    certified_random_expander,
-)
-from repro.expander.spectral import SpectralCertificate, certify_expander, spectral_report
-from repro.expander.reingold import (
-    ExpanderSequenceProvider,
-    MainTransformationResult,
-    main_transformation,
-)
-
-__all__ = [
-    "add_self_loops",
-    "graph_power",
-    "graph_square",
-    "zigzag_product",
-    "complete_with_self_loops",
-    "margulis_expander",
-    "certified_random_expander",
-    "SpectralCertificate",
-    "certify_expander",
-    "spectral_report",
-    "ExpanderSequenceProvider",
-    "MainTransformationResult",
-    "main_transformation",
-]

@@ -11,18 +11,3 @@ discuss:
 * the Gabriel-graph planar subgraph that greedy-face-greedy (GFG/GPSR)
   routing requires.
 """
-
-from repro.geometry.points import Point, distance
-from repro.geometry.deployment import Deployment, random_deployment, grid_deployment
-from repro.geometry.unit_disk import unit_disk_graph
-from repro.geometry.planar import gabriel_subgraph
-
-__all__ = [
-    "Point",
-    "distance",
-    "Deployment",
-    "random_deployment",
-    "grid_deployment",
-    "unit_disk_graph",
-    "gabriel_subgraph",
-]

@@ -22,7 +22,6 @@ __all__ = [
     "are_connected",
     "shortest_path_lengths",
     "shortest_path",
-    "component_sizes",
 ]
 
 
@@ -56,11 +55,6 @@ def connected_components(graph: LabeledGraph) -> List[Set[int]]:
         remaining -= component
     components.sort(key=len, reverse=True)
     return components
-
-
-def component_sizes(graph: LabeledGraph) -> List[int]:
-    """Sizes of all connected components, largest first."""
-    return [len(component) for component in connected_components(graph)]
 
 
 def is_connected(graph: LabeledGraph) -> bool:

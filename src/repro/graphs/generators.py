@@ -7,8 +7,8 @@ exercises a broad family of graphs:
   graphs, prisms/Möbius–Kantor ladders which are natively 3-regular),
 * adversarial random-walk topologies (lollipops),
 * random models (Erdős–Rényi, random regular), and
-* geometric ad hoc deployments (unit-disk graphs in 2D and 3D) which live in
-  :mod:`repro.geometry` and are re-exported here for convenience.
+* geometric ad hoc deployments (unit-disk graphs in 2D and 3D), which live
+  in :mod:`repro.geometry.unit_disk`.
 
 Every generator returns a :class:`~repro.graphs.labeled_graph.LabeledGraph`
 with a deterministic port labeling, so experiments are reproducible for a

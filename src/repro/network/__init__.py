@@ -19,44 +19,3 @@ testable end to end:
   composed :class:`~repro.network.byzantine.FaultModel` consumed by the
   reliable-broadcast protocol (:mod:`repro.core.reliable_broadcast`).
 """
-
-from repro.network.message import Header, HeaderSchema, Message
-from repro.network.node import Node, NodeContext
-from repro.network.simulator import Protocol, SimulationResult, Simulator
-from repro.network.trace import DeliveryRecord, SimulationStats, TraceEvent
-from repro.network.adhoc import AdHocNetwork, build_unit_disk_network, build_graph_network
-from repro.network.failures import FailurePlan
-from repro.network.byzantine import BYZANTINE_BEHAVIORS, ByzantinePlan, FaultModel
-from repro.network.dynamics import (
-    DynamicOutcome,
-    DynamicRouteResult,
-    TopologySchedule,
-    route_over_schedule,
-    validate_schedule,
-)
-
-__all__ = [
-    "Header",
-    "HeaderSchema",
-    "Message",
-    "Node",
-    "NodeContext",
-    "Protocol",
-    "SimulationResult",
-    "Simulator",
-    "DeliveryRecord",
-    "SimulationStats",
-    "TraceEvent",
-    "AdHocNetwork",
-    "build_unit_disk_network",
-    "build_graph_network",
-    "FailurePlan",
-    "BYZANTINE_BEHAVIORS",
-    "ByzantinePlan",
-    "FaultModel",
-    "DynamicOutcome",
-    "DynamicRouteResult",
-    "TopologySchedule",
-    "route_over_schedule",
-    "validate_schedule",
-]

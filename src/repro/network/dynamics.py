@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.core.exploration import WalkState, step_backward, step_forward
+from repro.core.routing import default_provider
 from repro.core.universal import SequenceProvider
 from repro.errors import GraphStructureError, RoutingError
 from repro.graphs.connectivity import are_connected, connected_component
@@ -170,8 +171,9 @@ def route_over_schedule(
     implementation kept as the executable specification.
     """
     validate_schedule(schedule)
-    # Imported lazily: the engine imports repro.core.routing, which imports
-    # the network package, so a module-level import here would be circular.
+    # Imported lazily: repro.core.engine imports this module for the schedule
+    # and result types, so a module-level import would close the cycle
+    # engine -> dynamics -> engine.
     from repro.core.engine import prepare_schedule
 
     return prepare_schedule(schedule).route(
@@ -200,11 +202,6 @@ def reference_route_over_schedule(
     if not base_graph.has_vertex(source):
         raise RoutingError(f"source {source!r} is not a vertex of the network")
     if provider is None:
-        # Imported lazily: repro.core.routing imports the network package for
-        # its distributed implementation, so a module-level import here would
-        # be circular.
-        from repro.core.routing import default_provider
-
         provider = default_provider()
     # One reduction per distinct snapshot *object* (schedules that repeat a
     # graph object share its reduction, so re-activating it never registers as

@@ -20,8 +20,8 @@ one schema:
 The record schema, chain rules and replay semantics are documented in
 ``docs/provenance.md``.
 
-The package itself imports nothing: callers import the submodules.  Eager
-re-exports here would make ``import repro.provenance.log`` in one thread and
+Like every package but :mod:`repro.api`, this one imports nothing: callers
+import the submodules.  Eager re-exports here would make ``import repro.provenance.log`` in one thread and
 ``import repro.provenance.records`` in another deadlock on importlib's module
 locks (each thread holding the lock the other waits for).
 """

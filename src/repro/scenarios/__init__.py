@@ -12,11 +12,13 @@ seed-deterministic so any published run is replayable:
 - :mod:`repro.scenarios.streaming` — :class:`~repro.scenarios.streaming.StreamingGraphFamily`
   shard streams for 10^5–10^6-node graphs routed with flat resident memory.
 
-The helpers below build :class:`~repro.analysis.experiments.ScenarioSpec`
-grids for the new families (``hetero-unit-disk``, ``churn``, ``mobility``,
-``streamed-*``), mirroring ``unit_disk_scenarios`` / ``structured_scenarios``
-so sweeps, conformance, the task API and the served daemon cover them like
-any other family.  See ``docs/scenarios.md``.
+Each module's names are imported from that module.  This package module
+defines only the helpers below, which build
+:class:`~repro.analysis.experiments.ScenarioSpec` grids for the new
+families (``hetero-unit-disk``, ``churn``, ``mobility``, ``streamed-*``),
+mirroring ``unit_disk_scenarios`` / ``structured_scenarios`` so sweeps,
+conformance, the task API and the served daemon cover them like any other
+family.  See ``docs/scenarios.md``.
 """
 
 from __future__ import annotations
@@ -26,60 +28,10 @@ from typing import List, Optional, Sequence
 
 from repro.analysis.experiments import ScenarioSpec
 from repro.errors import ExperimentError
-from repro.scenarios.capabilities import (
-    CAPABILITY_CLASSES,
-    PROFILES,
-    CapabilityClass,
-    CapabilityProfile,
-    assign_capabilities,
-    assignment_for_spec,
-    build_hetero_network,
-    degree_budget_violations,
-    hetero_unit_disk_graph,
-    profile_named,
-)
-from repro.scenarios.churn import (
-    ChurnTrace,
-    TopologyScheduleBuilder,
-    build_churn_schedule,
-    build_mobility_schedule,
-    churn_trace,
-    waypoint_deployments,
-)
-from repro.scenarios.streaming import (
-    STREAMED_KINDS,
-    StreamingGraphFamily,
-    family_from_spec,
-    materialise_union,
-    pick_streamed_pairs,
-    route_streamed_pairs,
-    streamed_network,
-)
+from repro.scenarios.capabilities import profile_named
+from repro.scenarios.streaming import STREAMED_KINDS
 
 __all__ = [
-    "CAPABILITY_CLASSES",
-    "PROFILES",
-    "CapabilityClass",
-    "CapabilityProfile",
-    "assign_capabilities",
-    "assignment_for_spec",
-    "build_hetero_network",
-    "degree_budget_violations",
-    "hetero_unit_disk_graph",
-    "profile_named",
-    "ChurnTrace",
-    "TopologyScheduleBuilder",
-    "build_churn_schedule",
-    "build_mobility_schedule",
-    "churn_trace",
-    "waypoint_deployments",
-    "STREAMED_KINDS",
-    "StreamingGraphFamily",
-    "family_from_spec",
-    "materialise_union",
-    "pick_streamed_pairs",
-    "route_streamed_pairs",
-    "streamed_network",
     "hetero_unit_disk_scenarios",
     "churn_scenarios",
     "mobility_scenarios",

@@ -9,21 +9,3 @@ client used by the tests and the load harness).  ``repro serve`` and
 ``python -m repro.server`` are the entry points; ``docs/server.md`` is the
 operator manual.
 """
-
-from repro.server.app import RoutingServer, serve
-from repro.server.client import ServerError, TaskClient, http_request
-from repro.server.config import ServerConfig, add_server_arguments, config_from_args
-from repro.server.queueing import QueueFull, TaskQueue
-
-__all__ = [
-    "RoutingServer",
-    "ServerConfig",
-    "ServerError",
-    "TaskClient",
-    "TaskQueue",
-    "QueueFull",
-    "add_server_arguments",
-    "config_from_args",
-    "http_request",
-    "serve",
-]

@@ -1,4 +1,4 @@
-"""Tests for metrics, statistics, reporting and the experiment harness."""
+"""Tests for metrics, reporting and the experiment harness."""
 
 from __future__ import annotations
 
@@ -22,7 +22,6 @@ from repro.analysis.metrics import (
     stretch,
 )
 from repro.analysis.reporting import format_cell, format_table
-from repro.analysis.statistics import geometric_mean
 from repro.baselines.random_walk_routing import random_walk_route
 from repro.core.routing import route
 from repro.errors import ExperimentError
@@ -82,17 +81,6 @@ def test_mean_hops_and_stretch():
     assert stretch(observations) == pytest.approx(2.0)
     assert stretch([]) is None
     assert mean_hops([]) is None
-
-
-# --------------------------------------------------------------------------- #
-# Statistics
-# --------------------------------------------------------------------------- #
-
-
-def test_geometric_mean():
-    assert geometric_mean([1, 4]) == pytest.approx(2.0)
-    assert geometric_mean([2, 0]) is None
-    assert geometric_mean([]) is None
 
 
 # --------------------------------------------------------------------------- #

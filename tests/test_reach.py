@@ -144,3 +144,65 @@ def test_a_kept_definition_keeps_what_it_uses(tmp_path):
     assert [(f.definition.label, f.kept_because) for f in kept] == [
         ("spec.py:reference", "a paper-map row")
     ]
+
+
+def test_a_same_named_call_in_a_file_that_does_not_import_the_module_is_not_a_use(tmp_path):
+    _write(tmp_path, "src/repro/__init__.py", '"""Package."""\n')
+    _write(
+        tmp_path,
+        "src/repro/stats.py",
+        '''
+        """Statistics."""
+
+
+        def geometric_mean(values):
+            return values
+
+
+        def by_submodule_import():
+            return 1
+        ''',
+    )
+    _write(tmp_path, "src/repro/front/__init__.py", '"""Front door."""\n')
+    _write(
+        tmp_path,
+        "src/repro/front/impl.py",
+        '''
+        """Implementation."""
+
+
+        def through_the_package():
+            return 2
+
+
+        def attribute_twin():
+            return 3
+        ''',
+    )
+    _write(
+        tmp_path,
+        "src/repro/cli.py",
+        '''
+        """CLI: calls a method that shares a name with a function it never imports."""
+
+
+        def main(kernel):
+            return kernel.attribute_twin()
+        ''',
+    )
+    _write(
+        tmp_path,
+        "src/repro/__main__.py",
+        '"""Entry point."""\nfrom repro.cli import main\n\nmain(None)\n',
+    )
+    _write(
+        tmp_path,
+        "perfbench/cold.py",
+        "import statistics\nstatistics.geometric_mean([1.0, 2.0])\n",
+    )
+    _write(tmp_path, "examples/demo.py", "from repro import stats\nstats.by_submodule_import()\n")
+    _write(tmp_path, "tools/front.py", "import repro.front\nthrough_the_package = None\n")
+
+    reach = _load_reach()
+    reported = {f.definition.label for f in reach.audit(tmp_path, keep={})}
+    assert reported == {"stats.py:geometric_mean", "front/impl.py:attribute_twin"}

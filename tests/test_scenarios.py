@@ -33,27 +33,33 @@ from repro.errors import ExperimentError, GraphStructureError
 from repro.graphs.labeled_graph import LabeledGraph
 from repro.network.dynamics import validate_schedule
 from repro.scenarios import (
+    churn_scenarios,
+    hetero_unit_disk_scenarios,
+    mobility_scenarios,
+    streamed_scenarios,
+)
+from repro.scenarios.capabilities import (
     CAPABILITY_CLASSES,
-    ChurnTrace,
-    StreamingGraphFamily,
-    TopologyScheduleBuilder,
+    _spec_deployment,
     assign_capabilities,
     assignment_for_spec,
     build_hetero_network,
-    churn_scenarios,
-    churn_trace,
     degree_budget_violations,
-    family_from_spec,
-    hetero_unit_disk_scenarios,
-    materialise_union,
-    mobility_scenarios,
-    pick_streamed_pairs,
     profile_named,
-    route_streamed_pairs,
-    streamed_scenarios,
+)
+from repro.scenarios.churn import (
+    ChurnTrace,
+    TopologyScheduleBuilder,
+    churn_trace,
     waypoint_deployments,
 )
-from repro.scenarios.capabilities import _spec_deployment
+from repro.scenarios.streaming import (
+    StreamingGraphFamily,
+    family_from_spec,
+    materialise_union,
+    pick_streamed_pairs,
+    route_streamed_pairs,
+)
 
 _RELAXED = settings(
     max_examples=15,

@@ -44,8 +44,9 @@ from repro.api.requests import (
 )
 from repro.api.session import Session
 from repro.errors import TaskError
-from repro.server import RoutingServer, ServerConfig, ServerError, TaskClient
-from repro.server.client import http_request
+from repro.server.app import RoutingServer
+from repro.server.client import ServerError, TaskClient, http_request
+from repro.server.config import ServerConfig
 from repro.server.handlers import HttpError, decode_batch_body, decode_task_body
 from repro.server.queueing import LatencyHistogram, TaskQueue
 

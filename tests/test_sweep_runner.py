@@ -22,6 +22,7 @@ from repro.analysis.conformance import conformance_pass, default_conformance_mat
 from repro.analysis.experiments import (
     ScenarioSpec,
     dynamic_schedule_scenarios,
+    reference_run_parameter_sweep,
     structured_scenarios,
     unit_disk_scenarios,
 )
@@ -157,6 +158,30 @@ def test_parallel_sweep_matches_serial_on_dynamic_scenarios():
     serial = run_sweep(plan, workers=1)
     parallel = run_sweep(plan, workers=2)
     assert parallel.table.rows == serial.table.rows
+
+
+def test_run_sweep_matches_the_declared_reference_sweep():
+    # reference_run_parameter_sweep is the executable spec of sweep
+    # aggregation: one process, scenarios in order, rows in order.  Its
+    # evaluate yields each shard's rows for the spec, in plan order.
+    plan = _small_plan()
+    specs = list(dict.fromkeys(shard.spec for shard in plan.shards))
+    assert len(specs) == 3 and {shard.router for shard in plan.shards} == {
+        "ues-engine",
+        "flooding",
+    }
+
+    def evaluate(spec, _network):
+        for shard in plan.shards:
+            if shard.spec == spec:
+                yield from evaluate_shard(shard)
+
+    reference = reference_run_parameter_sweep(plan.experiment, plan.headers, specs, evaluate)
+    assert reference.rows
+    for workers in (1, 2):
+        table = run_sweep(plan, workers=workers).table
+        assert (table.experiment, table.headers) == (reference.experiment, reference.headers)
+        assert table.rows == reference.rows
 
 
 def test_same_spec_shards_share_one_materialised_network():

@@ -5,13 +5,18 @@ Every top-level ``def`` and ``class`` of every module under ``src/repro`` is
 read with ``ast``.  A definition is *used* when its name appears as a word
 somewhere that is itself live:
 
-* in any ``src/`` module, outside the definition itself, outside the
-  ``__all__`` assignment, outside import statements and outside backticked
-  mentions in docstrings (so a package re-export or a cross-reference in
-  prose does not keep a name alive, while the body of an ``__init__.py``
-  that is not a re-export does);
-* anywhere in ``benchmarks/``, ``examples/``, ``perfbench/`` or ``tools/``
-  (this file excepted), or in ``docs/paper_map.md``.
+* in its own module, outside the definition itself;
+* in any other ``src/`` module that imports the defining module, or a
+  package that contains it (``from repro.api import Session`` reaches
+  ``repro/api/session.py``);
+* in any Python file of ``benchmarks/``, ``examples/``, ``perfbench/`` or
+  ``tools/`` (this file excepted) that imports the defining module or a
+  package that contains it;
+* anywhere in ``docs/paper_map.md``.
+
+In ``src/`` modules, the ``__all__`` assignment, import statements and
+backticked mentions in docstrings are masked first, so a package re-export
+or a cross-reference in prose does not keep a name alive.
 
 Tests do not count: code that only its own unit tests call is an orphan.
 A use inside an orphan does not count either, and the audit repeats until
@@ -26,9 +31,12 @@ tests of *other* code use.  Kept definitions count as live, so what only
 they use is not reported; they are listed in the report themselves without
 failing it.
 
-The rule is textual, so it errs towards "used": a name that another module
-happens to spell the same way (``statistics.geometric_mean`` in
-``perfbench/``) keeps a definition alive.
+Packages re-export nothing (``repro.api`` is the one front door), so a
+file can only reach a definition through an import of the module that
+defines it.  Within such a file the rule is still textual and errs towards
+"used"; but a file that never imports the module does not count, so the
+stdlib's ``statistics.geometric_mean`` cannot keep a ``repro`` function of
+that name alive.
 
 Run from anywhere::
 
@@ -48,7 +56,8 @@ from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequenc
 
 ROOT = Path(__file__).resolve().parent.parent
 
-#: Directories (besides ``src/``) whose every text file counts as a use.
+#: Directories (besides ``src/``) whose Python files count as a use when they
+#: import the defining module.
 USER_DIRS = ("benchmarks", "examples", "perfbench", "tools")
 
 #: Single documents that count as a use.
@@ -65,6 +74,12 @@ KEEP: Dict[str, str] = {
     "core/adversary.py": "the adversarial sequence search, a docs/paper_map.md row",
     "graphs/properties.py:is_simple": "oracle of tests/test_generators.py",
     "graphs/properties.py:degree_histogram": "oracle of tests/test_generators.py",
+    "graphs/connectivity.py:connected_components": (
+        "oracle of the reduction and zig-zag component tests"
+    ),
+    "core/exploration.py:walk_vertices": (
+        "oracle of tests/test_exploration.py's walk-stays-in-component property"
+    ),
     "geometry/deployment.py:grid_deployment": (
         "builds the fixtures of tests/conftest.py and the planar and baseline tests"
     ),
@@ -137,8 +152,35 @@ def _is_all_assignment(node: ast.stmt) -> bool:
     return any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets)
 
 
-def scan_module(module: str, source: str) -> Tuple[List[Definition], List[Tuple[Optional[str], str]]]:
-    """Definitions of one module and its masked text, split by owner.
+def _dotted_name(module: str) -> str:
+    """The import name of a module path relative to ``src/repro``."""
+    parts = ["repro"] + module[: -len(".py")].split("/")
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def _imported_modules(tree: ast.AST) -> Set[str]:
+    """Every module name an import in ``tree`` may load, at any depth.
+
+    ``from a import b`` yields ``a`` and ``a.b`` (``b`` may be a submodule).
+    """
+    names: Set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            names.add(node.module)
+            names.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return names
+
+
+def _reaches(imports: Set[str], defining: str) -> bool:
+    return any(name == defining or defining.startswith(name + ".") for name in imports)
+
+
+def scan_module(
+    module: str, source: str
+) -> Tuple[List[Definition], List[Tuple[Optional[str], str]], Set[str]]:
+    """Definitions of one module, its masked text split by owner, its imports.
 
     The text comes back as ``(owner, text)`` chunks: ``owner`` is the name of
     the top-level definition the chunk lies in, or ``None`` for module-level
@@ -146,6 +188,7 @@ def scan_module(module: str, source: str) -> Tuple[List[Definition], List[Tuple[
     mentions are already blanked out.
     """
     tree = ast.parse(source)
+    imports = _imported_modules(tree)
     lines = source.splitlines()
     for node in ast.walk(tree):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -172,7 +215,7 @@ def scan_module(module: str, source: str) -> Tuple[List[Definition], List[Tuple[
             chunks[-1] = (owner, chunks[-1][1] + "\n" + text)
         else:
             chunks.append((owner, text))
-    return definitions, chunks
+    return definitions, chunks, imports
 
 
 def _keep_reason(definition: Definition, keep: Dict[str, str]) -> Optional[str]:
@@ -184,20 +227,23 @@ def _keep_reason(definition: Definition, keep: Dict[str, str]) -> Optional[str]:
     return None
 
 
-def _user_texts(root: Path) -> List[str]:
-    texts: List[str] = []
-    paths: List[Path] = [root / name for name in USER_FILES]
-    for directory in USER_DIRS:
-        paths.extend(p for p in sorted((root / directory).rglob("*")) if p.is_file())
+def _user_files(root: Path) -> Tuple[Set[str], List[Tuple[Set[str], Set[str]]]]:
+    """Words of the documents that always count, and ``(imports, words)`` of
+    every Python file of the user directories."""
+    documents: Set[str] = set()
+    for name in USER_FILES:
+        path = root / name
+        if path.is_file():
+            documents |= _words(path.read_text(encoding="utf-8"))
     this_file = Path(__file__).resolve()
-    for path in paths:
-        if not path.is_file() or path.resolve() == this_file or "__pycache__" in path.parts:
-            continue
-        try:
-            texts.append(path.read_text(encoding="utf-8"))
-        except UnicodeDecodeError:  # a binary file names nothing
-            continue
-    return texts
+    files: List[Tuple[Set[str], Set[str]]] = []
+    for directory in USER_DIRS:
+        for path in sorted((root / directory).rglob("*.py")):
+            if path.resolve() == this_file or "__pycache__" in path.parts:
+                continue
+            text = path.read_text(encoding="utf-8")
+            files.append((_imported_modules(ast.parse(text)), _words(text)))
+    return documents, files
 
 
 def _words(text: str) -> Set[str]:
@@ -216,24 +262,33 @@ def audit(root: Path = ROOT, keep: Optional[Dict[str, str]] = None) -> List[Find
     definitions: List[Definition] = []
     #: (module, owning definition or None) -> the words of that text
     src_words: Dict[Tuple[str, Optional[str]], Set[str]] = {}
+    src_imports: Dict[str, Set[str]] = {}
     for path in sorted(package.rglob("*.py")):
         module = path.relative_to(package).as_posix()
-        found, chunks = scan_module(module, path.read_text(encoding="utf-8"))
+        found, chunks, src_imports[module] = scan_module(
+            module, path.read_text(encoding="utf-8")
+        )
         definitions.extend(found)
         for owner, text in chunks:
             src_words.setdefault((module, owner), set()).update(_words(text))
-    outside: Set[str] = set()
-    for text in _user_texts(root):
-        outside |= _words(text)
+    documents, user_files = _user_files(root)
 
     dead: Set[Tuple[str, Optional[str]]] = set()
 
     def used(definition: Definition) -> bool:
         own = (definition.module, definition.name)
-        return definition.name in outside or any(
+        defining = _dotted_name(definition.module)
+        if definition.name in documents or any(
+            definition.name in words and _reaches(imports, defining)
+            for imports, words in user_files
+        ):
+            return True
+        return any(
             definition.name in words
             for key, words in src_words.items()
-            if key != own and key not in dead
+            if key != own
+            and key not in dead
+            and (key[0] == definition.module or _reaches(src_imports[key[0]], defining))
         )
 
     changed = True
