@@ -722,8 +722,9 @@ def run_sweep(
 #: lazily.  :func:`_pool_results` imports them in the parent just before it
 #: forks, so workers start with them loaded instead of each worker of each
 #: pool importing (and, without bytecode caching, compiling) them again.
-#: ``tests/test_sweep_runner.py`` fails, naming the module, when a worker
-#: imports one that is missing here.
+#: NumPy, which the lockstep kernels import only on first use, is loaded
+#: after them for the same reason.  ``tests/test_sweep_runner.py`` fails,
+#: naming the module, when a worker imports one that is missing here.
 _WORKER_MODULES: Tuple[str, ...] = (
     "repro.core.batch_kernel",
     "repro.provenance.log",
@@ -767,9 +768,9 @@ def _pool_results(
     """Yield ``(index, fn(items[index]))`` for every item, as each completes.
 
     The one process pool of the package: ``width`` workers (callers size it
-    with :func:`_pool_width`), forked after :data:`_WORKER_MODULES` are
-    imported into the parent.  ``fn`` and every item must be picklable
-    (module-level functions, plain data).
+    with :func:`_pool_width`), forked after :data:`_WORKER_MODULES` and, when
+    it is installed, NumPy are imported into the parent.  ``fn`` and every
+    item must be picklable (module-level functions, plain data).
 
     A worker killed mid-task (OOM killer, SIGKILL) breaks the whole pool:
     every pending future raises :class:`BrokenProcessPool`.  The items whose
@@ -780,6 +781,10 @@ def _pool_results(
     """
     for name in _WORKER_MODULES:
         importlib.import_module(name)
+    from repro.core.batch_kernel import HAVE_NUMPY
+
+    if HAVE_NUMPY:
+        importlib.import_module("numpy")
     done = set()
     try:
         with ProcessPoolExecutor(max_workers=width, initializer=_worker_init) as pool:

@@ -53,15 +53,23 @@ rows are formed from its own job's codes, one gather over the whole table.
     precomputed :func:`translation_table`.  Semantics are tick-for-tick
     those of :meth:`repro.core.engine.PreparedSchedule.route`.
 
-**NumPy is optional.**  When it is not importable, :data:`HAVE_NUMPY` is
-False, the classes raise on construction, and the engine's ``route_many``
-entry points fall back to their scalar reference loops
-(``reference_route_many``) automatically — results are identical either way,
-only the constant factor differs.
+**NumPy is optional, and loaded only when a lockstep batch first needs it.**
+Importing this module does not import NumPy: :data:`HAVE_NUMPY` only says
+whether it is installed, and the first table builder constructed (the first
+lockstep batch of the process) imports it.  A process that routes scalar
+walks alone never holds it.  The kernel store's disk tier loads it on its
+first access, and a process pool's parent loads it before it forks
+(``repro.analysis.runner._pool_results``), so workers do not import it
+again.  When NumPy is not installed, :data:`HAVE_NUMPY` is False, the
+classes raise on construction, and the engine's ``route_many`` entry points
+fall back to their scalar reference loops (``reference_route_many``)
+automatically — results are identical either way, only the constant factor
+differs.
 """
 
 from __future__ import annotations
 
+import importlib.util
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -72,10 +80,8 @@ from repro.core.kernel_store import LRUCache
 from repro.core.universal import OffsetStream
 from repro.core.walk_kernel import CompiledWalk
 
-try:  # pragma: no cover - exercised by the no-NumPy CI job
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-NumPy CI job
-    _np = None
+#: NumPy, once :func:`_require_numpy` has imported it.
+_np = None
 
 __all__ = [
     "HAVE_NUMPY",
@@ -91,9 +97,9 @@ __all__ = [
     "translation_table",
 ]
 
-#: True when NumPy imported successfully; the engine consults this before
-#: routing a batch through the lockstep kernels.
-HAVE_NUMPY = _np is not None
+#: True when NumPy is installed; the engine consults this before routing a
+#: batch through the lockstep kernels.  Finding the package imports nothing.
+HAVE_NUMPY = importlib.util.find_spec("numpy") is not None
 
 #: Trajectory rows recorded per lockstep chunk before termination checks run.
 #: Chunks start small and double up to the cap: short walks (small graphs,
@@ -137,11 +143,21 @@ SCHEDULE_STRANDED_BUDGET = 3
 
 
 def _require_numpy() -> None:
+    """Import NumPy into :data:`_np` on first use; raise when it is missing.
+
+    Every table builder calls this on construction, and every function of
+    this module that touches ``_np`` runs after one was constructed.
+    """
+    global _np
     if _np is None:
-        raise RoutingError(
-            "the lockstep batch kernel needs NumPy; install it or use the "
-            "scalar reference_route_many path"
-        )
+        try:
+            import numpy
+        except ImportError:
+            raise RoutingError(
+                "the lockstep batch kernel needs NumPy; install it or use the "
+                "scalar reference_route_many path"
+            ) from None
+        _np = numpy
 
 
 def _block_table(step: "_np.ndarray") -> "_np.ndarray":

@@ -1200,8 +1200,10 @@ def clear_prepared_caches() -> None:
 
     The lockstep module imported here is loaded into a pool's parent before
     it forks (``repro.analysis.runner._WORKER_MODULES``), so in a worker the
-    import costs a dictionary lookup; outside pools it stays lazy, and a cold
-    scalar route never loads it.
+    import costs a dictionary lookup; outside pools it stays lazy.  Importing
+    it loads no NumPy, and neither does clearing: NumPy loads on the first
+    lockstep batch, on the first disk-tier read or write, and in a pool's
+    parent just before it forks.  A cold scalar route never loads it.
     """
     from repro.core.batch_kernel import clear_batch_caches
 

@@ -22,7 +22,8 @@ holding three tiers, consulted in order:
    tier 3, counted in ``disk_errors``.  Writes are atomic (temp file +
    ``os.replace``); temp files orphaned by a crashed writer are swept
    whenever the tier opens (:func:`sweep_stale_tmp_files`, counted in
-   ``disk_tmp_swept``).
+   ``disk_tmp_swept``).  NumPy is imported on the tier's first read or
+   write, so a process without a configured tier never loads it here.
 3. **Compile** — :func:`repro.graphs.degree_reduction.reduce_to_three_regular`
    followed by :class:`~repro.core.walk_kernel.CompiledWalk`, exactly as
    before; the result is written back to the disk tier when one is
@@ -47,22 +48,20 @@ identical on every tier — ``tests/test_kernel_store.py`` asserts it.
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import threading
 import time
+import weakref
 from collections import OrderedDict
 from typing import Any, Dict, Hashable, Iterator, List, Optional
 
 from repro.core.walk_kernel import CompiledWalk, rotation_hash
 from repro.errors import GraphStructureError
 
-try:  # pragma: no cover - exercised via the no-numpy CI job
-    import numpy as _np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover
-    _np = None
-    HAVE_NUMPY = False
+#: Whether NumPy is installed (the disk tier needs it).  Finding the package
+#: imports nothing: the tier imports NumPy where it reads or writes a file.
+HAVE_NUMPY = importlib.util.find_spec("numpy") is not None
 
 __all__ = [
     "DEFAULT_ENGINE_CAPACITY",
@@ -174,6 +173,31 @@ def sweep_stale_tmp_files(cache_dir: str, max_age_seconds: float = STALE_TMP_SEC
     return removed
 
 
+#: Every live object that guards its state with a ``_lock`` attribute
+#: (:class:`LRUCache`, seeded :class:`repro.core.universal.OffsetStream`),
+#: keyed by ``id``: a ``WeakSet`` would hash its members, and a stream
+#: hashes by its offsets, which it would generate to do so.
+_LOCK_HOLDERS: "weakref.WeakValueDictionary[int, Any]" = weakref.WeakValueDictionary()
+
+
+def _rearm_locks() -> None:
+    """Give every registered object a fresh lock (runs in a forked child).
+
+    A fork copies each lock in the state it had, but not the threads that
+    held one, so a lock held by another thread of the parent would never be
+    released in the child.  A pool worker's initialiser clears the caches
+    behind these locks, so it would block forever.  Clearing still runs
+    after this, so nothing a parent thread half-wrote reaches a worker's
+    work.
+    """
+    for holder in list(_LOCK_HOLDERS.values()):
+        holder._lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # POSIX only; nothing forks elsewhere
+    os.register_at_fork(after_in_child=_rearm_locks)
+
+
 class LRUCache:
     """Bounded mapping with least-recently-used eviction and counters.
 
@@ -188,10 +212,13 @@ class LRUCache:
     the ``OrderedDict``'s compound mutations so concurrent access can never
     corrupt the structure.  Compound *caller* sequences (peek → validate →
     put) may still interleave; the worst outcome is a duplicate build of a
-    deterministic value, never a wrong one.
+    deterministic value, never a wrong one.  A forked child gets a fresh
+    lock (:func:`_rearm_locks`).
     """
 
-    __slots__ = ("capacity", "hits", "misses", "evictions", "_entries", "_lock")
+    __slots__ = (
+        "capacity", "hits", "misses", "evictions", "_entries", "_lock", "__weakref__"
+    )
 
     def __init__(self, capacity: int) -> None:
         if capacity < 1:
@@ -202,6 +229,7 @@ class LRUCache:
         self.evictions = 0
         self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
         self._lock = threading.Lock()
+        _LOCK_HOLDERS[id(self)] = self
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -318,7 +346,9 @@ def _pack_kernel(kernel: CompiledWalk) -> "Any":
     flat.extend(arrays["physical_port"])
     flat.extend(arrays["component_id"])
     flat.extend(arrays["component_sizes"])
-    return _np.asarray(flat, dtype=_np.int64)
+    import numpy
+
+    return numpy.asarray(flat, dtype=numpy.int64)
 
 
 def _unpack_kernel(flat: "Any") -> CompiledWalk:
@@ -391,9 +421,11 @@ class KernelStore:
 
     def _load_kernel(self, path: str) -> Optional[CompiledWalk]:
         """Read and validate one persisted kernel; ``None`` on any problem."""
+        import numpy
+
         try:
             with open(path, "rb") as handle:
-                flat = _np.load(handle, allow_pickle=False)
+                flat = numpy.load(handle, allow_pickle=False)
         except FileNotFoundError:
             self.disk_misses += 1
             return None
@@ -410,11 +442,13 @@ class KernelStore:
 
     def _save_kernel(self, path: str, kernel: CompiledWalk) -> None:
         """Persist one kernel atomically (write temp file, then rename)."""
+        import numpy
+
         tmp_path = path + f".tmp.{os.getpid()}"
         try:
             os.makedirs(os.path.dirname(path), exist_ok=True)
             with open(tmp_path, "wb") as handle:
-                _np.save(handle, _pack_kernel(kernel), allow_pickle=False)
+                numpy.save(handle, _pack_kernel(kernel), allow_pickle=False)
             os.replace(tmp_path, path)
         except OSError:
             self.disk_errors += 1

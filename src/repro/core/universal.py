@@ -42,7 +42,7 @@ from repro.errors import (
     UniversalityCertificationError,
 )
 from repro.core.exploration import ExplicitSequence, ExplorationSequence, covers_component
-from repro.core.kernel_store import LRUCache
+from repro.core.kernel_store import _LOCK_HOLDERS, LRUCache
 from repro.graphs.connectivity import is_connected
 from repro.graphs.labeled_graph import LabeledGraph
 from repro.graphs import generators
@@ -118,7 +118,7 @@ class OffsetStream:
     representation.
     """
 
-    __slots__ = ("_prefix", "_length", "_seed", "_rng", "_lock")
+    __slots__ = ("_prefix", "_length", "_seed", "_rng", "_lock", "__weakref__")
 
     def __init__(
         self, data: bytes = b"", length: Optional[int] = None, seed: Optional[str] = None
@@ -132,8 +132,12 @@ class OffsetStream:
         self._prefix = bytes(data)
         self._length = length
         self._seed = seed
-        self._rng = random.Random(seed) if seed is not None else None
-        self._lock = threading.Lock() if seed is not None else None
+        self._rng = None
+        self._lock = None
+        if seed is not None:
+            self._rng = random.Random(seed)
+            self._lock = threading.Lock()
+            _LOCK_HOLDERS[id(self)] = self  # a forked child re-arms the lock
 
     def __len__(self) -> int:
         return self._length

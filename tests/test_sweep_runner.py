@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import signal
 import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -488,9 +489,9 @@ def test_pool_width_is_capped_at_the_usable_cpus(monkeypatch):
 
 
 #: Runs one pooled task in a fresh interpreter and reports, per worker, the
-#: ``repro`` modules the worker imported that its parent had not loaded when
-#: it forked.  A fresh interpreter, because earlier tests load modules into
-#: the test process that a real parent would not hold.
+#: ``repro`` and ``numpy`` modules the worker imported that its parent had not
+#: loaded when it forked.  A fresh interpreter, because earlier tests load
+#: modules into the test process that a real parent would not hold.
 _WORKER_IMPORTS_SCRIPT = """
 import json, multiprocessing.util, os, sys
 
@@ -512,7 +513,7 @@ def recording_init():
     def report():
         imported = sorted(
             name for name in set(sys.modules) - forked_with
-            if name == "repro" or name.startswith("repro.")
+            if name.split(".")[0] in ("repro", "numpy")
         )
         with open(os.path.join(out_dir, f"{os.getpid()}.json"), "w") as handle:
             json.dump(imported, handle)
@@ -551,6 +552,91 @@ def test_pool_workers_fork_with_every_repro_module_they_use(case, tmp_path):
     }
     assert imported, "no pool worker reported"
     assert {name: modules for name, modules in imported.items() if modules} == {}
+
+
+#: Starts a 2-worker pool four times while another thread holds, in turn, a
+#: lock that every worker's initialiser takes when it clears the caches, and
+#: the lock of a stream that every worker's task extends.  A fork copies a
+#: held lock but not the thread that would release it.
+_HELD_LOCK_SCRIPT = """
+import os, threading
+
+# Two usable CPUs, so the pools fork even on a one-CPU machine.
+os.sched_getaffinity = lambda pid: {0, 1}
+os.cpu_count = lambda: 2
+
+from repro.analysis.runner import parallel_map
+from repro.core import batch_kernel
+from repro.core.engine import prepare
+from repro.core.kernel_store import kernel_store
+from repro.core.routing import default_provider
+from repro.core.universal import RandomSequenceProvider
+from repro.graphs import generators
+
+stream = RandomSequenceProvider(seed=5).sequence_for(64)
+twin = RandomSequenceProvider(seed=5).sequence_for(64)
+
+
+def steps(side):
+    engine = prepare(generators.grid_graph(side, side))
+    return engine.route(0, side * side - 1).forward_virtual_steps
+
+
+def task(side):
+    return steps(side), stream.extend_to(1000 * side)[: 1000 * side]
+
+
+sides = [3, 4, 5, 6]
+expected = [(steps(side), twin.extend_to(1000 * side)[: 1000 * side]) for side in sides]
+locks = {
+    "kernel store": kernel_store().engines._lock,
+    "batch cache": batch_kernel._BATCH_CACHE._lock,
+    "stream cache": default_provider()._cache._lock,
+    "offset stream": stream._lock,
+}
+for name, lock in locks.items():
+    held, release = threading.Event(), threading.Event()
+
+    def hold(lock=lock):
+        with lock:
+            held.set()
+            release.wait()
+
+    holder = threading.Thread(target=hold)
+    holder.start()
+    held.wait()
+    try:
+        assert parallel_map(task, sides, workers=2) == expected, name
+    finally:
+        release.set()
+        holder.join()
+    print("ok:", name, flush=True)
+"""
+
+
+def test_pool_workers_start_while_another_thread_holds_a_cache_lock():
+    # A subprocess: a hang fails this test on a timeout instead of blocking
+    # the suite, and the warning some Pythons raise when a threaded process
+    # forks stays out of this process's warning filters.
+    source_root = os.path.dirname(os.path.dirname(os.path.dirname(runner.__file__)))
+    process = subprocess.Popen(
+        [sys.executable, "-c", _HELD_LOCK_SCRIPT],
+        env=dict(os.environ, PYTHONPATH=source_root),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+        start_new_session=True,  # one process group: the script and its workers
+    )
+    try:
+        output, _ = process.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(process.pid, signal.SIGKILL)
+        output, _ = process.communicate()
+        pytest.fail(f"a pool started beside a held lock did not finish:\n{output}")
+    assert process.returncode == 0, output
+    assert output.splitlines() == [
+        "ok: kernel store", "ok: batch cache", "ok: stream cache", "ok: offset stream"
+    ]
 
 
 def _always_raises(item):
