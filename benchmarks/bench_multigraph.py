@@ -24,12 +24,7 @@ batches) twice:
 It always asserts bitwise equality of the per-shard rows, and of the
 aggregated :class:`~repro.analysis.experiments.ExperimentResult` table of
 ``run_sweep``, and outside smoke mode that the stacked path is at least 3x
-faster.  It also exercises
-the kernel store's disk tier: a cold sweep with ``REPRO_KERNEL_CACHE_DIR``
-set persists every compiled kernel, and a warm rerun after clearing the
-in-process caches must perform **zero recompilations** (asserted via the
-``kernel_compiles`` / ``disk_hits`` counters) while producing the identical
-table.
+faster.
 
 Run standalone (CI smoke mode) with::
 
@@ -39,9 +34,7 @@ Run standalone (CI smoke mode) with::
 from __future__ import annotations
 
 import os
-import shutil
 import sys
-import tempfile
 import time
 
 from bench_utils import emit_bench_json, emit_table
@@ -49,13 +42,7 @@ from repro.analysis import runner
 from repro.analysis.experiments import pick_source_target_pairs, structured_scenarios
 from repro.analysis.runner import evaluate_shard, plan_sweep, run_sweep
 from repro.core.batch_kernel import HAVE_NUMPY
-from repro.core.engine import (
-    _route_lockstep,
-    clear_prepared_caches,
-    prepare,
-    prepared_cache_info,
-)
-from repro.core.kernel_store import ENV_KERNEL_CACHE_DIR, configure_kernel_store
+from repro.core.engine import _route_lockstep, prepare
 
 SMOKE = os.environ.get("MULTIGRAPH_BENCH_SMOKE", "") not in ("", "0") or os.environ.get(
     "ENGINE_BENCH_SMOKE", ""
@@ -141,42 +128,7 @@ def run_multigraph_benchmark() -> dict:
     }
 
 
-def run_warm_start_check(plan) -> dict:
-    """Cold-persist then warm-start the kernel store; assert zero recompiles.
-
-    Enables a throwaway disk tier, runs the sweep cold (every kernel is
-    compiled once and persisted), drops the in-process caches, and reruns:
-    the warm run must load every kernel from disk (``kernel_compiles == 0``)
-    and reproduce the identical table.
-    """
-    previous = os.environ.get(ENV_KERNEL_CACHE_DIR)
-    cache_dir = tempfile.mkdtemp(prefix="repro-kernels-")
-    try:
-        configure_kernel_store(cache_dir=cache_dir)
-        clear_prepared_caches()
-        cold_table = run_sweep(plan).table
-        cold = prepared_cache_info()
-
-        clear_prepared_caches()
-        warm_table = run_sweep(plan).table
-        warm = prepared_cache_info()
-        return {
-            "cold_compiles": cold["kernel_compiles"],
-            "cold_saves": cold["disk_saves"],
-            "warm_compiles": warm["kernel_compiles"],
-            "warm_disk_hits": warm["disk_hits"],
-            "identical": (
-                cold_table.headers == warm_table.headers
-                and cold_table.rows == warm_table.rows
-            ),
-        }
-    finally:
-        configure_kernel_store(cache_dir=previous if previous else "")
-        clear_prepared_caches()
-        shutil.rmtree(cache_dir, ignore_errors=True)
-
-
-def _emit(report: dict, warm: dict) -> None:
+def _emit(report: dict) -> None:
     plan = report["plan"]
     shards = len(plan.shards)
     pairs = shards * PAIRS
@@ -206,9 +158,7 @@ def _emit(report: dict, warm: dict) -> None:
             "Bitwise-identical aggregated tables; the stacked kernel "
             "concatenates every scenario's compiled transition tables into "
             "one block table with per-walk graph offsets, so all scenarios' "
-            "walks advance three global steps per gather.  Warm start: "
-            f"{warm['warm_compiles']} recompilations after reloading "
-            f"{warm['warm_disk_hits']} kernels from the disk tier."
+            "walks advance three global steps per gather."
         ),
     )
     emit_bench_json(
@@ -228,26 +178,14 @@ def _emit(report: dict, warm: dict) -> None:
             "speedup": report["speedup"],
             "identical": report["identical"],
             "rows": report["rows"],
-            "warm_start": warm,
         },
     )
 
 
-def _check(report: dict, warm: dict) -> str:
-    """Return an error message, or '' when the reports meet the bar."""
+def _check(report: dict) -> str:
+    """Return an error message, or '' when the report meets the bar."""
     if not report["identical"]:
         return "rows differ between per-scenario and multi-graph runs"
-    if not warm["identical"]:
-        return "warm-start table differs from the cold run"
-    if warm["cold_compiles"] < 1 or warm["cold_saves"] < 1:
-        return "cold run compiled/persisted nothing: the disk tier never engaged"
-    if warm["warm_compiles"] != 0:
-        return (
-            f"warm start recompiled {warm['warm_compiles']} kernels; "
-            "expected zero (all from the disk tier)"
-        )
-    if warm["warm_disk_hits"] < 1:
-        return "warm start loaded nothing from the disk tier"
     if not SMOKE and report["speedup"] < MIN_SPEEDUP:
         return (
             f"speedup {report['speedup']:.1f}x below the {MIN_SPEEDUP}x bar"
@@ -261,9 +199,8 @@ def test_multigraph_lockstep_speedup(benchmark):
 
         pytest.skip("NumPy unavailable: the multi-graph kernel cannot run")
     report = run_multigraph_benchmark()
-    warm = run_warm_start_check(report["plan"])
-    _emit(report, warm)
-    error = _check(report, warm)
+    _emit(report)
+    error = _check(report)
     assert not error, error
     plan = report["plan"]
     benchmark.pedantic(
@@ -279,15 +216,14 @@ def main() -> int:
         print("skip: NumPy unavailable, the multi-graph kernel cannot run")
         return 0
     report = run_multigraph_benchmark()
-    warm = run_warm_start_check(report["plan"])
-    _emit(report, warm)
-    error = _check(report, warm)
+    _emit(report)
+    error = _check(report)
     if error:
         print(f"FAIL: {error}", file=sys.stderr)
         return 1
     print(
         f"ok: {report['speedup']:.1f}x stacked over per-scenario, tables "
-        f"bitwise identical ({report['rows']} rows), warm start recompiled 0"
+        f"bitwise identical ({report['rows']} rows)"
     )
     return 0
 

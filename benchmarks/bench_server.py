@@ -1,9 +1,9 @@
-"""E-SERVER: the routing daemon under concurrent load, overload and restart.
+"""E-SERVER: the routing daemon under concurrent load, overload and shutdown.
 
 Routing-as-a-service only earns its keep if the daemon holds up under the
 client populations the paper's setting implies — many independent devices
 firing requests at once.  This harness spawns the real daemon
-(``python -m repro.server``) as a subprocess and drives it through five
+(``python -m repro.server``) as a subprocess and drives it through four
 phases, each pinning one acceptance property:
 
 * **load** — hundreds of concurrent single-shot clients plus one large
@@ -16,8 +16,6 @@ phases, each pinning one acceptance property:
   ``Retry-After`` (never a hang), and accepted work still completes.
 * **drain** — SIGTERM lands while a batch is streaming; the daemon must
   finish the in-flight work, close cleanly and exit 0.
-* **warm restart** — two daemon runs sharing ``--kernel-cache-dir``; the
-  second must report ``kernel_compiles == 0`` in ``/metrics``.
 * **parity** — served results are bit-identical (timing stripped) to
   ``Session.submit`` inline in this process.
 
@@ -35,7 +33,6 @@ import re
 import signal
 import subprocess
 import sys
-import tempfile
 import time
 
 from bench_utils import emit_bench_json, emit_table
@@ -279,41 +276,7 @@ def run_drain_phase() -> dict:
 
 
 # --------------------------------------------------------------------------- #
-# Phase 4: warm restart through the kernel disk tier
-# --------------------------------------------------------------------------- #
-
-
-def run_warm_start_phase() -> dict:
-    requests = [
-        RouteRequest(scenario=SPEC, source=0, target=15),
-        RouteRequest(scenario=RING, source=0, target=6),
-        CountRequest(scenario=RING, source=3),
-    ]
-
-    async def drive(daemon: Daemon) -> int:
-        client = daemon.client()
-        for request in requests:
-            await client.submit(request)
-        metrics = await client.metrics()
-        return metrics["cache"]["kernel_compiles"]
-
-    with tempfile.TemporaryDirectory(prefix="repro-bench-kernels-") as cache_dir:
-        compiles = []
-        for _ in range(2):
-            daemon = Daemon("--kernel-cache-dir", cache_dir)
-            try:
-                compiles.append(asyncio.run(drive(daemon)))
-            finally:
-                daemon.sigterm_and_wait()
-                daemon.kill()
-    return {
-        "cold_compiles": compiles[0],
-        "warm_compiles": compiles[1],
-    }
-
-
-# --------------------------------------------------------------------------- #
-# Phase 5: parity — served == inline, bit for bit (timing stripped)
+# Phase 4: parity — served == inline, bit for bit (timing stripped)
 # --------------------------------------------------------------------------- #
 
 
@@ -353,7 +316,6 @@ def run_server_benchmark() -> dict:
         "load": run_load_phase(),
         "backpressure": run_backpressure_phase(),
         "drain": run_drain_phase(),
-        "warm_start": run_warm_start_phase(),
         "parity": run_parity_phase(),
     }
 
@@ -379,12 +341,6 @@ def _emit(report: dict) -> None:
             f"{report['drain']['tasks']} tasks in flight",
             f"exit {report['drain']['exit_code']}",
             "clean" if report["drain"]["clean"] else "NOT CLEAN",
-        ],
-        [
-            "warm restart",
-            f"cold compiles {report['warm_start']['cold_compiles']}",
-            f"warm compiles {report['warm_start']['warm_compiles']}",
-            "zero-recompile" if report["warm_start"]["warm_compiles"] == 0 else "RECOMPILED",
         ],
         [
             "parity",
@@ -444,11 +400,6 @@ def _check(report: dict) -> str:
             f"SIGTERM drain was not clean (exit {report['drain']['exit_code']}, "
             f"batch completed: {report['drain']['batch_completed']})"
         )
-    if report["warm_start"]["warm_compiles"] != 0:
-        return (
-            f"warm restart recompiled {report['warm_start']['warm_compiles']} "
-            "kernels (expected 0)"
-        )
     if not report["parity"]["identical"]:
         return "served results are not bit-identical to the inline session"
     return ""
@@ -467,7 +418,7 @@ def main() -> int:
         f"ok: {load['total_requests']} tasks, peak in-flight "
         f"{load['peak_in_flight']}, p99 {load['p99_ms']} ms, "
         f"{report['backpressure']['rejected_429']} structured 429s, "
-        "drain clean, warm restart with 0 recompiles, parity bit-identical"
+        "drain clean, parity bit-identical"
     )
     return 0
 

@@ -18,12 +18,7 @@ asserts.  Two backends ship:
     request's ``workers``, and batch routes are chunked across a process
     pool (each worker building its scenario locally and reusing its own
     per-process engine caches).  Worker initialisation clears the prepared
-    caches, which also makes the per-process kernel store re-read its
-    environment configuration — so when a disk tier is enabled
-    (``repro sweep --kernel-cache-dir`` /
-    :func:`repro.core.engine.configure_kernel_store`), every worker
-    warm-starts from the persisted compiled kernels instead of recompiling
-    the degree reduction per process.
+    caches, so every worker compiles the kernels it needs itself.
 
 Backends are stateless apart from the session-owned
 :class:`~repro.analysis.experiments.ScenarioStore` handed to :meth:`Backend.run`,

@@ -360,19 +360,6 @@ def _configure_sweep(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--seed", type=int, default=0, help="master seed for deterministic per-shard seeding"
     )
-    # Handled by the CLI front end before the request is submitted (it is
-    # process configuration, not part of the sweep request wire format):
-    # enables the kernel store's content-addressed disk tier, so reruns and
-    # pool workers warm-start from persisted compiled kernels.
-    parser.add_argument(
-        "--kernel-cache-dir",
-        default=None,
-        help=(
-            "persist compiled walk kernels to this directory (content-"
-            "addressed by rotation-map hash); workers and reruns warm-start "
-            "from it instead of recompiling"
-        ),
-    )
 
 
 def _build_sweep(args: argparse.Namespace) -> SweepRequest:

@@ -385,14 +385,6 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     spec = task_by_name()[args.command]
     session = Session()
     try:
-        kernel_cache_dir = getattr(args, "kernel_cache_dir", None)
-        if kernel_cache_dir:
-            # Process configuration, applied before the request is built: the
-            # exported REPRO_KERNEL_CACHE_DIR also reaches pool workers, so a
-            # sweep's workers warm-start from the persisted kernels.
-            from repro.core.kernel_store import configure_kernel_store
-
-            configure_kernel_store(cache_dir=kernel_cache_dir)
         request = spec.build(args)
         result = session.submit(request)
         return _RENDERERS[spec.name](result, args, session, out)

@@ -57,10 +57,9 @@ rows are formed from its own job's codes, one gather over the whole table.
 Importing this module does not import NumPy: :data:`HAVE_NUMPY` only says
 whether it is installed, and the first table builder constructed (the first
 lockstep batch of the process) imports it.  A process that routes scalar
-walks alone never holds it.  The kernel store's disk tier loads it on its
-first access, and a process pool's parent loads it before it forks
-(``repro.analysis.runner._pool_results``), so workers do not import it
-again.  When NumPy is not installed, :data:`HAVE_NUMPY` is False, the
+walks alone never holds it.  A process pool's parent loads it before it
+forks (``repro.analysis.runner._pool_results``), so workers do not import
+it again.  When NumPy is not installed, :data:`HAVE_NUMPY` is False, the
 classes raise on construction, and the engine's ``route_many`` entry points
 fall back to their scalar reference loops (``reference_route_many``)
 automatically — results are identical either way, only the constant factor

@@ -95,10 +95,7 @@ from dataclasses import dataclass
 from operator import length_hint
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.kernel_store import (
-    configure_kernel_store,
-    kernel_store,
-)
+from repro.core.kernel_store import kernel_store
 from repro.core.routing import (
     RouteOutcome,
     RouteResult,
@@ -122,7 +119,6 @@ __all__ = [
     "PreparedSchedule",
     "WalkTrace",
     "clear_prepared_caches",
-    "configure_kernel_store",
     "kernel_store",
     "prepare",
     "prepare_schedule",
@@ -161,9 +157,8 @@ class PreparedNetwork:
         number of vertices, matching :func:`repro.core.routing.route`.
     kernel:
         Pre-compiled walk kernel for ``graph``.  ``None`` (the default) asks
-        the process-wide :class:`~repro.core.kernel_store.KernelStore`, which
-        serves it from its disk tier when one is configured and compiles it
-        otherwise — that is how pool workers and restarts skip recompilation.
+        the process-wide :class:`~repro.core.kernel_store.KernelStore`,
+        which compiles it.
     """
 
     def __init__(
@@ -587,16 +582,14 @@ class WalkTrace:
 
 
 # ---------------------------------------------------------------------- #
-# Shared engine cache (the kernel store's memory tier)
+# Shared engine cache (the kernel store's engine LRU)
 # ---------------------------------------------------------------------- #
 # Engines are keyed by ``id(graph)`` in the store's bounded engine LRU.
 # Entries hold the graph strongly, so an id can never be recycled while its
 # entry is alive; the bound keeps long many-graph runs (sweeps, hypothesis
 # tests) from accumulating state, and evictions are counted in
-# ``prepared_cache_info()``.  Beneath the LRU, a compile goes through
-# ``KernelStore.kernel_for`` — which consults the content-addressed disk
-# tier first when one is configured (``configure_kernel_store`` /
-# ``REPRO_KERNEL_CACHE_DIR``).
+# ``prepared_cache_info()``.  On a miss, ``KernelStore.kernel_for``
+# compiles the kernel.
 
 
 def prepare(network_or_graph: object) -> PreparedNetwork:
@@ -1165,11 +1158,10 @@ def prepared_cache_info() -> Dict[str, int]:
     these numbers with the session-scoped scenario-cache counters (the
     ``repro sweep`` summary line prints that merged view).
 
-    The kernel store contributes its full tier picture: memory-LRU
-    hit/miss/eviction counters for engines and schedules, ``kernel_compiles``
-    (every actual ``CompiledWalk`` compilation in this process — zero on a
-    fully warm start), and the disk-tier ``disk_hits`` / ``disk_misses`` /
-    ``disk_saves`` / ``disk_errors`` counters when persistence is enabled.
+    The kernel store contributes the hit/miss/eviction counters of its
+    engine and schedule LRUs and ``kernel_compiles`` (every actual
+    ``CompiledWalk`` compilation in this process — zero on a fully warm
+    start).
     """
     from repro.core.batch_kernel import batch_cache_info
 
@@ -1193,17 +1185,12 @@ def clear_prepared_caches() -> None:
     library-wide default sequence provider's cache is dropped for the same
     reason; its sequences are deterministic, so nothing observable changes.
 
-    Clearing also makes the kernel store re-read its environment
-    configuration (``REPRO_KERNEL_CACHE_DIR`` / ``REPRO_KERNEL_CACHE_SIZE``),
-    which is how pool workers adopt a disk tier configured in the parent and
-    warm-start from persisted kernels instead of recompiling.
-
     The lockstep module imported here is loaded into a pool's parent before
     it forks (``repro.analysis.runner._WORKER_MODULES``), so in a worker the
     import costs a dictionary lookup; outside pools it stays lazy.  Importing
     it loads no NumPy, and neither does clearing: NumPy loads on the first
-    lockstep batch, on the first disk-tier read or write, and in a pool's
-    parent just before it forks.  A cold scalar route never loads it.
+    lockstep batch and in a pool's parent just before it forks.  A cold
+    scalar route never loads it.
     """
     from repro.core.batch_kernel import clear_batch_caches
 

@@ -23,45 +23,19 @@ The kernel is a pure compilation of an existing
 representation, never the walk semantics — ``step_forward``/``step_backward``
 here agree state-for-state with :func:`repro.core.exploration.step_forward`
 and :func:`repro.core.exploration.step_backward` on the same reduced graph.
-
-**Serializable form.**  Everything a walk consults at run time is six integer
-arrays (:meth:`CompiledWalk.to_arrays`), and a kernel can be reconstructed
-from those arrays alone (:meth:`CompiledWalk.from_arrays`) without re-deriving
-the degree reduction — the cluster bookkeeping (owner → virtual members in
-physical-port order) is recovered from the ``owner``/``physical_port``
-columns.  That is what lets the kernel store
-(:mod:`repro.core.kernel_store`) persist compiled kernels to disk,
-content-addressed by :func:`rotation_hash` of the *original* graph: the
-reduction is deterministic per rotation map, so equal graphs share one
-on-disk kernel across processes and restarts.
+A kernel keeps no reference to the reduction it was compiled from; the few
+callers that need the reduction object recompute it from the source graph
+(:attr:`repro.core.engine.PreparedNetwork.reduction`).
 """
 
 from __future__ import annotations
 
-import hashlib
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import GraphStructureError
 from repro.graphs.degree_reduction import DegreeReducedGraph
 
-__all__ = ["CompiledWalk", "rotation_hash"]
-
-
-def rotation_hash(graph) -> str:
-    """Stable content address of a graph's rotation map (sha256 hex digest).
-
-    Two graphs hash equally iff they are equal as port-labeled graphs — the
-    same equivalence the walk itself observes (``LabeledGraph.__eq__`` is
-    rotation-map equality).  The digest is computed over the sorted
-    ``(vertex, port) -> (vertex, port)`` entries, so it is independent of
-    insertion order, process, and ``PYTHONHASHSEED``; the degree reduction and
-    its compiled kernel are deterministic functions of the rotation map, which
-    is what makes this hash a sound content address for persisted kernels.
-    """
-    digest = hashlib.sha256()
-    for (v, p), (w, q) in sorted(graph.rotation_map().items(), key=repr):
-        digest.update(repr((v, p, w, q)).encode("utf-8"))
-    return digest.hexdigest()
+__all__ = ["CompiledWalk"]
 
 
 class CompiledWalk:
@@ -132,98 +106,6 @@ class CompiledWalk:
         self.clusters = clusters
 
         self.component_id, self.component_sizes = self._compute_components()
-
-    # ------------------------------------------------------------------ #
-    # Construction helpers / serialization
-    # ------------------------------------------------------------------ #
-
-    def to_arrays(self) -> Dict[str, List[int]]:
-        """Flatten the kernel to plain integer lists for persistence.
-
-        Six columns fully determine the kernel: the flattened rotation map
-        (``next_vertex``/``next_port``), the cluster bookkeeping
-        (``owner``/``physical_port`` — clusters and gateways are derivable),
-        and the precomputed component partition
-        (``component_id``/``component_sizes``).  No kernel keeps the
-        :class:`DegreeReducedGraph` it was compiled from, and none is
-        serialized; the few callers that need the reduction object recompute
-        it from the source graph
-        (:attr:`repro.core.engine.PreparedNetwork.reduction`).
-        """
-        return {
-            "next_vertex": list(self.next_vertex),
-            "next_port": list(self.next_port),
-            "owner": list(self.owner),
-            "physical_port": list(self.physical_port),
-            "component_id": list(self.component_id),
-            "component_sizes": list(self.component_sizes),
-        }
-
-    @classmethod
-    def from_arrays(cls, arrays: Dict[str, Sequence[int]]) -> "CompiledWalk":
-        """Rebuild a kernel from :meth:`to_arrays` output (e.g. a disk load).
-
-        Validates the shape invariants (3-regular sizing, port range, cluster
-        contiguity) and raises :class:`~repro.errors.GraphStructureError` on
-        inconsistent input, so a corrupt cache file surfaces as a structured
-        error the kernel store can translate into "recompile".
-        """
-        try:
-            owner = [int(x) for x in arrays["owner"]]
-            physical_port = [int(x) for x in arrays["physical_port"]]
-            next_vertex = [int(x) for x in arrays["next_vertex"]]
-            next_port = [int(x) for x in arrays["next_port"]]
-            component_id = [int(x) for x in arrays["component_id"]]
-            component_sizes = [int(x) for x in arrays["component_sizes"]]
-        except (KeyError, TypeError, ValueError) as error:
-            raise GraphStructureError(f"malformed kernel arrays: {error}") from None
-
-        n = len(owner)
-        if (
-            len(physical_port) != n
-            or len(component_id) != n
-            or len(next_vertex) != 3 * n
-            or len(next_port) != 3 * n
-        ):
-            raise GraphStructureError("kernel arrays have inconsistent lengths")
-        if n and not all(0 <= v < n for v in next_vertex):
-            raise GraphStructureError("kernel next_vertex out of range")
-        if not all(0 <= p < 3 for p in next_port):
-            raise GraphStructureError("kernel next_port out of range")
-        num_components = len(component_sizes)
-        if n and not all(0 <= c < num_components for c in component_id):
-            raise GraphStructureError("kernel component_id out of range")
-
-        grouped: Dict[int, List[int]] = {}
-        for virtual in range(n):
-            grouped.setdefault(owner[virtual], []).append(virtual)
-        gateway_of: Dict[int, int] = {}
-        frozen: Dict[int, Tuple[int, ...]] = {}
-        for original, members in grouped.items():
-            # A cluster's physical ports must enumerate 0..len-1; each member
-            # sits at the slot named by its carried physical port.
-            ordered: List[int] = [-1] * len(members)
-            for virtual in members:
-                slot = physical_port[virtual]
-                if not (0 <= slot < len(members)) or ordered[slot] >= 0:
-                    raise GraphStructureError(
-                        f"kernel cluster for vertex {original!r} is not contiguous"
-                    )
-                ordered[slot] = virtual
-            gateway_of[original] = ordered[0]
-            frozen[original] = tuple(ordered)
-
-        kernel = cls.__new__(cls)
-        kernel.num_vertices = n
-        kernel.next_vertex = next_vertex
-        kernel.next_port = next_port
-        kernel.owner = owner
-        kernel.physical_port = physical_port
-        kernel.gateway_of = gateway_of
-        kernel.clusters = frozen
-        kernel.component_id = component_id
-        kernel.component_sizes = component_sizes
-        return kernel
 
     def _compute_components(self) -> Tuple[List[int], List[int]]:
         """Partition the reduced graph into components with an iterative DFS."""

@@ -15,9 +15,8 @@ kernel caches — and exposes it over four endpoints:
     whole batch is 429'd.
 ``GET /metrics``
     Queue depth / in-flight counts, per-task-type latency histograms, the
-    full Session cache counters (including ``kernel_compiles`` — the
-    warm-restart zero-recompile check reads it here) and the provenance-log
-    counters when a log is configured.
+    full Session cache counters (including ``kernel_compiles``) and the
+    provenance-log counters when a log is configured.
 ``GET /healthz``
     Liveness plus the draining flag.
 ``GET /v1/log``
@@ -122,12 +121,6 @@ class RoutingServer:
 
     async def start(self) -> None:
         """Bind, start the dispatch threads, start accepting connections."""
-        if self.config.kernel_cache_dir:
-            # Same contract as the CLI flag: persisted kernels make a
-            # restarted daemon warm-start with kernel_compiles == 0.
-            from repro.core.kernel_store import configure_kernel_store
-
-            configure_kernel_store(cache_dir=self.config.kernel_cache_dir)
         loop = asyncio.get_running_loop()
         self._threads = [
             threading.Thread(

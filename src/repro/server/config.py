@@ -50,7 +50,6 @@ class ServerConfig:
     max_batch_tasks: int = 4096
     retry_after_seconds: int = 1
     drain_timeout_seconds: float = 30.0
-    kernel_cache_dir: Optional[str] = None
     result_log_path: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -67,9 +66,20 @@ class ServerConfig:
     def from_env(cls, **overrides) -> "ServerConfig":
         """Defaults, patched by ``REPRO_SERVER_*`` variables, then ``overrides``.
 
-        Environment values that fail to parse raise :class:`TaskError` (a
-        daemon must not silently run with a default it was asked to change).
+        Environment values that fail to parse, and ``REPRO_SERVER_*``
+        variables that name no field (a typo, a retired setting), raise
+        :class:`TaskError`: a daemon must not silently run with a default it
+        was asked to change.
         """
+        known = {_ENV_PREFIX + field.name.upper() for field in fields(cls)}
+        unknown = sorted(
+            name for name in os.environ if name.startswith(_ENV_PREFIX) and name not in known
+        )
+        if unknown:
+            raise TaskError(
+                f"unknown server setting {', '.join(unknown)}: "
+                f"expected one of {', '.join(sorted(known))}"
+            )
         values = {}
         for field in fields(cls):
             raw = os.environ.get(_ENV_PREFIX + field.name.upper())
@@ -120,14 +130,6 @@ def add_server_arguments(parser: argparse.ArgumentParser) -> None:
         help="seconds a SIGTERM drain waits for in-flight work",
     )
     parser.add_argument(
-        "--kernel-cache-dir",
-        default=None,
-        help=(
-            "persist compiled walk kernels here (content-addressed); restarts "
-            "warm-start from it with zero recompilations"
-        ),
-    )
-    parser.add_argument(
         "--result-log",
         default=None,
         dest="result_log",
@@ -148,6 +150,5 @@ def config_from_args(args: argparse.Namespace) -> ServerConfig:
         concurrency=args.concurrency,
         max_body_bytes=args.max_body_bytes,
         drain_timeout_seconds=args.drain_timeout,
-        kernel_cache_dir=args.kernel_cache_dir,
         result_log_path=args.result_log,
     )

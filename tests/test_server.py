@@ -1055,3 +1055,25 @@ def test_served_sweep_cannot_overwrite_the_result_log(tmp_path):
     report = verify_log(log_path)
     assert report.ok, report.issues
     assert [record["task"] for record in report.records] == ["route", "count"]
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "REPRO_SERVER_CONCURENCY",  # a typo of CONCURRENCY
+        "REPRO_SERVER_KERNEL_CACHE_DIR",  # a retired setting
+    ],
+)
+def test_unknown_server_environment_variable_is_refused(monkeypatch, name):
+    monkeypatch.setenv(name, "8")
+    with pytest.raises(TaskError, match=name):
+        ServerConfig.from_env()
+
+
+def test_server_environment_overrides_known_fields(monkeypatch):
+    monkeypatch.setenv("REPRO_SERVER_CONCURRENCY", "8")
+    monkeypatch.setenv("REPRO_SERVER_RESULT_LOG_PATH", "served.log")
+    config = ServerConfig.from_env(port=0)
+    assert config.concurrency == 8
+    assert config.result_log_path == "served.log"
+    assert config.port == 0

@@ -36,10 +36,16 @@ from repro.analysis.runner import (
     run_sweep,
     shard_seed,
 )
-from repro.core.engine import clear_prepared_caches, prepare, prepared_cache_info
+from repro.core.engine import (
+    clear_prepared_caches,
+    prepare,
+    prepare_schedule,
+    prepared_cache_info,
+)
 from repro.core.universal import RandomSequenceProvider
 from repro.errors import ExperimentError
 from repro.graphs import generators
+from repro.network.dynamics import TopologySchedule
 from repro.provenance.log import verify_log
 
 
@@ -371,14 +377,17 @@ def test_prepared_cache_hooks_track_and_reset():
     graph = generators.grid_graph(3, 3)
     prepare(graph)
     prepare(graph)
+    prepare_schedule(TopologySchedule.static(generators.cycle_graph(5)))
     info = prepared_cache_info()
     assert info["engines"] >= 1
     assert info["engine_hits"] >= 1
     assert info["engine_misses"] >= 1
+    assert info["schedules"] == 1 and info["kernel_compiles"] >= 2
     clear_prepared_caches()
     info = prepared_cache_info()
     assert info["engines"] == 0 and info["schedules"] == 0
     assert info["engine_hits"] == 0 and info["engine_misses"] == 0
+    assert info["schedule_misses"] == 0 and info["kernel_compiles"] == 0
 
 
 def test_clear_prepared_caches_does_not_change_results():
@@ -387,6 +396,21 @@ def test_clear_prepared_caches_does_not_change_results():
     clear_prepared_caches()
     after = prepare(graph).route(0, 15)
     assert before == after
+
+
+def test_sweep_table_is_identical_across_a_cache_clear():
+    scenarios = list(structured_scenarios("grid", (16, 25), seeds=(0,)))
+    scenarios += list(structured_scenarios("ring", (12,), seeds=(0,)))
+    plan = plan_sweep(scenarios, routers=("ues-engine",), pairs=4, master_seed=7)
+    tables = []
+    for _ in range(2):
+        clear_prepared_caches()
+        tables.append(run_sweep(plan).table)
+        # Each run compiles its kernels afresh; nothing carries over.
+        assert prepared_cache_info()["kernel_compiles"] >= 1
+    cold, recompiled = tables
+    assert cold.rows
+    assert (cold.headers, cold.rows) == (recompiled.headers, recompiled.rows)
 
 
 # --------------------------------------------------------------------------- #
@@ -637,6 +661,74 @@ def test_pool_workers_start_while_another_thread_holds_a_cache_lock():
     assert output.splitlines() == [
         "ok: kernel store", "ok: batch cache", "ok: stream cache", "ok: offset stream"
     ]
+
+
+#: The process's first sweep (a 2-worker pool) and first route, submitted at
+#: once by two threads of one ``Session``.  Both reach modules that load on
+#: first use (the pool, the provenance stamp, the engine), so an import cycle
+#: or a lock held across the fork shows as an ``ImportError`` or a hang.
+_CONCURRENT_FIRST_TASKS_SCRIPT = """
+import os, sys, threading
+
+# Two usable CPUs, so the pool forks even on a one-CPU machine.
+os.sched_getaffinity = lambda pid: {0, 1}
+os.cpu_count = lambda: 2
+sys.setswitchinterval(1e-6)
+
+from repro.analysis.experiments import ScenarioSpec
+from repro.api import RouteRequest, Session, SweepRequest
+
+grids = tuple(
+    ScenarioSpec(name=f"grid-{seed}", family="grid", size=16, seed=seed) for seed in range(4)
+)
+requests = {
+    "sweep": SweepRequest(scenarios=grids, pairs=4, workers=2),
+    "route": RouteRequest(scenario=grids[0], source=0, target=15),
+}
+session = Session()
+barrier = threading.Barrier(len(requests))
+results = {}
+
+
+def submit(name):
+    barrier.wait()
+    try:
+        results[name] = session.submit(requests[name]).status
+    except Exception as error:
+        results[name] = repr(error)
+
+
+threads = [threading.Thread(target=submit, args=(name,)) for name in requests]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join()
+print(results["sweep"], results["route"], flush=True)
+"""
+
+
+def test_first_sweep_and_first_route_run_concurrently_in_a_fresh_interpreter():
+    # A subprocess per run (its own process group, killed on a timeout):
+    # only a fresh interpreter has every first-use import still ahead of it.
+    source_root = os.path.dirname(os.path.dirname(os.path.dirname(runner.__file__)))
+    for _ in range(3):
+        process = subprocess.Popen(
+            [sys.executable, "-c", _CONCURRENT_FIRST_TASKS_SCRIPT],
+            env=dict(os.environ, PYTHONPATH=source_root),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+            start_new_session=True,
+        )
+        try:
+            output, _ = process.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(process.pid, signal.SIGKILL)
+            output, _ = process.communicate()
+            pytest.fail(f"a concurrent first sweep and route did not finish:\n{output}")
+        assert process.returncode == 0, output
+        assert "ImportError" not in output, output
+        assert output.splitlines()[-1] == "ok success", output
 
 
 def _always_raises(item):

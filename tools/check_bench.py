@@ -7,7 +7,7 @@ Every benchmark module emits a machine-readable report
 
 * ``require`` — fields (dotted paths into the report) that must equal the
   given value exactly: correctness invariants such as ``mismatches == 0``,
-  ``identical == true`` or ``warm_start.warm_compiles == 0``.  These hold in
+  ``identical == true`` or ``parity.identical == true``.  These hold in
   every mode.
 * ``min`` — per-mode numeric floors (``{"full": {"speedup": 3.0},
   "smoke": {}}``), applied to the mode the report declares.  Smoke runs on
@@ -67,7 +67,7 @@ def _schema_errors(name: str, role: str, document: Dict[str, object]) -> List[st
 
 
 def _lookup(report: Dict[str, object], path: str):
-    """Resolve a dotted path (``warm_start.warm_compiles``) in the report."""
+    """Resolve a dotted path (``parity.identical``) in the report."""
     node: object = report
     for part in path.split("."):
         if not isinstance(node, dict) or part not in node:
