@@ -30,7 +30,7 @@ import sys
 import time
 from typing import List, Tuple
 
-from bench_utils import PROVIDER, SMOKE, emit_table, prepared
+from bench_utils import PROVIDER, SMOKE, emit_bench_json, emit_table, prepared
 from repro.core.exploration import WalkState, step_backward, step_forward
 from repro.core.routing import RouteOutcome
 from repro.graphs import generators
@@ -168,6 +168,22 @@ def _emit(report: dict) -> None:
             "amortises topology-derived state and flattens the rotation map "
             "into arrays."
         ),
+    )
+    emit_bench_json(
+        "engine",
+        {
+            "mode": "smoke" if SMOKE else "full",
+            "config": {
+                "grid_side": GRID_SIDE,
+                "num_pairs": len(pairs),
+                "min_speedup": MIN_SPEEDUP,
+            },
+            "seed_seconds": report["seed_elapsed"],
+            "engine_seconds": report["engine_elapsed"],
+            "speedup": report["speedup"],
+            "mismatches": len(report["mismatches"]),
+            "delivered": report["delivered"],
+        },
     )
 
 

@@ -3,9 +3,10 @@
 **Paper vs. extension.**  The paper proves one algorithm correct; this module
 is reproduction infrastructure.  It runs the *same* source/target pairs
 through every implementation the repository ships — the prepared engine
-(:mod:`repro.core.engine`), the seed walkers (:func:`repro.core.routing.route`
-and the fully distributed :func:`repro.core.routing.route_on_network`), the
-schedule-aware engine of the dynamic-topology extension, and every baseline
+(:mod:`repro.core.engine`), the executable specification of ``Route``
+(:func:`repro.network.dynamics.reference_route`), the fully distributed
+:func:`repro.core.routing.route_on_network`, the schedule-aware engine of
+the dynamic-topology extension, and every baseline
 router registered in :data:`repro.baselines.ALL_ROUTER_SPECS` — over a matrix
 of :class:`~repro.analysis.experiments.ScenarioSpec` instances (unit-disk 2D
 and 3D, structured topologies, deliberately disconnected networks, and
@@ -13,8 +14,10 @@ dynamic topology schedules), and asserts the cross-implementation invariants
 in one table-driven pass:
 
 * the guaranteed router succeeds **iff** source and target are connected
-  (Theorem 1), and its centralised, prepared and distributed realisations
-  agree on outcome and step accounting;
+  (Theorem 1), the prepared engine equals the executable specification
+  :func:`repro.network.dynamics.reference_route` field for field
+  (``spec-parity``), and the distributed realisation agrees with it on
+  outcome and step accounting (``distributed-parity``);
 * no router ever delivers across components ("no false delivery");
 * routers whose contract guarantees delivery/detection (flooding, DFS token)
   honour it, while weaker flags (greedy's local-minimum detection) are not
@@ -83,12 +86,14 @@ from repro.core.reliable_broadcast import (
     UESTransport,
     broadcast_reliably,
 )
-from repro.core.routing import RouteOutcome, route, route_on_network
+from repro.core.routing import RouteOutcome, route_on_network
 from repro.core.universal import SequenceProvider
+from repro.errors import RoutingError
 from repro.graphs.connectivity import are_connected, connected_component, is_connected
 from repro.network.byzantine import BYZANTINE_BEHAVIORS, ByzantinePlan, FaultModel
 from repro.network.dynamics import (
     DynamicOutcome,
+    reference_route,
     reference_route_over_schedule,
 )
 from repro.network.failures import FailurePlan
@@ -105,6 +110,12 @@ __all__ = [
 #: Skip the (slow, per-event bit-accounted) distributed realisation when the
 #: exploration sequence is longer than this; the walkers are still compared.
 _DISTRIBUTED_LENGTH_CAP = 30_000
+
+#: Skip the (dict-backed) static specification when the engine's walk is
+#: longer than this many virtual steps.  The longest pair of
+#: ``conformance_pass(pairs_per_scenario=2)`` walks 172,101, so ``spec-parity``
+#: runs on every static pair of that matrix.
+_SPEC_STEP_CAP = 250_000
 
 #: Columns of the per-(scenario, router) summary table.
 _REPORT_HEADERS = ("scenario", "router", "pairs", "delivered", "detected", "violations")
@@ -440,8 +451,19 @@ def _check_static_scenario(
     for s, t in pairs:
         truth = are_connected(graph, s, t)
 
-        # --- the guaranteed router: three realisations, one behaviour ----- #
-        engine_result = engine.route(s, t, provider=provider)
+        # --- the guaranteed router: one spec, two realisations ------------- #
+        try:
+            engine_result = engine.route(s, t, provider=provider)
+        except RoutingError as error:
+            # The spec returns a verdict where the engine gives up; the spec's
+            # result stands in for the engine's in the batch comparisons.
+            spec_result, _states = reference_route(graph, s, t, provider=provider)
+            engine_results.append(spec_result)
+            check(
+                "ues-engine", s, t, "spec-parity", False,
+                f"engine raised {error}; spec={spec_result}",
+            )
+            continue
         engine_results.append(engine_result)
         tally = tallies.setdefault("ues-engine", _Tally())
         tally.pairs += 1
@@ -457,18 +479,13 @@ def _check_static_scenario(
             engine_result.delivered == (engine_result.outcome is RouteOutcome.SUCCESS),
         )
 
-        wrapper_result = route(graph, s, t, provider=provider)
-        check(
-            "ues-route", s, t, "wrapper-parity",
-            wrapper_result == engine_result,
-            f"route()={wrapper_result} engine={engine_result}",
-        )
-        traced_result, _trace = engine.route_with_trace(s, t, provider=provider)
-        check(
-            "ues-engine", s, t, "trace-parity",
-            traced_result == engine_result,
-            "route_with_trace diverged from route",
-        )
+        if engine_result.total_virtual_steps <= _SPEC_STEP_CAP:
+            spec_result, _states = reference_route(graph, s, t, provider=provider)
+            check(
+                "ues-engine", s, t, "spec-parity",
+                spec_result == engine_result,
+                f"engine={engine_result} spec={spec_result}",
+            )
 
         if api_session is not None:
             # The facade builds its own network from the same spec, so parity
@@ -578,9 +595,13 @@ def _check_static_scenario(
     if is_streamed_scenario(spec):
         from repro.scenarios.streaming import family_from_spec, route_streamed_pairs
 
-        streamed_results = route_streamed_pairs(
-            family_from_spec(spec), list(pairs), provider=provider
-        )
+        try:
+            streamed_results: List[object] = route_streamed_pairs(
+                family_from_spec(spec), list(pairs), provider=provider
+            )
+        except RoutingError as error:
+            # One batch: a pair that raises leaves no result for any pair.
+            streamed_results = [f"raised: {error}"] * len(pairs)
         tallies.setdefault("ues-streamed", _Tally()).pairs = len(pairs)
         for (s, t), union_result, shard_result in zip(
             pairs, engine_results, streamed_results

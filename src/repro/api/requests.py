@@ -76,7 +76,13 @@ def _freeze_pairs(pairs) -> Optional[Pairs]:
 
 @dataclass(frozen=True)
 class RouteRequest(WireCodable):
-    """Route one message with Algorithm ``Route`` on a scenario's network."""
+    """Route one message with Algorithm ``Route`` on a scenario's network.
+
+    ``size_bound`` defaults to the size of the source's reduced component.  A
+    smaller bound is accepted, but its sequence is too short to explore the
+    component, so a FAILURE is then no confirmation that the pair is
+    disconnected (Theorem 1 needs the bound to cover the component).
+    """
 
     task: ClassVar[str] = "route"
 

@@ -41,36 +41,18 @@ invariant and ``benchmarks/bench_batch.py``).  Schedule batches always run
 the scalar loop: the schedule lockstep stepper measured slower than it on
 every batch tried.
 
-Results are bit-for-bit identical to the seed walkers: the kernel encodes the
-same rotation map, the step rule is unchanged, and the header accounting uses
-the same formulas.
-
 :class:`PreparedSchedule` extends the same treatment to the dynamic-topology
 extension (:mod:`repro.network.dynamics`, *not* part of the paper, which
-assumes a static network): every snapshot of a
-:class:`~repro.network.dynamics.TopologySchedule` is compiled into its walk
-kernel exactly once — rotation-identical snapshots share one kernel, and each
-compilation lands in the same per-graph cache the static engine uses — and
-the schedule walk *resumes* across switch-overs by translating the current
-virtual position between kernels in O(1) instead of re-deriving the reduction
-per call.  Each distinct kernel also gets fused state tables when the
-schedule is prepared (``forward[o][state]`` and ``owner_of_state[state]``
-over ``state = 3 * vertex + entry``), so the forward ticks between two switch
-times run as one tight loop over the ``bytes`` prefix that tests the target
-only when the owner changes.  Outcomes are identical to
-:func:`repro.network.dynamics.reference_route_over_schedule`, the original
-per-call implementation kept as the executable specification.
+assumes a static network): each snapshot's kernel is compiled once and the
+schedule walk *resumes* across switch-overs (see its docstring).
 
 **Serial reference vs. prepared/parallel split.**  Everything in this module
 is the *optimised* realisation; the executable specifications live elsewhere
 and are never edited for speed.  :func:`repro.core.routing.route` is a thin
-wrapper over ``prepare(graph).route``, so it does not specify static
-routing: the distributed :func:`repro.core.routing.route_on_network` (a
-message-passing simulation of the same walk) and the golden walk traces
-(``tests/data/golden_traces_*.json``) pin it until static routing gets an
-engine-free reference walker.
-:func:`repro.network.dynamics.reference_route_over_schedule` specifies the
-schedule walk, and
+wrapper over ``prepare(graph).route``, so it specifies nothing.  Results are
+bit-for-bit those of :func:`repro.network.dynamics.reference_route` (static
+routing) and :func:`repro.network.dynamics.reference_route_over_schedule`
+(the schedule walk), one dict-backed walk with no kernel, and
 :func:`repro.analysis.experiments.reference_run_parameter_sweep` specifies
 sweep aggregation (``tests/test_sweep_runner.py`` pins
 :func:`repro.analysis.runner.run_sweep` to it).  The conformance harness
@@ -90,8 +72,6 @@ exposes the cache sizes and hit counters for diagnostics.
 
 from __future__ import annotations
 
-import numbers
-from dataclasses import dataclass
 from operator import length_hint
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
@@ -99,12 +79,15 @@ from repro.core.kernel_store import kernel_store
 from repro.core.routing import (
     RouteOutcome,
     RouteResult,
+    _check_size_bound,
+    _check_start_port,
     _header_bits,
     default_provider,
 )
 from repro.core.universal import OffsetStream, SequenceProvider, offset_stream
 from repro.core.walk_kernel import CompiledWalk
 from repro.errors import RoutingError
+from repro.graphs.connectivity import connected_component
 from repro.graphs.degree_reduction import DegreeReducedGraph, reduce_to_three_regular
 from repro.graphs.labeled_graph import LabeledGraph
 from repro.network.dynamics import (
@@ -117,7 +100,6 @@ from repro.network.dynamics import (
 __all__ = [
     "PreparedNetwork",
     "PreparedSchedule",
-    "WalkTrace",
     "clear_prepared_caches",
     "kernel_store",
     "prepare",
@@ -224,13 +206,10 @@ class PreparedNetwork:
         reduced component — the quantity Algorithm ``CountNodes`` (Section 4)
         discovers — is read from the precomputed component table in O(1).
         """
-        if size_bound is not None:
-            if isinstance(size_bound, bool) or not isinstance(size_bound, numbers.Integral):
-                raise RoutingError(f"size_bound must be an integer, got {size_bound!r}")
-            if size_bound < 1:
-                raise RoutingError("size_bound must be positive")
-            return size_bound
-        return self._kernel.component_size(self._kernel.gateway(source))
+        if size_bound is None:
+            return self._kernel.component_size(self._kernel.gateway(source))
+        _check_size_bound(size_bound)
+        return size_bound
 
     def offsets_for(
         self, bound: int, provider: Optional[SequenceProvider] = None
@@ -247,41 +226,16 @@ class PreparedNetwork:
         """Connected component of ``vertex`` in the *original* graph (cached)."""
         if self._original_components is None:
             components: Dict[int, FrozenSet[int]] = {}
-            graph = self._graph
-            seen = set()
-            for start in graph.vertices:
-                if start in seen:
-                    continue
-                stack = [start]
-                members = {start}
-                while stack:
-                    v = stack.pop()
-                    for port in range(graph.degree(v)):
-                        w, _ = graph.rotation(v, port)
-                        if w not in members:
-                            members.add(w)
-                            stack.append(w)
-                frozen = frozenset(members)
-                seen |= members
-                for member in members:
-                    components[member] = frozen
+            for start in self._graph.vertices:
+                if start not in components:
+                    component = frozenset(connected_component(self._graph, start))
+                    components.update(dict.fromkeys(component, component))
             self._original_components = components
         return self._original_components[vertex]
 
     def _require_source(self, source: int) -> None:
         if not self._graph.has_vertex(source):
             raise RoutingError(f"source {source!r} is not a vertex of the graph")
-
-    @staticmethod
-    def _require_start_port(start_port: int) -> None:
-        # A walk state is ``3 * vertex + entry port``: any other entry port
-        # names a different vertex's state on the lockstep path.
-        if (
-            isinstance(start_port, bool)
-            or not isinstance(start_port, numbers.Integral)
-            or not 0 <= start_port <= 2
-        ):
-            raise RoutingError(f"start_port must be 0, 1 or 2, got {start_port!r}")
 
     # ------------------------------------------------------------------ #
     # Routing (the hot path)
@@ -299,11 +253,17 @@ class PreparedNetwork:
         """Run Algorithm ``Route`` against the prepared state.
 
         Same contract and same results as :func:`repro.core.routing.route`
-        (which is now a thin wrapper over this method); only the constant
-        factor differs.
+        (which is a thin wrapper over this method) and as the executable
+        specification :func:`repro.network.dynamics.reference_route`; only the
+        constant factor differs.
+
+        ``size_bound`` defaults to the size of the source's reduced component.
+        A smaller bound is accepted, but its sequence is too short to explore
+        the component, so a FAILURE is then no confirmation that the pair is
+        disconnected (Theorem 1 needs the bound to cover the component).
         """
         self._require_source(source)
-        self._require_start_port(start_port)
+        _check_start_port(start_port)
         kernel = self._kernel
         gateway = kernel.gateway(source)
         bound = self.resolve_size_bound(source, size_bound)
@@ -453,7 +413,7 @@ class PreparedNetwork:
         :func:`repro.core.broadcast.broadcast` reports.
         """
         self._require_source(source)
-        self._require_start_port(start_port)
+        _check_start_port(start_port)
         kernel = self._kernel
         bound = self.resolve_size_bound(source, size_bound)
         offsets = self.offsets_for(bound, provider).offsets()
@@ -485,7 +445,7 @@ class PreparedNetwork:
     ) -> Tuple[bool, int, int, int]:
         """Forward phase only; returns ``(connected, steps, length, bound)``."""
         self._require_source(source)
-        self._require_start_port(start_port)
+        _check_start_port(start_port)
         kernel = self._kernel
         gateway = kernel.gateway(source)
         bound = self.resolve_size_bound(source, size_bound)
@@ -511,74 +471,6 @@ class PreparedNetwork:
                 if owner[vertex] == target:
                     return True, steps, length, bound
         return False, steps, length, bound
-
-    # ------------------------------------------------------------------ #
-    # Traced routing (golden-trace regression support)
-    # ------------------------------------------------------------------ #
-
-    def route_with_trace(
-        self,
-        source: int,
-        target: int,
-        provider: Optional[SequenceProvider] = None,
-        size_bound: Optional[int] = None,
-        start_port: int = 0,
-        namespace_size: Optional[int] = None,
-    ) -> Tuple[RouteResult, "WalkTrace"]:
-        """Run :meth:`route` while recording every walk state.
-
-        Returns the exact :class:`~repro.core.routing.RouteResult` of a plain
-        :meth:`route` call together with the full ``(virtual vertex, entry
-        port)`` state sequence of both phases.  All outcome/accounting logic
-        lives in :meth:`route`; the trace is reconstructed afterwards by
-        replaying the walk's step counts through the kernel, so the two can
-        never drift apart.  The golden-trace regression tests serialize these
-        sequences into ``tests/data/`` and assert the engine reproduces them
-        bit for bit across refactors.
-        """
-        result = self.route(
-            source,
-            target,
-            provider=provider,
-            size_bound=size_bound,
-            start_port=start_port,
-            namespace_size=namespace_size,
-        )
-        kernel = self._kernel
-        offsets = self.offsets_for(result.size_bound, provider).extend_to(
-            result.forward_virtual_steps
-        )
-
-        vertex, entry = kernel.gateway(source), start_port
-        forward_states: List[Tuple[int, int]] = [(vertex, entry)]
-        for index in range(result.forward_virtual_steps):
-            vertex, entry = kernel.step_forward(vertex, entry, offsets[index])
-            forward_states.append((vertex, entry))
-
-        backward_states: List[Tuple[int, int]] = []
-        index = result.forward_virtual_steps
-        for _ in range(result.backward_virtual_steps):
-            vertex, entry = kernel.step_backward(vertex, entry, offsets[index - 1])
-            index -= 1
-            backward_states.append((vertex, entry))
-
-        return result, WalkTrace(
-            forward=tuple(forward_states), backward=tuple(backward_states)
-        )
-
-
-@dataclass(frozen=True)
-class WalkTrace:
-    """Full ``(virtual vertex, entry port)`` state sequence of one routing walk.
-
-    ``forward`` lists every state of the forward phase, the starting state
-    included; ``backward`` lists the state reached after each backtracking
-    step.  Together they pin down the walk completely: two runs that agree on
-    both tuples took identical steps through the reduced graph.
-    """
-
-    forward: Tuple[Tuple[int, int], ...]
-    backward: Tuple[Tuple[int, int], ...]
 
 
 # ---------------------------------------------------------------------- #
@@ -986,7 +878,7 @@ def route_many_multi(
     """
     from repro.core.batch_kernel import HAVE_NUMPY
 
-    PreparedNetwork._require_start_port(start_port)
+    _check_start_port(start_port)
     normalized: List[Tuple[PreparedNetwork, List[Tuple[int, int]], Optional[int]]] = []
     for engine_or_graph, pairs, namespace_size in tasks:
         engine = (

@@ -21,7 +21,7 @@ distributed realisation lives in :mod:`repro.core.routing`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Protocol, Sequence, Set, Tuple
+from typing import Iterator, Optional, Protocol, Sequence, Set, Tuple
 
 from repro.errors import SequenceExhaustedError
 from repro.graphs.connectivity import connected_component
@@ -34,7 +34,6 @@ __all__ = [
     "step_forward",
     "step_backward",
     "walk_states",
-    "walk_vertices",
     "covers_component",
     "coverage_steps",
 ]
@@ -165,17 +164,6 @@ def walk_states(
     for index in range(limit):
         state = step_forward(graph, state, sequence[index])
         yield state
-
-
-def walk_vertices(
-    graph: LabeledGraph,
-    sequence: ExplorationSequence,
-    start_vertex: int,
-    start_port: int = 0,
-    max_steps: Optional[int] = None,
-) -> List[int]:
-    """Vertices visited by the walk, in order (starting vertex first)."""
-    return [state.vertex for state in walk_states(graph, sequence, start_vertex, start_port, max_steps)]
 
 
 def covers_component(

@@ -39,8 +39,8 @@ but do not silently absorb transit traffic.  Crashed processes are silent;
 ``FailurePlan.failed_links`` break the logical channel between a pair.
 
 Accountability (after pod, arXiv:2501.14931): every wire transmission is
-logged as a :class:`BroadcastEvent`, and the run's event logs are
-cross-examined for equivocation — two messages of the same kind, same sender,
+logged at arrival (a caller reads the log as :class:`BroadcastEvent`
+records), and the run's logs are cross-examined for equivocation — two messages of the same kind, same sender,
 different values — producing attributable :class:`Evidence` records rather
 than a bare "agreement broke" verdict.
 """
@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.engine import PreparedNetwork, prepare
@@ -121,6 +122,10 @@ class QuorumThresholds:
         )
 
 
+#: One wire arrival as a run logs it: ``(time, seq, sender, receiver, kind, value)``.
+_Arrival = Tuple[int, int, int, int, str, str]
+
+
 @dataclass(frozen=True)
 class BroadcastEvent:
     """One wire transmission, recorded at arrival (the golden-trace unit)."""
@@ -155,7 +160,10 @@ class ReliableBroadcastResult:
     (ascending node order); ``honest`` is the node set the guarantees
     quantify over (neither Byzantine nor crashed); ``origin_sent_values``
     are the values the source actually put into ``SEND`` messages — the
-    reference set for the no-false-delivery invariant.
+    reference set for the no-false-delivery invariant.  ``arrivals`` is the
+    wire log, one ``(time, seq, sender, receiver, kind, value)`` tuple per
+    arrival; :attr:`events` is the same log as :class:`BroadcastEvent`
+    records, built on first read.
     """
 
     source: int
@@ -170,8 +178,13 @@ class ReliableBroadcastResult:
     messages_sent: int
     final_time: int
     header_bits: int
-    events: Tuple[BroadcastEvent, ...]
+    arrivals: Tuple[_Arrival, ...]
     evidence: Tuple[Evidence, ...]
+
+    @cached_property
+    def events(self) -> Tuple[BroadcastEvent, ...]:
+        """Every wire transmission, in arrival order (the golden-trace unit)."""
+        return tuple(BroadcastEvent(*arrival) for arrival in self.arrivals)
 
     @property
     def n(self) -> int:
@@ -340,8 +353,7 @@ class _BrachaRun:
     The fault model and the quorum sizes are resolved once per run, into
     sets, a dict and ints, so a message costs set and dict lookups only.  The
     loop keeps each popped heap entry ``(time, seq, sender, receiver, kind,
-    value)`` as it is; :meth:`result` turns them into
-    :class:`BroadcastEvent` records once, at the end.
+    value)`` as it is, and so does the result.
     """
 
     def __init__(
@@ -378,8 +390,8 @@ class _BrachaRun:
 
         self.rank = {node: index for index, node in enumerate(self.nodes)}
         self.state = {node: _NodeState() for node in self.nodes}
-        self.queue: List[Tuple[int, int, int, int, str, str]] = []
-        self.arrivals: List[Tuple[int, int, int, int, str, str]] = []
+        self.queue: List[_Arrival] = []
+        self.arrivals: List[_Arrival] = []
         self.seq = 0
         self.messages_sent = 0
         self.now = 0
@@ -566,7 +578,7 @@ class _BrachaRun:
 
     def result(self) -> ReliableBroadcastResult:
         """Assemble the immutable run record."""
-        events = tuple(BroadcastEvent(*entry) for entry in self.arrivals)
+        arrivals = tuple(self.arrivals)
         excluded = self.crashed | set(self.behavior)
         honest = tuple(node for node in self.nodes if node not in excluded)
         delivered = tuple(
@@ -592,12 +604,12 @@ class _BrachaRun:
             messages_sent=self.messages_sent,
             final_time=self.now,
             header_bits=_header_bits(len(self.nodes), self.values_seen),
-            events=events,
-            evidence=tuple(_detect_equivocation(events)),
+            arrivals=arrivals,
+            evidence=tuple(_detect_equivocation(arrivals)),
         )
 
 
-def _detect_equivocation(events: List[BroadcastEvent]) -> List[Evidence]:
+def _detect_equivocation(arrivals: Tuple[_Arrival, ...]) -> List[Evidence]:
     """Cross-examine the wire logs for same-kind/different-value senders.
 
     This is the pod-style accountability pass: each receiver's log is honest
@@ -609,21 +621,21 @@ def _detect_equivocation(events: List[BroadcastEvent]) -> List[Evidence]:
     """
     first: Dict[Tuple[int, str], Tuple[str, int]] = {}
     accused_kinds: Dict[Tuple[int, str], Evidence] = {}
-    for event in events:
-        key = (event.sender, event.kind)
+    for _time, _seq, sender, receiver, kind, sent in arrivals:
+        key = (sender, kind)
         seen = first.get(key)
         if seen is None:
-            first[key] = (event.value, event.receiver)
+            first[key] = (sent, receiver)
             continue
         value, witness = seen
-        if event.value != value and key not in accused_kinds:
+        if sent != value and key not in accused_kinds:
             accused_kinds[key] = Evidence(
-                accused=event.sender,
-                witness=min(witness, event.receiver),
+                accused=sender,
+                witness=min(witness, receiver),
                 kind="equivocation",
                 detail=(
-                    f"{event.kind} for {value!r} (to {witness}) and "
-                    f"{event.value!r} (to {event.receiver})"
+                    f"{kind} for {value!r} (to {witness}) and "
+                    f"{sent!r} (to {receiver})"
                 ),
             )
     return [accused_kinds[key] for key in sorted(accused_kinds)]

@@ -33,6 +33,7 @@ same network pay only for the walk itself.
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -185,6 +186,28 @@ def _route_header_widths(name_bits: int, index_bits: int) -> Dict[str, int]:
 #: The header's ``status`` codes (none / success / failure) and back.
 _STATUS_CODE = {None: 0, RouteOutcome.SUCCESS: 1, RouteOutcome.FAILURE: 2}
 _STATUS_OF = {code: status for status, code in _STATUS_CODE.items()}
+
+
+def _check_start_port(start_port: object) -> None:
+    """Refuse an entry port of the initial edge outside 0..2.
+
+    A walk state is ``3 * vertex + entry port``: any other entry port names a
+    different vertex's state on the lockstep path.
+    """
+    if (
+        isinstance(start_port, bool)
+        or not isinstance(start_port, numbers.Integral)
+        or not 0 <= start_port <= 2
+    ):
+        raise RoutingError(f"start_port must be 0, 1 or 2, got {start_port!r}")
+
+
+def _check_size_bound(size_bound: object) -> None:
+    """Refuse a ``size_bound`` that is not a positive integer."""
+    if isinstance(size_bound, bool) or not isinstance(size_bound, numbers.Integral):
+        raise RoutingError(f"size_bound must be an integer, got {size_bound!r}")
+    if size_bound < 1:
+        raise RoutingError("size_bound must be positive")
 
 
 def _header_bits(namespace_size: int, sequence_length: int) -> int:

@@ -20,9 +20,10 @@ stepping.
 
 The kernel is a pure compilation of an existing
 :class:`~repro.graphs.degree_reduction.DegreeReducedGraph`; it changes the
-representation, never the walk semantics — ``step_forward``/``step_backward``
-here agree state-for-state with :func:`repro.core.exploration.step_forward`
-and :func:`repro.core.exploration.step_backward` on the same reduced graph.
+representation, never the walk semantics: a walk over these arrays agrees
+state for state with :func:`repro.network.dynamics.reference_route`, which
+steps :func:`repro.core.exploration.step_forward` /
+:func:`repro.core.exploration.step_backward` over the same reduced graph.
 A kernel keeps no reference to the reduction it was compiled from; the few
 callers that need the reduction object recompute it from the source graph
 (:attr:`repro.core.engine.PreparedNetwork.reduction`).
@@ -178,16 +179,6 @@ class CompiledWalk:
     # ------------------------------------------------------------------ #
     # Walk primitives (semantics identical to repro.core.exploration)
     # ------------------------------------------------------------------ #
-
-    def step_forward(self, vertex: int, entry_port: int, offset: int) -> Tuple[int, int]:
-        """One forward step; returns the new ``(vertex, entry_port)``."""
-        e = 3 * vertex + (entry_port + offset) % 3
-        return self.next_vertex[e], self.next_port[e]
-
-    def step_backward(self, vertex: int, entry_port: int, offset: int) -> Tuple[int, int]:
-        """Undo one step taken with ``offset``; returns the prior ``(vertex, entry_port)``."""
-        e = 3 * vertex + entry_port
-        return self.next_vertex[e], (self.next_port[e] - offset) % 3
 
     def walk_vertices(
         self,

@@ -17,7 +17,6 @@ from repro.graphs.labeled_graph import LabeledGraph
 
 __all__ = [
     "connected_component",
-    "connected_components",
     "is_connected",
     "are_connected",
     "shortest_path_lengths",
@@ -42,19 +41,6 @@ def connected_component(graph: LabeledGraph, source: int) -> Set[int]:
                 seen.add(w)
                 frontier.append(w)
     return seen
-
-
-def connected_components(graph: LabeledGraph) -> List[Set[int]]:
-    """Return all connected components, largest first."""
-    remaining = set(graph.vertices)
-    components: List[Set[int]] = []
-    while remaining:
-        start = next(iter(remaining))
-        component = connected_component(graph, start)
-        components.append(component)
-        remaining -= component
-    components.sort(key=len, reverse=True)
-    return components
 
 
 def is_connected(graph: LabeledGraph) -> bool:

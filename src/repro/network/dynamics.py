@@ -16,13 +16,14 @@ flagged in DESIGN.md §6:
   walk's current edge disappeared — the clean detection of a model violation),
   or silently wrong (a failure report even though a path existed throughout).
 
-Since PR 2 the replay itself is executed by the schedule-aware prepared
-engine (:class:`repro.core.engine.PreparedSchedule`): every snapshot is
-compiled into a flat-array walk kernel once and the walk *resumes* across
-switch-overs instead of re-deriving the reduction per call.
-:func:`reference_route_over_schedule` keeps the original, dict-backed
-implementation as the executable specification; the engine is tested (and
-benchmarked, see ``benchmarks/bench_schedule.py``) against it step for step.
+The replay itself runs on the schedule-aware prepared engine
+(:class:`repro.core.engine.PreparedSchedule`).  This module also holds the
+one executable specification of ``Route``: a dict-backed walk over the Fig. 1
+reduction's rotation map, never over a compiled kernel, run over a schedule
+by :func:`reference_route_over_schedule` and over a static graph by
+:func:`reference_route`.  The engines must equal them result for result
+(the ``spec-parity`` and ``schedule-engine-parity`` conformance invariants,
+the golden walk traces and the parity tests).
 
 The results are used by tests and by downstream users who want to know how far
 the static-model guarantee stretches; they are *not* claims made by the paper.
@@ -32,10 +33,17 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.core.exploration import WalkState, step_backward, step_forward
-from repro.core.routing import default_provider
+from repro.core.routing import (
+    RouteOutcome,
+    RouteResult,
+    _check_size_bound,
+    _check_start_port,
+    _header_bits,
+    default_provider,
+)
 from repro.core.universal import SequenceProvider
 from repro.errors import GraphStructureError, RoutingError
 from repro.graphs.connectivity import are_connected, connected_component
@@ -49,6 +57,7 @@ __all__ = [
     "validate_schedule",
     "route_over_schedule",
     "reference_route_over_schedule",
+    "reference_route",
 ]
 
 
@@ -162,13 +171,9 @@ def route_over_schedule(
     report is sound only if source and target were indeed disconnected in at
     least one snapshot; stranding is never sound (the source learns nothing).
 
-    The walk runs on the schedule-aware prepared engine: each snapshot's
-    degree reduction and flat-array kernel are compiled once (shared between
-    rotation-identical snapshots and with the static per-graph engine cache)
-    and the walk state is carried across switch-overs, so repeated calls over
-    one schedule pay only for the walk itself.  Results are identical to
-    :func:`reference_route_over_schedule`, the original per-call
-    implementation kept as the executable specification.
+    The walk runs on the schedule-aware prepared engine, which compiles each
+    snapshot once; results are identical to
+    :func:`reference_route_over_schedule`, the executable specification.
     """
     validate_schedule(schedule)
     # Imported lazily: repro.core.engine imports this module for the schedule
@@ -188,69 +193,147 @@ def reference_route_over_schedule(
     provider: Optional[SequenceProvider] = None,
     size_bound: Optional[int] = None,
 ) -> DynamicRouteResult:
-    """The original dict-backed schedule walker, kept as executable spec.
+    """The executable specification of :func:`route_over_schedule`.
 
-    This is the pre-engine implementation of :func:`route_over_schedule`,
-    byte-for-byte in behaviour: it re-derives the source's component bound on
-    every call and steps the walk through the dict-of-tuples rotation map.
-    The schedule-aware engine must agree with it on every schedule — the
-    parity tests in ``tests/test_dynamics.py`` and the speedup benchmark in
-    ``benchmarks/bench_schedule.py`` both compare against this function.
+    :func:`_reference_walk` over the schedule, ending at the first delivery.
+    The schedule engine must agree with it on every schedule (the parity
+    tests in ``tests/test_dynamics.py``, ``schedule-engine-parity``).
+    """
+    walk = _reference_walk(schedule, source, target, provider, size_bound, 0, True)
+    sound = walk.outcome is DynamicOutcome.DELIVERED
+    detail = walk.detail
+    if walk.outcome is DynamicOutcome.REPORTED_FAILURE:
+        sound = not schedule.always_connected(source, target)
+        detail = "" if sound else "failure reported although a path existed throughout"
+    return DynamicRouteResult(walk.outcome, walk.steps, walk.switches_survived, sound, detail)
+
+
+def reference_route(
+    graph: LabeledGraph,
+    source: int,
+    target: int,
+    provider: Optional[SequenceProvider] = None,
+    size_bound: Optional[int] = None,
+    start_port: int = 0,
+    namespace_size: Optional[int] = None,
+) -> Tuple[RouteResult, Tuple[Tuple[int, int], ...]]:
+    """The executable specification of Algorithm ``Route`` on a static graph.
+
+    :func:`_reference_walk` over ``TopologySchedule.static(graph)``, on to the
+    end of backtracking.  Returns the :class:`~repro.core.routing.RouteResult`
+    that :meth:`repro.core.engine.PreparedNetwork.route` must equal, and every
+    ``(virtual vertex, entry port)`` state of the walk: the start state, one
+    per forward step, then one per backtracking step.  A ``size_bound`` below
+    the source's reduced component gives a sequence too short to explore it,
+    so a FAILURE is then no confirmation that the pair is disconnected.
+    """
+    walk = _reference_walk(
+        TopologySchedule.static(graph), source, target, provider, size_bound, start_port, False
+    )
+    if walk.outcome is DynamicOutcome.STRANDED:
+        raise RoutingError(f"backtracking failed to return to the source: {walk.detail}")
+    delivered = walk.outcome is DynamicOutcome.DELIVERED
+    namespace = namespace_size if namespace_size is not None else max(1, graph.num_vertices)
+    result = RouteResult(
+        outcome=RouteOutcome.SUCCESS if delivered else RouteOutcome.FAILURE,
+        delivered=delivered,
+        source=source,
+        target=target,
+        size_bound=walk.size_bound,
+        sequence_length=walk.sequence_length,
+        forward_virtual_steps=walk.forward_steps,
+        backward_virtual_steps=walk.backward_steps,
+        physical_hops=walk.physical_hops,
+        target_found_at_step=walk.target_found_at,
+        header_bits=_header_bits(namespace, walk.sequence_length),
+    )
+    return result, walk.states
+
+
+@dataclass(frozen=True)
+class _ReferenceWalk:
+    """How one :func:`_reference_walk` ended; ``steps`` is its final sequence index."""
+
+    outcome: DynamicOutcome
+    size_bound: int
+    sequence_length: int
+    steps: int
+    switches_survived: int
+    forward_steps: int
+    backward_steps: int
+    physical_hops: int
+    target_found_at: Optional[int]
+    states: Tuple[Tuple[int, int], ...]
+    detail: str
+
+
+def _reference_walk(
+    schedule: TopologySchedule,
+    source: int,
+    target: int,
+    provider: Optional[SequenceProvider],
+    size_bound: Optional[int],
+    start_port: int,
+    stop_at_target: bool,
+) -> _ReferenceWalk:
+    """The one dict-backed ``Route`` walk, one tick per step.
+
+    Each tick consults the snapshot active at that time.  The forward phase
+    steps :func:`~repro.core.exploration.step_forward` over the Fig. 1
+    reduction's rotation map until the target is met or ``T_n`` runs out;
+    backtracking steps :func:`~repro.core.exploration.step_backward` until the
+    walk is back on a virtual node of the source.  A walk that meets the
+    target ends there when ``stop_at_target`` (the schedule walk) and
+    otherwise backtracks to carry the verdict home (static ``Route``).
+    The outcome is DELIVERED once the target was met, REPORTED_FAILURE when
+    the exhausted walk got back to the source, and STRANDED otherwise.
     """
     validate_schedule(schedule)
-    base_graph = schedule.snapshots[0]
-    if not base_graph.has_vertex(source):
+    if not schedule.snapshots[0].has_vertex(source):
         raise RoutingError(f"source {source!r} is not a vertex of the network")
+    _check_start_port(start_port)
     if provider is None:
         provider = default_provider()
     # One reduction per distinct snapshot *object* (schedules that repeat a
     # graph object share its reduction, so re-activating it never registers as
     # a switch — the behaviour the engine must reproduce).
-    reductions_by_id: dict = {}
-    reductions: List[DegreeReducedGraph] = []
+    reductions: Dict[int, DegreeReducedGraph] = {}
     for graph in schedule.snapshots:
-        cached = reductions_by_id.get(id(graph))
-        if cached is None:
-            cached = reduce_to_three_regular(graph)
-            reductions_by_id[id(graph)] = cached
-        reductions.append(cached)
+        if id(graph) not in reductions:
+            reductions[id(graph)] = reduce_to_three_regular(graph)
+    reduction = reductions[id(schedule.snapshots[0])]
     if size_bound is None:
-        size_bound = len(
-            connected_component(reductions[0].graph, reductions[0].gateway(source))
-        )
+        size_bound = len(connected_component(reduction.graph, reduction.gateway(source)))
+    _check_size_bound(size_bound)
     sequence = provider.sequence_for(size_bound)
-
-    def reduction_at(time: int) -> DegreeReducedGraph:
-        active_index = 0
-        for index, start in enumerate(schedule.switch_times):
-            if time >= start:
-                active_index = index
-        return reductions[active_index]
+    length = len(sequence)
 
     # The walk state is tracked as (original vertex, virtual offset within its
     # cluster, entry port); expressing it this way keeps it meaningful across
     # snapshot switches as long as the vertex's degree is unchanged.
-    reduction = reduction_at(0)
-    state = WalkState(vertex=reduction.gateway(source), entry_port=0)
+    state = WalkState(vertex=reduction.gateway(source), entry_port=start_port)
+    states = [(state.vertex, state.entry_port)]
     current_original = source
-    switches_survived = 0
-    steps = 0
+    switches_survived = steps = forward_steps = backward_steps = physical_hops = 0
+    target_found_at: Optional[int] = None
     direction_forward = True
-    status_failure = False
 
-    for time in range(2 * len(sequence) + 2):
-        new_reduction = reduction_at(time)
+    def ended(outcome: DynamicOutcome, detail: str = "") -> _ReferenceWalk:
+        return _ReferenceWalk(
+            outcome, size_bound, length, steps, switches_survived, forward_steps,
+            backward_steps, physical_hops, target_found_at, tuple(states), detail,
+        )
+
+    for time in range(2 * length + 2):
+        new_reduction = reductions[id(schedule.active_at(time))]
         if new_reduction is not reduction:
             switches_survived += 1
             cluster = new_reduction.cluster(current_original)
             old_cluster = reduction.cluster(current_original)
             if len(cluster) != len(old_cluster):
-                return DynamicRouteResult(
-                    outcome=DynamicOutcome.STRANDED,
-                    steps_taken=steps,
-                    switches_survived=switches_survived,
-                    sound=False,
-                    detail=f"degree of node {current_original} changed under the message",
+                return ended(
+                    DynamicOutcome.STRANDED,
+                    f"degree of node {current_original} changed under the message",
                 )
             offset = old_cluster.index(state.vertex)
             state = WalkState(vertex=cluster[offset], entry_port=state.entry_port)
@@ -258,36 +341,30 @@ def reference_route_over_schedule(
 
         if direction_forward:
             if current_original == target:
-                return DynamicRouteResult(
-                    outcome=DynamicOutcome.DELIVERED,
-                    steps_taken=steps,
-                    switches_survived=switches_survived,
-                    sound=True,
-                )
-            if steps >= len(sequence):
+                target_found_at = forward_steps
+                if stop_at_target:
+                    return ended(DynamicOutcome.DELIVERED)
                 direction_forward = False
-                status_failure = True
+                continue
+            if steps >= length:
+                direction_forward = False
                 continue
             state = step_forward(reduction.graph, state, sequence[steps])
             steps += 1
+            forward_steps += 1
         else:
             if current_original == source or steps == 0:
-                sound = not schedule.always_connected(source, target) if status_failure else True
-                return DynamicRouteResult(
-                    outcome=DynamicOutcome.REPORTED_FAILURE,
-                    steps_taken=steps,
-                    switches_survived=switches_survived,
-                    sound=sound,
-                    detail="" if sound else "failure reported although a path existed throughout",
+                found = target_found_at is not None
+                return ended(
+                    DynamicOutcome.DELIVERED if found else DynamicOutcome.REPORTED_FAILURE
                 )
             state = step_backward(reduction.graph, state, sequence[steps - 1])
             steps -= 1
-        current_original = reduction.to_original(state.vertex)
+            backward_steps += 1
+        states.append((state.vertex, state.entry_port))
+        new_original = reduction.to_original(state.vertex)
+        if new_original != current_original:
+            physical_hops += 1
+        current_original = new_original
 
-    return DynamicRouteResult(
-        outcome=DynamicOutcome.STRANDED,
-        steps_taken=steps,
-        switches_survived=switches_survived,
-        sound=False,
-        detail="walk did not terminate within its budget",
-    )
+    return ended(DynamicOutcome.STRANDED, "walk did not terminate within its budget")

@@ -9,6 +9,7 @@ the same static snapshot.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -20,7 +21,12 @@ from repro.analysis.conformance import (
     conformance_pass,
     default_conformance_matrix,
 )
-from repro.analysis.experiments import ScenarioSpec, build_schedule
+from repro.analysis.experiments import (
+    ScenarioSpec,
+    build_scenario,
+    build_schedule,
+    pick_source_target_pairs,
+)
 from repro.baselines import applicable_routers
 from repro.baselines.dfs_routing import dfs_token_route
 from repro.baselines.flooding import flood_route
@@ -120,6 +126,36 @@ def test_violations_are_reported_not_swallowed(provider, monkeypatch):
         for violation in report.violations
     )
     assert all(isinstance(violation, ConformanceViolation) for violation in report.violations)
+
+
+def test_engine_that_diverges_from_the_spec_is_a_named_violation(provider, monkeypatch):
+    """An engine that miscounts, or raises, fails spec-parity for that pair."""
+    from repro.core.engine import PreparedNetwork
+    from repro.errors import RoutingError
+
+    honest_route = PreparedNetwork.route
+
+    def faulty_route(self, source, target, **kwargs):
+        if source % 2:
+            raise RoutingError("backtracking failed to return to the source")
+        result = honest_route(self, source, target, **kwargs)
+        return dataclasses.replace(result, physical_hops=result.physical_hops + 1)
+
+    monkeypatch.setattr(PreparedNetwork, "route", faulty_route)
+    report = conformance_pass(
+        scenarios=[ScenarioSpec(name="ring-n8", family="ring", size=8, seed=0)],
+        pairs_per_scenario=4,
+        provider=provider,
+    )
+    flagged = {
+        (violation.source, violation.target)
+        for violation in report.violations
+        if violation.invariant == "spec-parity" and violation.scenario == "ring-n8"
+    }
+    pairs = pick_source_target_pairs(
+        build_scenario(ScenarioSpec(name="ring-n8", family="ring", size=8)), 4, seed=0
+    )
+    assert flagged == set(pairs)
 
 
 def test_applicable_routers_filters_by_scenario_shape():

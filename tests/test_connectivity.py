@@ -11,7 +11,6 @@ from repro.graphs import generators
 from repro.graphs.connectivity import (
     are_connected,
     connected_component,
-    connected_components,
     is_connected,
     shortest_path,
     shortest_path_lengths,
@@ -29,11 +28,6 @@ def test_connected_component_respects_disconnection(two_components):
     assert component == {0, 1, 2, 3, 4}
 
 
-def test_connected_components_ordering(two_components):
-    components = connected_components(two_components)
-    assert [len(c) for c in components] == [5, 4]
-
-
 def test_is_connected(grid_4x4, two_components):
     assert is_connected(grid_4x4)
     assert not is_connected(two_components)
@@ -47,7 +41,6 @@ def test_are_connected(two_components):
 def test_empty_graph_is_connected():
     empty = LabeledGraph({})
     assert is_connected(empty)
-    assert connected_components(empty) == []
 
 
 def test_shortest_path_lengths_grid():
@@ -89,7 +82,7 @@ def test_shortest_path_unknown_vertex_raises(grid_4x4):
 def test_isolated_vertex_component():
     graph = LabeledGraph.from_edges([(0, 1)], vertices=[0, 1, 2])
     assert connected_component(graph, 2) == {2}
-    assert [len(c) for c in connected_components(graph)] == [2, 1]
+    assert connected_component(graph, 0) == {0, 1}
 
 
 @settings(max_examples=30, deadline=None)

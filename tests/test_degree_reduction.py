@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from repro.errors import GraphStructureError
 from repro.graphs import generators
-from repro.graphs.connectivity import are_connected, connected_components, is_connected
+from repro.graphs.connectivity import are_connected, connected_component, is_connected
 from repro.graphs.degree_reduction import (
     CYCLE_NEXT_PORT,
     CYCLE_PREV_PORT,
@@ -130,8 +130,10 @@ def test_isolated_vertex_becomes_loop_cluster():
     assert reduction.graph.is_regular(3)
     assert reduction.cluster_size(2) == 1
     # The isolated cluster stays its own component.
-    components = connected_components(reduction.graph)
-    assert len(components) == 2
+    isolated = reduction.gateway(2)
+    assert connected_component(reduction.graph, isolated) == {isolated}
+    rest = connected_component(reduction.graph, reduction.gateway(0))
+    assert len(rest) == reduction.graph.num_vertices - 1
 
 
 def test_degree_one_vertex_gets_self_loop():
@@ -182,6 +184,9 @@ def test_property_reduction_regular_and_connectivity_preserving(n, p, seed):
     graph = LabeledGraph.from_edges(edges, vertices=range(n))
     reduction = reduce_to_three_regular(graph)
     assert reduction.graph.is_regular(3)
-    original_components = len(connected_components(graph))
-    reduced_components = len(connected_components(reduction.graph))
-    assert original_components == reduced_components
+    # Each vertex's reduced component is exactly the clusters of its
+    # original component, so the two graphs have the same components.
+    for vertex in graph.vertices:
+        reduced = connected_component(reduction.graph, reduction.gateway(vertex))
+        owners = {reduction.to_original(virtual) for virtual in reduced}
+        assert owners == connected_component(graph, vertex)

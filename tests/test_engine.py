@@ -2,80 +2,37 @@
 
 The engine must be a pure representation change: every result it produces has
 to agree step-for-step with the seed pipeline (re-reduce per call + dict-based
-rotation walk).  The reference implementation below *is* that seed pipeline,
-reconstructed from the primitives it used, so these tests pin the engine to
-the original walk semantics rather than to its own output.
+rotation walk).  That pipeline is the executable specification
+:func:`repro.network.dynamics.reference_route`, so these tests pin the engine
+to the original walk semantics rather than to its own output.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 
 from repro.core.engine import PreparedNetwork, prepare, route_many_multi
-from repro.core.exploration import WalkState, step_backward, step_forward
 from repro.core.routing import RouteOutcome, route
 from repro.errors import RoutingError
 from repro.graphs import generators
 from repro.graphs.connectivity import connected_component
-from repro.graphs.degree_reduction import reduce_to_three_regular
 from repro.network.adhoc import build_graph_network
-
-
-def _reference_route(graph, source, target, provider, start_port=0):
-    """The seed ``route()`` walk, on the seed data structures."""
-    reduction = reduce_to_three_regular(graph)
-    reduced = reduction.graph
-    gateway = reduction.gateway(source)
-    bound = len(connected_component(reduced, gateway))
-    sequence = provider.sequence_for(bound)
-    length = len(sequence)
-
-    state = WalkState(vertex=gateway, entry_port=start_port)
-    index = forward = hops = 0
-    target_found_at = None
-    while True:
-        if reduction.to_original(state.vertex) == target:
-            outcome = RouteOutcome.SUCCESS
-            target_found_at = forward
-            break
-        if index >= length:
-            outcome = RouteOutcome.FAILURE
-            break
-        next_state = step_forward(reduced, state, sequence[index])
-        index += 1
-        forward += 1
-        if reduction.to_original(next_state.vertex) != reduction.to_original(state.vertex):
-            hops += 1
-        state = next_state
-    backward = 0
-    while reduction.to_original(state.vertex) != source and index > 0:
-        previous = step_backward(reduced, state, sequence[index - 1])
-        index -= 1
-        backward += 1
-        if reduction.to_original(previous.vertex) != reduction.to_original(state.vertex):
-            hops += 1
-        state = previous
-    return {
-        "outcome": outcome,
-        "forward": forward,
-        "backward": backward,
-        "hops": hops,
-        "bound": bound,
-        "length": length,
-        "target_found_at": target_found_at,
-    }
+from repro.network.dynamics import (
+    DynamicOutcome,
+    TopologySchedule,
+    reference_route,
+    reference_route_over_schedule,
+)
 
 
 def _assert_matches_reference(graph, source, target, provider, start_port=0):
-    expected = _reference_route(graph, source, target, provider, start_port)
+    expected, _states = reference_route(
+        graph, source, target, provider=provider, start_port=start_port
+    )
     result = prepare(graph).route(source, target, provider=provider, start_port=start_port)
-    assert result.outcome is expected["outcome"]
-    assert result.forward_virtual_steps == expected["forward"]
-    assert result.backward_virtual_steps == expected["backward"]
-    assert result.physical_hops == expected["hops"]
-    assert result.size_bound == expected["bound"]
-    assert result.sequence_length == expected["length"]
-    assert result.target_found_at_step == expected["target_found_at"]
+    assert result == expected
 
 
 @pytest.mark.parametrize("target", [0, 3, 7, 15])
@@ -141,10 +98,30 @@ def test_prepare_rejects_non_graph():
 
 def test_engine_route_validates_inputs(provider, grid_4x4):
     engine = prepare(grid_4x4)
-    with pytest.raises(RoutingError):
-        engine.route(999, 0, provider=provider)
-    with pytest.raises(RoutingError):
-        engine.route(0, 1, provider=provider, size_bound=0)
+    for route_call in (engine.route, partial(reference_route, grid_4x4)):
+        with pytest.raises(RoutingError):
+            route_call(999, 0, provider=provider)
+        with pytest.raises(RoutingError):
+            route_call(0, 1, provider=provider, size_bound=0)
+
+
+def test_size_bound_below_the_component_fails_without_confirmation():
+    """A bound below the source's reduced component is not Theorem 1's bound.
+
+    The 10x10 grid's reduced component has 360 virtual nodes; ``T_4`` is far
+    too short to explore it, so the connected pair ``0 -> 99`` comes back as
+    FAILURE.  The spec agrees, and the schedule spec labels that verdict
+    unsound: such a FAILURE confirms nothing.
+    """
+    grid = generators.grid_graph(10, 10)
+    result = prepare(grid).route(0, 99, size_bound=4)
+    spec, _states = reference_route(grid, 0, 99, size_bound=4)
+    assert result == spec
+    assert result.outcome is RouteOutcome.FAILURE
+    assert (result.forward_virtual_steps, result.backward_virtual_steps) == (288, 246)
+    verdict = reference_route_over_schedule(TopologySchedule.static(grid), 0, 99, size_bound=4)
+    assert verdict.outcome is DynamicOutcome.REPORTED_FAILURE
+    assert not verdict.sound
 
 
 @pytest.mark.parametrize("start_port", [3, 7, -1, True, 1.5])
@@ -156,7 +133,9 @@ def test_start_port_outside_0_to_2_is_rejected_by_every_entry_point(provider, st
     pairs = [(0, 143)] * 64
     calls = [
         lambda: engine.route(0, 143, provider=provider, start_port=start_port),
-        lambda: engine.route_with_trace(0, 143, provider=provider, start_port=start_port),
+        lambda: reference_route(
+            engine.graph, 0, 143, provider=provider, start_port=start_port
+        ),
         lambda: engine.route_many(pairs, provider=provider, start_port=start_port),
         lambda: engine.reference_route_many(pairs, provider=provider, start_port=start_port),
         lambda: route_many_multi([(engine, pairs, None)], start_port=start_port),
@@ -198,21 +177,27 @@ def test_kernel_arrays_agree_with_reduction(grid_4x4, two_components):
 
 
 def test_kernel_steps_agree_with_exploration(provider, petersen):
+    """Each spec step over the rotation map is one step over the kernel arrays.
+
+    A failure walk with a short bound exhausts ``T_8`` and backtracks to the
+    source, so every offset is stepped both ways.
+    """
     engine = prepare(petersen)
     kernel = engine.kernel
-    reduced = engine.reduction.graph
+    result, states = reference_route(petersen, 0, 999, provider=provider, size_bound=8)
     offsets = engine.offsets_for(8, provider)
-    state = WalkState(vertex=0, entry_port=0)
-    vertex, entry = 0, 0
-    for offset in offsets[:200]:
-        state = step_forward(reduced, state, offset)
-        vertex, entry = kernel.step_forward(vertex, entry, offset)
-        assert (vertex, entry) == (state.vertex, state.entry_port)
-    for offset in reversed(offsets[:200]):
-        state = step_backward(reduced, state, offset)
-        vertex, entry = kernel.step_backward(vertex, entry, offset)
-        assert (vertex, entry) == (state.vertex, state.entry_port)
-    assert (vertex, entry) == (0, 0)
+    forward = result.forward_virtual_steps
+    assert forward == len(offsets) and result.backward_virtual_steps > 0
+    for index in range(forward):
+        vertex, entry = states[index]
+        edge = 3 * vertex + (entry + offsets[index]) % 3
+        assert states[index + 1] == (kernel.next_vertex[edge], kernel.next_port[edge])
+    for step in range(result.backward_virtual_steps):
+        vertex, entry = states[forward + step]
+        edge = 3 * vertex + entry
+        previous_entry = (kernel.next_port[edge] - offsets[forward - step - 1]) % 3
+        assert states[forward + step + 1] == (kernel.next_vertex[edge], previous_entry)
+    assert kernel.owner[states[-1][0]] == 0
 
 
 def test_engine_offsets_cached_per_provider(provider, grid_4x4):

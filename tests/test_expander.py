@@ -105,9 +105,10 @@ def test_zigzag_preserves_component_count():
     big = generators.disjoint_union([generators.prism_graph(3), generators.prism_graph(3)])
     small = generators.complete_graph(3)
     product = zigzag_product(big, small)
-    from repro.graphs.connectivity import connected_components
+    from repro.graphs.connectivity import connected_component
 
-    assert len(connected_components(product)) == 2
+    components = {frozenset(connected_component(product, v)) for v in product.vertices}
+    assert len(components) == 2
 
 
 # --------------------------------------------------------------------------- #

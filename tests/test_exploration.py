@@ -16,7 +16,6 @@ from repro.core.exploration import (
     step_backward,
     step_forward,
     walk_states,
-    walk_vertices,
 )
 from repro.errors import SequenceExhaustedError
 from repro.graphs import generators
@@ -65,15 +64,15 @@ def test_walk_states_length_and_start():
 def test_walk_vertices_max_steps():
     prism = generators.prism_graph(4)
     seq = ExplicitSequence([1] * 10)
-    vertices = walk_vertices(prism, seq, 0, max_steps=3)
+    vertices = [state.vertex for state in walk_states(prism, seq, 0, max_steps=3)]
     assert len(vertices) == 4
 
 
 def test_walk_respects_entry_port_convention():
     prism = generators.prism_graph(3)
     seq = ExplicitSequence([0])
-    a = walk_vertices(prism, seq, 0, start_port=0)
-    b = walk_vertices(prism, seq, 0, start_port=1)
+    a = [state.vertex for state in walk_states(prism, seq, 0, start_port=0)]
+    b = [state.vertex for state in walk_states(prism, seq, 0, start_port=1)]
     # Different initial edges may lead to different first hops.
     assert a[0] == b[0] == 0
     assert len(a) == len(b) == 2
@@ -148,6 +147,6 @@ def test_property_walks_stay_inside_component(seed, two_components):
     reduction = reduce_to_three_regular(two_components)
     seq = ExplicitSequence([rng.randrange(3) for _ in range(100)])
     start = reduction.gateway(0)
-    visited = set(walk_vertices(reduction.graph, seq, start))
+    visited = {state.vertex for state in walk_states(reduction.graph, seq, start)}
     allowed = {v for v in reduction.graph.vertices if reduction.to_original(v) <= 4}
     assert visited <= allowed

@@ -1,13 +1,14 @@
-"""Golden-trace regression tests: the engine must reproduce stored walks bit for bit.
+"""Golden-trace regression tests: the spec and the engine must reproduce stored walks.
 
 For three fixed seeds per scenario family the full ``(virtual vertex, entry
 port)`` state sequence of one routing walk — forward phase and backtracking —
 is serialized into ``tests/data/golden_traces_<family>.json``.  The tests
-rebuild the identical scenario and assert that
-:meth:`repro.core.engine.PreparedNetwork.route_with_trace` reproduces every
-state and every result field exactly.  Any change to the walk semantics (step
-rule, degree reduction numbering, sequence provider, kernel layout) shows up
-here as a bit-level diff rather than as a silently different benchmark.
+rebuild the identical scenario and assert that the executable specification
+:func:`repro.network.dynamics.reference_route` reproduces every state and
+every result field exactly, and that the engine's result equals the spec's.
+Any change to the walk semantics (step rule, degree reduction numbering,
+sequence provider) shows up here as a bit-level diff rather than as a
+silently different benchmark.
 
 Regenerate the golden files (after an *intentional* semantic change) with::
 
@@ -26,6 +27,7 @@ from repro.analysis.experiments import ScenarioSpec, build_scenario, pick_source
 from repro.core.engine import prepare
 from repro.core.universal import RandomSequenceProvider
 from repro.graphs.connectivity import are_connected
+from repro.network.dynamics import reference_route
 
 DATA_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
@@ -79,9 +81,9 @@ def _compute_case(spec: ScenarioSpec) -> dict:
     provider = RandomSequenceProvider(seed=GOLDEN_PROVIDER_SEED)
     network = build_scenario(spec)
     source, target = _pick_connected_pair(network, spec.seed)
-    result, trace = prepare(network.graph).route_with_trace(
-        source, target, provider=provider
-    )
+    result, states = reference_route(network.graph, source, target, provider=provider)
+    assert prepare(network.graph).route(source, target, provider=provider) == result
+    forward_states = result.forward_virtual_steps + 1
     return {
         "name": spec.name,
         "source": source,
@@ -93,8 +95,8 @@ def _compute_case(spec: ScenarioSpec) -> dict:
         "backward_virtual_steps": result.backward_virtual_steps,
         "physical_hops": result.physical_hops,
         "target_found_at_step": result.target_found_at_step,
-        "forward": [list(state) for state in trace.forward],
-        "backward": [list(state) for state in trace.backward],
+        "forward": [list(state) for state in states[:forward_states]],
+        "backward": [list(state) for state in states[forward_states:]],
     }
 
 

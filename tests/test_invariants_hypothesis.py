@@ -9,6 +9,10 @@ with hypothesis over randomly generated networks, labelings and sequences:
   their coverage is monotone in the sequence prefix;
 * Algorithm Route's verdict always equals ground-truth reachability, for any
   topology, any port labeling and any start port;
+* the prepared engine's ``Route`` equals the executable specification
+  (:func:`repro.network.dynamics.reference_route`) field for field, on drawn
+  multigraphs with isolated vertices, multi-edges and half-loops, for targets
+  that are no vertex and every start port;
 * Algorithm CountNodes always returns the exact component size;
 * the header bit accounting is monotone in the namespace and the walk cost is
   invariant under port relabeling of *other* components.
@@ -23,13 +27,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.counting import count_nodes
+from repro.core.engine import prepare
 from repro.core.exploration import ExplicitSequence, walk_states
 from repro.core.routing import RouteOutcome, route
 from repro.core.universal import RandomSequenceProvider
 from repro.graphs import generators
-from repro.graphs.connectivity import connected_component, connected_components
+from repro.graphs.connectivity import connected_component
 from repro.graphs.degree_reduction import reduce_to_three_regular
 from repro.graphs.labeled_graph import LabeledGraph
+from repro.network.dynamics import reference_route
 
 # A single provider shared across examples so the per-size sequence cache is hit.
 _PROVIDER = RandomSequenceProvider(seed=424242)
@@ -78,10 +84,9 @@ def test_reduction_external_edges_bijective_with_original(n, p, seed):
 def test_reduction_component_sizes_scale_by_cluster_sizes(n, p, seed):
     graph = _random_graph(n, p, seed)
     reduction = reduce_to_three_regular(graph)
-    for component in connected_components(graph):
-        expected = sum(reduction.cluster_size(v) for v in component)
-        some_vertex = next(iter(component))
-        reduced_component = connected_component(reduction.graph, reduction.gateway(some_vertex))
+    for vertex in graph.vertices:
+        expected = sum(reduction.cluster_size(v) for v in connected_component(graph, vertex))
+        reduced_component = connected_component(reduction.graph, reduction.gateway(vertex))
         assert len(reduced_component) == expected
 
 
@@ -144,6 +149,57 @@ def test_route_verdict_equals_reachability_on_random_graphs(n, p, seed, port):
     reachable = target in connected_component(graph, source)
     assert result.delivered == reachable
     assert (result.outcome is RouteOutcome.SUCCESS) == reachable
+
+
+def _drawn_multigraph(n: int, pieces) -> LabeledGraph:
+    """A rotation map over ``0..n-1`` built from drawn pieces, ports in order.
+
+    ``(u, v)`` is an edge (``u == v`` a two-port self-loop; a repeated pair a
+    multi-edge) and ``(v,)`` a half-loop, one port mapped to itself.  A vertex
+    no piece touches is isolated.
+    """
+    degrees = [0] * n
+    rotation = {}
+
+    def next_port(vertex: int):
+        degrees[vertex] += 1
+        return (vertex, degrees[vertex] - 1)
+
+    for piece in pieces:
+        if len(piece) == 1:
+            half = next_port(piece[0])
+            rotation[half] = half
+        else:
+            a, b = next_port(piece[0]), next_port(piece[1])
+            rotation[a] = b
+            rotation[b] = a
+    return LabeledGraph(rotation, isolated_vertices=[v for v in range(n) if not degrees[v]])
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_engine_route_equals_the_reference_route(data):
+    """The engine is the spec's walk on flat arrays: same result, every field."""
+    n = data.draw(st.integers(min_value=1, max_value=6), label="n")
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    pieces = data.draw(
+        st.lists(st.one_of(st.tuples(vertex, vertex), st.tuples(vertex)), max_size=8),
+        label="pieces",
+    )
+    graph = _drawn_multigraph(n, pieces)
+    source = data.draw(vertex, label="source")
+    target = data.draw(
+        st.one_of(vertex, st.integers(min_value=n, max_value=n + 3), st.just(-1)),
+        label="target",
+    )
+    start_port = data.draw(st.integers(min_value=0, max_value=2), label="start_port")
+    engine_result = prepare(graph).route(
+        source, target, provider=_PROVIDER, start_port=start_port
+    )
+    spec_result, _states = reference_route(
+        graph, source, target, provider=_PROVIDER, start_port=start_port
+    )
+    assert engine_result == spec_result
 
 
 @_RELAXED

@@ -1,4 +1,4 @@
-"""Tests for the schedule-aware prepared engine (PreparedSchedule, WalkTrace)."""
+"""Tests for the schedule-aware prepared engine (PreparedSchedule) and its kernels."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from repro.core.engine import (
 from repro.core.routing import RouteOutcome
 from repro.errors import GraphStructureError, RoutingError
 from repro.graphs import generators
-from repro.network.dynamics import DynamicOutcome, TopologySchedule
+from repro.network.dynamics import DynamicOutcome, TopologySchedule, reference_route
 
 
 def _relabel_schedule(base, count=3, period=5, seed=3):
@@ -114,36 +114,34 @@ def test_explicit_size_bound_is_honoured(provider):
 
 
 # --------------------------------------------------------------------------- #
-# WalkTrace / route_with_trace
+# The static spec's walk states (reference_route) against the kernel
 # --------------------------------------------------------------------------- #
 
 
-def test_route_with_trace_matches_route(provider, grid_4x4):
+def test_reference_route_matches_engine_route(provider, grid_4x4):
     engine = prepare(grid_4x4)
     for source, target in [(0, 15), (0, 99), (3, 3)]:
         plain = engine.route(source, target, provider=provider)
-        traced, trace = engine.route_with_trace(source, target, provider=provider)
-        assert traced == plain
-        assert len(trace.forward) == plain.forward_virtual_steps + 1
-        assert len(trace.backward) == plain.backward_virtual_steps
+        spec, states = reference_route(grid_4x4, source, target, provider=provider)
+        assert spec == plain
+        assert len(states) == plain.total_virtual_steps + 1
 
 
 def test_trace_states_follow_the_kernel(provider, grid_4x4):
-    """Every consecutive forward trace pair must be one kernel step apart."""
+    """Every consecutive forward spec state pair is one kernel step apart."""
     engine = prepare(grid_4x4)
-    result, trace = engine.route_with_trace(0, 15, provider=provider)
+    result, states = reference_route(grid_4x4, 0, 15, provider=provider)
     kernel = engine.kernel
     offsets = engine.offsets_for(result.size_bound, provider)
-    for index in range(len(trace.forward) - 1):
-        vertex, entry = trace.forward[index]
-        expected = kernel.step_forward(vertex, entry, offsets[index])
-        assert trace.forward[index + 1] == expected
+    for index in range(result.forward_virtual_steps):
+        vertex, entry = states[index]
+        edge = 3 * vertex + (entry + offsets[index]) % 3
+        assert states[index + 1] == (kernel.next_vertex[edge], kernel.next_port[edge])
 
 
 def test_trace_starts_at_the_gateway(provider, grid_4x4):
-    engine = prepare(grid_4x4)
-    _, trace = engine.route_with_trace(5, 9, provider=provider)
-    assert trace.forward[0] == (engine.kernel.gateway(5), 0)
+    _, states = reference_route(grid_4x4, 5, 9, provider=provider)
+    assert states[0] == (prepare(grid_4x4).kernel.gateway(5), 0)
 
 
 def test_translate_virtual_between_kernels():

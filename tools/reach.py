@@ -74,12 +74,6 @@ KEEP: Dict[str, str] = {
     "core/adversary.py": "the adversarial sequence search, a docs/paper_map.md row",
     "graphs/properties.py:is_simple": "oracle of tests/test_generators.py",
     "graphs/properties.py:degree_histogram": "oracle of tests/test_generators.py",
-    "graphs/connectivity.py:connected_components": (
-        "oracle of the reduction and zig-zag component tests"
-    ),
-    "core/exploration.py:walk_vertices": (
-        "oracle of tests/test_exploration.py's walk-stays-in-component property"
-    ),
     "geometry/deployment.py:grid_deployment": (
         "builds the fixtures of tests/conftest.py and the planar and baseline tests"
     ),
