@@ -29,7 +29,7 @@ import itertools
 import numbers
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.kernel_store import LRUCache
 from repro.errors import ExperimentError, GraphStructureError
@@ -128,7 +128,7 @@ class ScenarioSpec:
     radius: Optional[float] = None
     dimension: int = 2
     namespace_size: Optional[int] = None
-    extra: Tuple[Tuple[str, object], ...] = ()
+    extra: Tuple[Tuple[str, Union[str, int, float, bool, None]], ...] = ()
 
     def parameters(self) -> Dict[str, object]:
         """All parameters as a dictionary (for report rows)."""
@@ -353,14 +353,13 @@ def _mutate_snapshot(graph: LabeledGraph, mutation: str, rng: random.Random) -> 
 class ScenarioStore:
     """Bounded cache of materialised scenarios (networks and schedules).
 
-    Specs are frozen dataclasses, so the key is the spec itself; a spec whose
-    ``extra`` carries unhashable values (JSON lists arrive that way from the
-    wire) is built fresh and not cached.  Shards or tasks over the same spec
-    then share one graph/schedule *object*, which is what lets the
-    identity-keyed :func:`repro.core.engine.prepare` / ``prepare_schedule``
-    caches hit.  Each :class:`~repro.api.session.Session` owns one (its
-    counters feed :meth:`~repro.api.session.Session.cache_info`), and the
-    sweep runner holds one per process.
+    Specs are frozen dataclasses, so the key is the spec itself.  Shards or
+    tasks over the same spec then share one graph/schedule *object*, which
+    is what lets the identity-keyed :func:`repro.core.engine.prepare` /
+    ``prepare_schedule`` caches hit.  Each :class:`~repro.api.session.Session`
+    owns one (its counters feed
+    :meth:`~repro.api.session.Session.cache_info`), and the sweep runner
+    holds one per process.
 
     Thread-safe: both caches are :class:`~repro.core.kernel_store.LRUCache`
     instances, which lock every operation (the server dispatches one shared
@@ -377,11 +376,7 @@ class ScenarioStore:
 
     @staticmethod
     def _get(cache: LRUCache, spec: ScenarioSpec, build):
-        try:
-            built = cache.get(spec)
-        except TypeError:  # unhashable extra values: build fresh, skip caching
-            cache.record_miss()
-            return build(spec)
+        built = cache.get(spec)
         if built is None:
             built = build(spec)
             cache.put(spec, built)

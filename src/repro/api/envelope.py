@@ -20,33 +20,36 @@ fixture in ``tests/data/api_envelopes.json`` pins this wire format against
 accidental drift, and the Hypothesis suite in ``tests/test_api_envelope.py``
 fuzzes the round trip over field values.
 
-Field values must stay within JSON's value set (numbers, strings, booleans,
-``None``, and nested lists/dicts thereof); tuples are encoded as JSON arrays
-and re-frozen to tuples on decode where the dataclass demands it.
+The dataclass annotations are the one declaration of the wire form; one
+encoder and one strict decoder (:func:`decode`) walk them.  The rules:
+
+* the field names are the dataclass fields, and a nested dataclass (the
+  :class:`~repro.analysis.experiments.ScenarioSpec`) is a nested object;
+* values are never coerced: an ``int``, ``str`` or ``bool`` field takes only
+  that JSON type, a ``float`` field a finite number (an integer stays an
+  integer), an ``Optional`` field also ``null``, a tuple field an array;
+* unknown keys are refused, and so is an absent required field;
+* absent optional fields take the dataclass defaults;
+* ``ScenarioSpec.extra`` values are JSON scalars (string, number, boolean
+  or ``null``).
+
+A decoded request therefore re-encodes to the bytes that were sent, so its
+content address names the request that was sent.  Every type's decode plan
+is built at import, so an annotation the codec cannot read fails on import,
+not on a served request.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import json
 import math
+import typing
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Callable, Dict, FrozenSet, Optional, Tuple, Union
 
-from repro.analysis.experiments import ScenarioSpec
-from repro.api.requests import (
-    REQUEST_TYPES,
-    BroadcastReliableRequest,
-    BroadcastRequest,
-    CompareRequest,
-    ConformanceRequest,
-    ConnectivityRequest,
-    CountRequest,
-    RouteBatchRequest,
-    RouteRequest,
-    ScheduleRouteRequest,
-    SweepRequest,
-    WireCodable,
-)
+from repro.api.requests import REQUEST_TYPES, WireCodable
 from repro.errors import TaskError
 
 __all__ = [
@@ -54,6 +57,7 @@ __all__ = [
     "WIRE_KINDS",
     "to_wire",
     "from_wire",
+    "decode",
     "to_json",
     "from_json",
 ]
@@ -101,351 +105,155 @@ class TaskResult(WireCodable):
 
     def replace_timing(self, elapsed_seconds: float) -> "TaskResult":
         """The same result with different timing (used for parity checks)."""
-        import dataclasses
-
         return dataclasses.replace(self, elapsed_seconds=elapsed_seconds)
 
 
-def _integer(value: object, field: str) -> int:
-    """A wire integer field, decoded strictly.
+#: A field decoder: ``(wire value, field name) -> field value``.
+_Decoder = Callable[[object, str], object]
 
-    JSON booleans are Python ``int`` subclasses and ``int()`` truncates
-    floats and parses strings; each of those would decode to a request
-    whose re-encoding differs from the bytes sent, so all are rejected.
+#: Decode plan per dataclass: field decoders by name, and the required names.
+_PLANS: Dict[type, Tuple[Dict[str, _Decoder], FrozenSet[str]]] = {}
+
+_NONE = type(None)
+_SCALAR_NOUNS = {
+    str: "a string",
+    int: "an integer",
+    float: "a real number",
+    bool: "a boolean",
+    _NONE: "null",
+}
+
+
+def _refusal(name: str, noun: str, value: object) -> TaskError:
+    return TaskError(f"{name!r} must be {noun}, got {value!r}")
+
+
+def _scalar_decoder(types: Tuple[type, ...]) -> _Decoder:
+    """Exact JSON-type match: a boolean is no integer, a string no number.
+
+    A ``float`` field also takes an integer and keeps it an integer, so the
+    value re-encodes to the bytes sent; the non-finite values Python's JSON
+    parser admits are refused.
     """
-    if type(value) is not int:
-        raise TaskError(f"{field!r} must be an integer, got {value!r}")
-    return value
+    nouns = [_SCALAR_NOUNS[kind] for kind in types]
+    noun = nouns[0] if len(nouns) == 1 else ", ".join(nouns[:-1]) + " or " + nouns[-1]
+    accepted = frozenset(types + ((int,) if float in types else ()))
+
+    def decode(value: object, name: str) -> object:
+        kind = type(value)
+        if kind in accepted and (kind is not float or math.isfinite(value)):
+            return value
+        raise _refusal(name, noun, value)
+
+    return decode
 
 
-def _optional_integer(value: object, field: str) -> Optional[int]:
-    """An optional wire integer field: an integer or ``null``, decoded strictly."""
-    if value is not None and type(value) is not int:
-        raise TaskError(f"{field!r} must be an integer or null, got {value!r}")
-    return value
+def _decoder(hint: object, or_null: str = "") -> _Decoder:
+    """The decoder for one annotation; a ``TypeError`` for one it cannot read."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if hint in _SCALAR_NOUNS:
+        return _scalar_decoder((hint,))
+    if origin is Union:
+        if all(arg in _SCALAR_NOUNS for arg in args):
+            return _scalar_decoder(args)
+        if len(args) == 2 and args[1] is _NONE:
+            inner = _decoder(args[0], " or null")
+            return lambda value, name: None if value is None else inner(value, name)
+    elif origin is tuple and args:
+        # ``Tuple[X, ...]`` takes any length, ``Tuple[X, Y]`` exactly two.
+        size = None if args[-1] is Ellipsis else len(args)
+        if size is None:
+            items = itertools.repeat(_decoder(args[0]))
+        else:
+            items = [_decoder(arg) for arg in args]
+        noun = ("an array" if size is None else f"an array of {size}") + or_null
+
+        def decode_array(value: object, name: str) -> tuple:
+            if type(value) not in (list, tuple) or size not in (None, len(value)):
+                raise _refusal(name, noun, value)
+            return tuple([item(element, name) for item, element in zip(items, value)])
+
+        return decode_array
+    elif origin is dict and args == (str, object):
+
+        def decode_object(value: object, name: str) -> dict:
+            if type(value) is not dict:
+                raise _refusal(name, "an object" + or_null, value)
+            return dict(value)
+
+        return decode_object
+    elif dataclasses.is_dataclass(hint):
+        decoders, required = _plan(hint)
+
+        def decode_nested(value: object, name: str) -> object:
+            if type(value) is not dict:
+                raise _refusal(name, "an object" + or_null, value)
+            return _decode_fields(hint, decoders, required, value)
+
+        return decode_nested
+    raise TypeError(f"unsupported wire annotation {hint!r}")
 
 
-def _optional_real(value: object, field: str) -> Optional[float]:
-    """An optional wire real field: a finite number or ``null``, decoded strictly.
-
-    An integer stays an integer, so the request re-encodes to the bytes sent;
-    booleans, strings and the non-finite values Python's JSON parser admits
-    are rejected.
-    """
-    if value is not None and (
-        type(value) not in (int, float) or not math.isfinite(value)
-    ):
-        raise TaskError(f"{field!r} must be a real number or null, got {value!r}")
-    return value
-
-
-# --------------------------------------------------------------------------- #
-# ScenarioSpec <-> wire
-# --------------------------------------------------------------------------- #
+def _plan(cls: type) -> Tuple[Dict[str, _Decoder], FrozenSet[str]]:
+    plan = _PLANS.get(cls)
+    if plan is None:
+        hints = typing.get_type_hints(cls)
+        fields = dataclasses.fields(cls)
+        decoders = {field.name: _decoder(hints[field.name]) for field in fields}
+        required = frozenset(
+            field.name
+            for field in fields
+            if field.default is dataclasses.MISSING
+            and field.default_factory is dataclasses.MISSING
+        )
+        plan = _PLANS[cls] = (decoders, required)
+    return plan
 
 
-def _spec_to_wire(spec: ScenarioSpec) -> Dict[str, object]:
-    return {
-        "name": spec.name,
-        "family": spec.family,
-        "size": spec.size,
-        "seed": spec.seed,
-        "radius": spec.radius,
-        "dimension": spec.dimension,
-        "namespace_size": spec.namespace_size,
-        "extra": [[key, value] for key, value in spec.extra],
-    }
-
-
-def _spec_from_wire(data: Dict[str, object]) -> ScenarioSpec:
-    extra = tuple((str(key), value) for key, value in data.get("extra", []))
-    return ScenarioSpec(
-        name=str(data["name"]),
-        family=str(data["family"]),
-        size=_integer(data["size"], "size"),
-        seed=_integer(data["seed"], "seed"),
-        radius=_optional_real(data.get("radius"), "radius"),
-        dimension=_integer(data.get("dimension", 2), "dimension"),
-        namespace_size=_optional_integer(data.get("namespace_size"), "namespace_size"),
-        extra=extra,
-    )
-
-
-def _pairs_to_wire(pairs) -> Optional[list]:
-    if pairs is None:
-        return None
-    return [[source, target] for source, target in pairs]
-
-
-def _pairs_from_wire(pairs) -> Optional[tuple]:
-    if pairs is None:
-        return None
-    return tuple(
-        (_integer(source, "pairs"), _integer(target, "pairs")) for source, target in pairs
-    )
-
-
-# --------------------------------------------------------------------------- #
-# Per-kind encoders/decoders
-# --------------------------------------------------------------------------- #
-
-
-def _encode_route(request: RouteRequest) -> Dict[str, object]:
-    return {
-        "scenario": _spec_to_wire(request.scenario),
-        "source": request.source,
-        "target": request.target,
-        "size_bound": request.size_bound,
-        "start_port": request.start_port,
-    }
-
-
-def _decode_route(fields: Dict[str, object]) -> RouteRequest:
-    return RouteRequest(
-        scenario=_spec_from_wire(fields["scenario"]),
-        source=_integer(fields["source"], "source"),
-        target=_integer(fields["target"], "target"),
-        size_bound=_optional_integer(fields.get("size_bound"), "size_bound"),
-        start_port=_integer(fields.get("start_port", 0), "start_port"),
-    )
-
-
-def _encode_batch(request) -> Dict[str, object]:
-    return {
-        "scenario": _spec_to_wire(request.scenario),
-        "pairs": _pairs_to_wire(request.pairs),
-        "num_pairs": request.num_pairs,
-        "pair_seed": request.pair_seed,
-        "size_bound": request.size_bound,
-    }
-
-
-def _decode_batch_as(cls, fields: Dict[str, object]):
-    # Absent optional keys are *omitted* so the dataclass's own defaults
-    # apply — the decoder must never shadow them with different values.
-    kwargs: Dict[str, object] = {
-        "scenario": _spec_from_wire(fields["scenario"]),
-        "pairs": _pairs_from_wire(fields.get("pairs")),
-    }
-    if "num_pairs" in fields:
-        kwargs["num_pairs"] = _integer(fields["num_pairs"], "num_pairs")
-    if "pair_seed" in fields:
-        kwargs["pair_seed"] = _integer(fields["pair_seed"], "pair_seed")
-    if "size_bound" in fields:
-        kwargs["size_bound"] = _optional_integer(fields["size_bound"], "size_bound")
+def _decode_fields(cls, decoders, required, data: dict):
+    kwargs = {}
+    for key, value in data.items():
+        decoder = decoders.get(key)
+        if decoder is None:
+            raise TaskError(f"unknown field {key!r} for {cls.__name__}")
+        kwargs[key] = decoder(value, key)
+    if not required.issubset(kwargs):
+        missing = sorted(required.difference(kwargs))
+        raise TaskError(f"missing required field {missing[0]!r} for {cls.__name__}")
     return cls(**kwargs)
 
 
-def _encode_source_task(request) -> Dict[str, object]:
-    return {"scenario": _spec_to_wire(request.scenario), "source": request.source}
+def decode(cls: type, data: object):
+    """Decode one wire object strictly into the dataclass ``cls``."""
+    if type(data) is not dict:
+        raise TaskError(f"{cls.__name__} fields must be a JSON object, got {data!r}")
+    return _decode_fields(cls, *_plan(cls), data)
 
 
-def _decode_source_task_as(cls, fields: Dict[str, object]):
-    return cls(
-        scenario=_spec_from_wire(fields["scenario"]),
-        source=_integer(fields["source"], "source"),
-    )
+def _encode(value: object) -> object:
+    # Every wire dataclass has a plan (built below), nested ones included.
+    if type(value) is tuple:
+        return [_encode(item) for item in value]
+    plan = _PLANS.get(type(value))
+    if plan is not None:
+        return {name: _encode(getattr(value, name)) for name in plan[0]}
+    return value
 
 
-def _encode_broadcast_reliable(request: BroadcastReliableRequest) -> Dict[str, object]:
-    return {
-        "scenario": _spec_to_wire(request.scenario),
-        "source": request.source,
-        "value": request.value,
-        "byzantine": [[node, behavior] for node, behavior in request.byzantine],
-        "num_byzantine": request.num_byzantine,
-        "behaviors": list(request.behaviors),
-        "fault_seed": request.fault_seed,
-        "crashes": list(request.crashes),
-        "delay": request.delay,
-    }
+#: kind -> type.  The golden fixture test iterates this mapping so a new kind
+#: cannot be added without pinning its serialization.
+WIRE_KINDS = {cls.__name__: cls for cls in REQUEST_TYPES + (TaskResult,)}
 
-
-def _decode_broadcast_reliable(fields: Dict[str, object]) -> BroadcastReliableRequest:
-    kwargs: Dict[str, object] = {
-        "scenario": _spec_from_wire(fields["scenario"]),
-        "source": _integer(fields["source"], "source"),
-    }
-    if "value" in fields:
-        kwargs["value"] = str(fields["value"])
-    if "byzantine" in fields:
-        kwargs["byzantine"] = tuple(
-            (_integer(node, "byzantine"), str(behavior))
-            for node, behavior in fields["byzantine"]
-        )
-    if "num_byzantine" in fields:
-        kwargs["num_byzantine"] = _integer(fields["num_byzantine"], "num_byzantine")
-    if "behaviors" in fields:
-        kwargs["behaviors"] = tuple(str(b) for b in fields["behaviors"])
-    if "fault_seed" in fields:
-        kwargs["fault_seed"] = _integer(fields["fault_seed"], "fault_seed")
-    if "crashes" in fields:
-        kwargs["crashes"] = tuple(_integer(node, "crashes") for node in fields["crashes"])
-    if "delay" in fields:
-        kwargs["delay"] = _integer(fields["delay"], "delay")
-    return BroadcastReliableRequest(**kwargs)
-
-
-def _encode_connectivity(request: ConnectivityRequest) -> Dict[str, object]:
-    return {
-        "scenario": _spec_to_wire(request.scenario),
-        "source": request.source,
-        "target": request.target,
-    }
-
-
-def _decode_connectivity(fields: Dict[str, object]) -> ConnectivityRequest:
-    return ConnectivityRequest(
-        scenario=_spec_from_wire(fields["scenario"]),
-        source=_integer(fields["source"], "source"),
-        target=_integer(fields["target"], "target"),
-    )
-
-
-def _encode_compare(request: CompareRequest) -> Dict[str, object]:
-    return {
-        "scenario": _spec_to_wire(request.scenario),
-        "num_pairs": request.num_pairs,
-        "pair_seed": request.pair_seed,
-    }
-
-
-def _decode_compare(fields: Dict[str, object]) -> CompareRequest:
-    kwargs: Dict[str, object] = {"scenario": _spec_from_wire(fields["scenario"])}
-    if "num_pairs" in fields:
-        kwargs["num_pairs"] = _integer(fields["num_pairs"], "num_pairs")
-    if "pair_seed" in fields:
-        kwargs["pair_seed"] = _integer(fields["pair_seed"], "pair_seed")
-    return CompareRequest(**kwargs)
-
-
-def _encode_sweep(request: SweepRequest) -> Dict[str, object]:
-    return {
-        "scenarios": [_spec_to_wire(spec) for spec in request.scenarios],
-        "routers": list(request.routers),
-        "pairs": request.pairs,
-        "master_seed": request.master_seed,
-        "workers": request.workers,
-        "out_path": request.out_path,
-        "resume": request.resume,
-        "experiment": request.experiment,
-    }
-
-
-def _decode_sweep(fields: Dict[str, object]) -> SweepRequest:
-    return SweepRequest(
-        scenarios=tuple(_spec_from_wire(spec) for spec in fields["scenarios"]),
-        routers=tuple(str(r) for r in fields.get("routers", ("ues-engine",))),
-        pairs=_integer(fields.get("pairs", 8), "pairs"),
-        master_seed=_integer(fields.get("master_seed", 0), "master_seed"),
-        workers=_integer(fields.get("workers", 1), "workers"),
-        out_path=fields.get("out_path"),
-        resume=bool(fields.get("resume", False)),
-        experiment=str(fields.get("experiment", "api-sweep")),
-    )
-
-
-def _encode_conformance(request: ConformanceRequest) -> Dict[str, object]:
-    return {
-        "scenarios": (
-            None
-            if request.scenarios is None
-            else [_spec_to_wire(spec) for spec in request.scenarios]
-        ),
-        "pairs_per_scenario": request.pairs_per_scenario,
-        "seed": request.seed,
-        "workers": request.workers,
-    }
-
-
-def _decode_conformance(fields: Dict[str, object]) -> ConformanceRequest:
-    scenarios = fields.get("scenarios")
-    return ConformanceRequest(
-        scenarios=(
-            None
-            if scenarios is None
-            else tuple(_spec_from_wire(spec) for spec in scenarios)
-        ),
-        pairs_per_scenario=_integer(fields.get("pairs_per_scenario", 4), "pairs_per_scenario"),
-        seed=_integer(fields.get("seed", 0), "seed"),
-        workers=_integer(fields.get("workers", 1), "workers"),
-    )
-
-
-def _encode_result(result: TaskResult) -> Dict[str, object]:
-    return {
-        "task": result.task,
-        "status": result.status,
-        "backend": result.backend,
-        "payload": result.payload,
-        "physical_steps": result.physical_steps,
-        "virtual_steps": result.virtual_steps,
-        "seed": result.seed,
-        "elapsed_seconds": result.elapsed_seconds,
-        "provenance": result.provenance,
-    }
-
-
-def _decode_result(fields: Dict[str, object]) -> TaskResult:
-    return TaskResult(
-        task=str(fields["task"]),
-        status=str(fields["status"]),
-        backend=str(fields["backend"]),
-        payload=dict(fields.get("payload", {})),
-        physical_steps=fields.get("physical_steps"),
-        virtual_steps=fields.get("virtual_steps"),
-        seed=fields.get("seed"),
-        elapsed_seconds=float(fields.get("elapsed_seconds", 0.0)),
-        provenance=fields.get("provenance"),
-    )
-
-
-#: kind -> (type, encode, decode).  The single source of truth for the wire
-#: format; the golden fixture test iterates this mapping so a new kind cannot
-#: be added without pinning its serialization.
-WIRE_KINDS = {
-    "RouteRequest": (RouteRequest, _encode_route, _decode_route),
-    "RouteBatchRequest": (
-        RouteBatchRequest,
-        _encode_batch,
-        lambda fields: _decode_batch_as(RouteBatchRequest, fields),
-    ),
-    "ScheduleRouteRequest": (
-        ScheduleRouteRequest,
-        _encode_batch,
-        lambda fields: _decode_batch_as(ScheduleRouteRequest, fields),
-    ),
-    "BroadcastRequest": (
-        BroadcastRequest,
-        _encode_source_task,
-        lambda fields: _decode_source_task_as(BroadcastRequest, fields),
-    ),
-    "BroadcastReliableRequest": (
-        BroadcastReliableRequest,
-        _encode_broadcast_reliable,
-        _decode_broadcast_reliable,
-    ),
-    "CountRequest": (
-        CountRequest,
-        _encode_source_task,
-        lambda fields: _decode_source_task_as(CountRequest, fields),
-    ),
-    "ConnectivityRequest": (ConnectivityRequest, _encode_connectivity, _decode_connectivity),
-    "CompareRequest": (CompareRequest, _encode_compare, _decode_compare),
-    "SweepRequest": (SweepRequest, _encode_sweep, _decode_sweep),
-    "ConformanceRequest": (ConformanceRequest, _encode_conformance, _decode_conformance),
-    "TaskResult": (TaskResult, _encode_result, _decode_result),
-}
-
-assert all(cls in {entry[0] for entry in WIRE_KINDS.values()} for cls in REQUEST_TYPES)
+for _cls in WIRE_KINDS.values():
+    _plan(_cls)
 
 
 def to_wire(obj) -> Dict[str, object]:
     """Encode a request or result into its tagged JSON-safe wire object."""
-    for kind, (cls, encode, _decode) in WIRE_KINDS.items():
-        if type(obj) is cls:
-            return {"kind": kind, "fields": encode(obj)}
-    raise TaskError(f"cannot serialize {type(obj).__name__}: not a wire type")
+    kind = type(obj).__name__
+    if WIRE_KINDS.get(kind) is not type(obj):
+        raise TaskError(f"cannot serialize {kind}: not a wire type")
+    return {"kind": kind, "fields": _encode(obj)}
 
 
 def from_wire(data: Dict[str, object]):
@@ -453,11 +261,10 @@ def from_wire(data: Dict[str, object]):
     if not isinstance(data, dict) or "kind" not in data:
         raise TaskError("wire object must be a dict with a 'kind' tag")
     kind = data["kind"]
-    entry = WIRE_KINDS.get(kind)
-    if entry is None:
+    cls = WIRE_KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
         raise TaskError(f"unknown wire kind {kind!r}")
-    _cls, _encode, decode = entry
-    return decode(data.get("fields", {}))
+    return decode(cls, data.get("fields", {}))
 
 
 def to_json(obj, indent: Optional[int] = None) -> str:

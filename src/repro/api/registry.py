@@ -133,6 +133,8 @@ def scenario_from_args(args: argparse.Namespace) -> ScenarioSpec:
 
 
 def _configure_route(parser: argparse.ArgumentParser) -> None:
+    # Shared by every task whose inputs beyond the network are a source and
+    # a target (route, connectivity).
     _add_network_arguments(parser)
     parser.add_argument("--source", type=int, default=0)
     parser.add_argument("--target", type=int, default=1)
@@ -198,12 +200,6 @@ def _build_broadcast_reliable(args: argparse.Namespace) -> BroadcastReliableRequ
         crashes=tuple(args.crash),
         delay=args.delay,
     )
-
-
-def _configure_connectivity(parser: argparse.ArgumentParser) -> None:
-    _add_network_arguments(parser)
-    parser.add_argument("--source", type=int, default=0)
-    parser.add_argument("--target", type=int, default=1)
 
 
 def _build_connectivity(args: argparse.Namespace) -> ConnectivityRequest:
@@ -469,7 +465,7 @@ TASKS: Tuple[TaskSpec, ...] = (
         name="connectivity",
         request_type=ConnectivityRequest,
         help="decide st-connectivity by walking the exploration sequence",
-        configure=_configure_connectivity,
+        configure=_configure_route,
         build=_build_connectivity,
     ),
     TaskSpec(

@@ -11,7 +11,7 @@ function of the state ``3 * vertex + entry_port`` and the next offset, so
 a whole block per gather, ``block[code * num_states + state]``.
 
 **One loop for static batches.**  :func:`_run_lockstep` is the only
-stepping loop; its executable specification is the scalar
+stepping loop; ``batch-parity`` compares it with the scalar realisation
 ``reference_route_many``.  It takes *jobs* — ``(state base, kernel, pairs,
 stream)`` — and groups their pairs into (job, source) *fronts*: walks that
 share a start state and a sequence share their whole forward trajectory,

@@ -35,8 +35,8 @@ three steps per gather over the compiled arrays):
 :class:`~repro.core.batch_kernel.BatchedWalk` when every task shares one
 kernel, :class:`~repro.core.batch_kernel.MultiGraphWalk` otherwise.  Smaller
 batches, and every batch when NumPy is not installed, run the scalar loop
-``reference_route_many`` — the executable specification the lockstep path
-must match element for element (asserted by the ``batch-parity`` conformance
+``reference_route_many`` — the scalar realisation the lockstep path must
+match element for element (asserted by the ``batch-parity`` conformance
 invariant and ``benchmarks/bench_batch.py``).  Schedule batches always run
 the scalar loop: the schedule lockstep stepper measured slower than it on
 every batch tried.
@@ -356,7 +356,7 @@ class PreparedNetwork:
         (:class:`repro.core.batch_kernel.BatchedWalk` — all walks advance in
         synchronous lockstep, three steps per gather of its block table); small
         batches, and every batch when NumPy is absent, run the scalar loop
-        :meth:`reference_route_many`, the executable specification.  Results
+        :meth:`reference_route_many`, the scalar realisation.  Results
         are bit-for-bit identical either way (the ``batch-parity``
         conformance invariant and ``benchmarks/bench_batch.py`` assert it).
         """
@@ -376,7 +376,7 @@ class PreparedNetwork:
         start_port: int = 0,
         namespace_size: Optional[int] = None,
     ) -> List[RouteResult]:
-        """The scalar batch loop — the executable specification of ``route_many``.
+        """The scalar batch loop, the realisation ``batch-parity`` checks against.
 
         One :meth:`route` call per pair over the compiled kernel.  The
         lockstep path must match this list element for element; it is also
@@ -814,7 +814,7 @@ class PreparedSchedule:
         provider: Optional[SequenceProvider] = None,
         size_bound: Optional[int] = None,
     ) -> List[object]:
-        """The scalar batch loop — the executable specification of ``route_many``."""
+        """The scalar batch loop that :meth:`route_many` runs, one pair at a time."""
         return [
             self.route(source, target, provider=provider, size_bound=size_bound)
             for source, target in pairs

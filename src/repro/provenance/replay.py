@@ -120,11 +120,12 @@ def _replay_task(record: Dict[str, object], session) -> Tuple[bool, str]:
 
 def _replay_shard(record: Dict[str, object]) -> Tuple[bool, str]:
     from repro.analysis.runner import SweepShard, evaluate_shard
-    from repro.api.envelope import _spec_from_wire
+    from repro.analysis.experiments import ScenarioSpec
+    from repro.api.envelope import decode
 
     shard = SweepShard(
         index=int(record["index"]),
-        spec=_spec_from_wire(record["spec"]),
+        spec=decode(ScenarioSpec, record["spec"]),
         router=str(record["router"]),
         pairs=int(record["pairs"]),
         seed=int(record["seed"]),

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 from urllib.parse import parse_qs
 
-from repro.api.envelope import WIRE_KINDS, from_wire
+from repro.api.envelope import from_wire
 from repro.api.requests import REQUEST_TYPES, SweepRequest
 from repro.errors import ReproError
 
@@ -52,9 +52,7 @@ _REASONS = {
 }
 
 #: Request kinds a client may submit (every tagged request type, not results).
-_REQUEST_KINDS = {
-    kind for kind, (cls, _e, _d) in WIRE_KINDS.items() if cls in REQUEST_TYPES
-}
+_REQUEST_KINDS = {cls.__name__ for cls in REQUEST_TYPES}
 
 #: Ceiling on one header block; a daemon should not buffer arbitrary headers.
 MAX_HEADER_BYTES = 32 * 1024

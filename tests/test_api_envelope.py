@@ -13,15 +13,25 @@ Two layers of protection:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
+from typing import Set
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.experiments import SCENARIO_FAMILIES, ScenarioSpec
-from repro.api.envelope import WIRE_KINDS, TaskResult, from_json, from_wire, to_json, to_wire
+from repro.api.envelope import (
+    WIRE_KINDS,
+    TaskResult,
+    decode,
+    from_json,
+    from_wire,
+    to_json,
+    to_wire,
+)
 from repro.api.requests import (
     REQUEST_TYPES,
     BroadcastReliableRequest,
@@ -391,7 +401,7 @@ def test_wire_format_matches_golden_fixture():
 
 
 def test_every_request_type_has_a_wire_kind():
-    registered = {entry[0] for entry in WIRE_KINDS.values()}
+    registered = set(WIRE_KINDS.values())
     for request_type in REQUEST_TYPES:
         assert request_type in registered
 
@@ -470,3 +480,52 @@ def test_radius_decodes_as_a_real_number_or_null(bad):
     wire["fields"]["scenario"]["radius"] = bad
     with pytest.raises(TaskError, match="'radius' must be a real number or null"):
         from_wire(wire)
+
+
+_ABSENT = object()
+
+
+@pytest.mark.parametrize(
+    "kind, path, bad",
+    [
+        ("BroadcastReliableRequest", ("value",), 5),
+        ("RouteRequest", ("scenario", "name"), 7),
+        ("RouteRequest", ("scenario", "family"), 7),
+        ("BroadcastReliableRequest", ("behaviors",), "equivocate"),
+        ("SweepRequest", ("routers",), "ues-engine"),
+        ("SweepRequest", ("resume",), "false"),
+        ("SweepRequest", ("resume",), 0),
+        ("SweepRequest", ("out_path",), 5),
+        ("RouteRequest", ("scenario", "extra"), [["k", [1, 2]]]),
+        ("RouteRequest", ("sizebound",), 3),
+        ("RouteRequest", ("source",), _ABSENT),
+        ("TaskResult", ("physical_steps",), "3"),
+    ],
+)
+def test_hostile_fields_are_refused_naming_the_field(kind, path, bad):
+    # Each used to decode: strings and booleans were coerced (``"value": 5``
+    # became "5", ``"resume": "false"`` True, ``"routers": "ues-engine"`` ten
+    # one-letter routers), ``out_path``, ``extra`` values and result integers
+    # passed unchecked, an unknown key was dropped and a missing one was a
+    # KeyError.  A decoded request then re-encoded to other bytes.
+    wire = to_wire(golden_samples()[kind])
+    holder = wire["fields"]
+    for key in path[:-1]:
+        holder = holder[key]
+    if bad is _ABSENT:
+        del holder[path[-1]]
+    else:
+        holder[path[-1]] = bad
+    with pytest.raises(TaskError, match=repr(path[-1])):
+        from_wire(wire)
+
+
+def test_unsupported_annotations_fail_when_the_plan_is_built():
+    # Plans for every wire kind are built at import, so an annotation the
+    # codec cannot read fails there, not on a served request.
+    @dataclasses.dataclass(frozen=True)
+    class Unreadable:
+        tags: Set[str]
+
+    with pytest.raises(TypeError, match="unsupported wire annotation"):
+        decode(Unreadable, {"tags": []})

@@ -21,11 +21,11 @@ from repro.api import (
     CountRequest,
     RouteBatchRequest,
     RouteRequest,
-    ScenarioStore,
     ScheduleRouteRequest,
     Session,
     SweepRequest,
 )
+from repro.api.envelope import from_wire, to_wire
 from repro.api.executors import dynamic_result_payload, route_result_payload
 from repro.core.broadcast import broadcast
 from repro.core.counting import count_nodes
@@ -248,22 +248,13 @@ def test_submit_many_shares_session_state(session):
     assert info["session_tasks"] == 3
 
 
-def test_unhashable_scenario_extra_is_built_fresh_not_cached():
-    # JSON lists arrive from the wire as lists: such a spec cannot key the
-    # scenario cache, so every call builds it and counts a miss.
-    store = ScenarioStore()
-    spec = ScenarioSpec(
-        name="tagged", family="grid", size=9, seed=0, extra=(("tags", [1, 2]),)
-    )
-    first, second = store.network(spec), store.network(spec)
-    assert first is not second
-    assert first.graph == second.graph
-    assert store.info() == {
-        "session_networks": 0,
-        "session_schedules": 0,
-        "session_hits": 0,
-        "session_misses": 2,
-    }
+def test_list_scenario_extra_is_refused_at_the_wire():
+    # ``extra`` values are JSON scalars, so the wire cannot deliver a spec
+    # that is unhashable and so cannot key the session's scenario cache.
+    wire = to_wire(RouteRequest(scenario=GRID, source=0, target=15))
+    wire["fields"]["scenario"]["extra"] = [["tags", [1, 2]]]
+    with pytest.raises(TaskError, match="'extra' must be"):
+        from_wire(wire)
 
 
 def test_cache_info_reports_session_and_process_counters(session):

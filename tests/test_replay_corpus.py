@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import os
 
+from repro.analysis.experiments import ScenarioSpec
 from repro.analysis.runner import SweepPlan, SweepShard, run_sweep
 from repro.api import Session
-from repro.api.envelope import _spec_from_wire
+from repro.api.envelope import decode
 from repro.provenance.log import read_log, verify_log
 from repro.provenance.replay import replay_record
 
@@ -69,7 +70,7 @@ def test_sweep_stream_rows_match_a_fresh_pooled_run():
     shards = tuple(
         SweepShard(
             index=index,
-            spec=_spec_from_wire(record["spec"]),
+            spec=decode(ScenarioSpec, record["spec"]),
             router=record["router"],
             pairs=record["pairs"],
             seed=record["seed"],

@@ -405,27 +405,41 @@ def test_hostile_sizes_and_boolean_integers_are_structured_400():
     # Before validation: size -4 crashed the executor (500 internal-error),
     # size 0 routed on a default-size grid, and ``"source": true`` routed
     # from vertex 1.
-    def body(size=16, source=0):
+    # A string field given a number used to be coerced, and an unknown key
+    # was dropped: both routed.
+    def body(size=16, source=0, name=SPEC.name, **unknown):
         wire = to_wire(RouteRequest(scenario=SPEC, source=0, target=1))
-        wire["fields"]["scenario"]["size"] = size
+        wire["fields"]["scenario"].update(size=size, name=name)
         wire["fields"]["source"] = source
+        wire["fields"].update(unknown)
         return json.dumps(wire).encode()
 
     async def scenario():
         async with running_server() as server:
             return [
                 await raw(server, "POST", "/v1/task", body=payload)
-                for payload in (body(size=-4), body(size=0), body(source=True))
+                for payload in (
+                    body(size=-4),
+                    body(size=0),
+                    body(source=True),
+                    body(name=7),
+                    body(sizebound=3),
+                )
             ]
 
-    negative, zero, boolean = asyncio.run(scenario())
+    negative, zero, boolean, string, unknown = asyncio.run(scenario())
     for reply in (negative, zero):
         assert reply.status == 400
         error = _error_of(reply)
         assert error["code"] == "task-error" and "size must be >= 1" in error["message"]
-    assert boolean.status == 400
-    error = _error_of(boolean)
-    assert error["code"] == "invalid-request" and "must be an integer" in error["message"]
+    for reply, words in (
+        (boolean, "must be an integer"),
+        (string, "'name' must be a string"),
+        (unknown, "unknown field 'sizebound'"),
+    ):
+        assert reply.status == 400
+        error = _error_of(reply)
+        assert error["code"] == "invalid-request" and words in error["message"]
 
 
 def test_start_port_outside_0_to_2_is_structured_400():
